@@ -11,17 +11,12 @@ import os
 import numpy as np
 
 from droplet_lattice import (
-    PairBasis,
-    build_effective_couplings,
-    build_spin_model,
+    Pipeline,
     classify_droplet_states,
     default_params,
-    eigensolve,
     minimize_variational,
     pair_correlation,
-    qubit_positions,
 )
-from droplet_lattice.bath import solve_bath
 from droplet_lattice.observables import WavepacketState, write_pair_corr_csv
 
 
@@ -33,14 +28,8 @@ def main():
     args = parser.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
-    params = default_params(spacing=args.spacing, delta=args.delta)
-    positions = qubit_positions(params)
-    basis = PairBasis(params.n_qubits)
-    bands = solve_bath(params)
-    couplings = build_effective_couplings(params, positions, basis, bands)
-    h_spin = build_spin_model(couplings, basis, params)
-
-    decomp = eigensolve(h_spin)
+    pipe = Pipeline(default_params(spacing=args.spacing, delta=args.delta))
+    decomp = pipe.spectrum("spin")
     np.savetxt(
         os.path.join(args.out, "spectrum.csv"),
         decomp.energies,
@@ -48,19 +37,11 @@ def main():
         comments="",
     )
 
-    variational = minimize_variational(h_spin)
+    variational = minimize_variational(pipe.model("spin"))
     reference_params = default_params(
-        spacing=args.spacing, delta=args.delta, n_qubits=params.n_qubits * 4 // 3
+        spacing=args.spacing, delta=args.delta, n_qubits=pipe.params.n_qubits * 4 // 3
     )
-    ref_positions = qubit_positions(reference_params)
-    ref_basis = PairBasis(reference_params.n_qubits)
-    ref_bands = solve_bath(reference_params)
-    ref_couplings = build_effective_couplings(
-        reference_params, ref_positions, ref_basis, ref_bands
-    )
-    reference = minimize_variational(
-        build_spin_model(ref_couplings, ref_basis, reference_params), n_max=1
-    )
+    reference = minimize_variational(Pipeline(reference_params).model("spin"), n_max=1)
     labels = classify_droplet_states(decomp, variational, reference=reference)
     print(f"optimal relative length: {variational.length:.3f}")
     print(f"droplet-like states (1-based): {labels.indices.tolist()}")
@@ -70,7 +51,7 @@ def main():
         kind=decomp.kind, coefficients=decomp.vectors[:, 0], time=0.0, dims=decomp.dims
     )
     write_pair_corr_csv(
-        pair_correlation(ground, basis), os.path.join(args.out, "pair_corr.csv")
+        pair_correlation(ground, pipe.basis), os.path.join(args.out, "pair_corr.csv")
     )
     print(f"wrote {args.out}/spectrum.csv, pair_corr.csv")
 

@@ -11,18 +11,7 @@ import os
 
 import numpy as np
 
-from droplet_lattice import (
-    PairBasis,
-    build_effective_couplings,
-    build_spin_model,
-    default_params,
-    eigensolve,
-    initial_state,
-    pair_correlation,
-    propagate,
-    qubit_positions,
-)
-from droplet_lattice.bath import solve_bath
+from droplet_lattice import Pipeline, default_params
 from droplet_lattice.observables import (
     spin_spin_correlation,
     write_corr_snapshot_csv,
@@ -39,21 +28,9 @@ def main():
     args = parser.parse_args()
     os.makedirs(args.out, exist_ok=True)
 
-    params = default_params()
-    basis = PairBasis(params.n_qubits)
-    couplings = build_effective_couplings(
-        params, qubit_positions(params), basis, solve_bath(params)
-    )
-    decomp = eigensolve(build_spin_model(couplings, basis, params))
-
-    psi0 = initial_state(args.initial, basis)
+    pipe = Pipeline(default_params())
     times = np.arange(0.0, args.t_max + args.dt / 2, args.dt)
-    states = propagate(decomp, psi0, times)
-    series = {a: np.empty(len(times)) for a in (1, 6, 21)}
-    for row, state in enumerate(states):
-        rec = pair_correlation(state, basis)
-        for a in series:
-            series[a][row] = rec.probabilities[a - 1]
+    states, series = pipe.quench("spin", args.initial, times, (1, 6, 21))
     write_dynamics_csv(times, series, os.path.join(args.out, "dynamics.csv"))
 
     nn = series[1]
@@ -62,7 +39,7 @@ def main():
     for t_peak in times[interior][:2]:
         idx = int(np.argmin(np.abs(times - t_peak)))
         write_corr_snapshot_csv(
-            spin_spin_correlation(states[idx], basis),
+            spin_spin_correlation(states[idx], pipe.basis),
             os.path.join(args.out, f"corr_snapshot_t{int(t_peak)}.csv"),
         )
     print(f"wrote {args.out}/dynamics.csv and snapshots")

@@ -52,6 +52,7 @@ from .params import (
     default_params,
     qubit_positions,
 )
+from .pipeline import Pipeline
 from .solver import (
     SpectralDecomposition,
     VariationalResult,

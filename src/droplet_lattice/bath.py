@@ -14,13 +14,13 @@ included so that finite arrays are solved exactly.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError, NoBoundState
+from .output import write_csv
 from .params import J, MomentumGrid, SystemParams
 
 TAIL_TARGET = 1e-14
@@ -183,12 +183,11 @@ def profile_table(bands: BathBands) -> np.ndarray:
 
 def write_band_csv(bands: BathBands, params: SystemParams, path):
     """Dump (K, E_Kb_minus_2wc, size) rows for band plots."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["K", "E_Kb_minus_2wc", "size"])
-        for state in bands.bound_states:
-            writer.writerow(
-                [f"{state.momentum:.12g}",
-                 f"{state.energy - 2 * params.omega_c:.12g}",
-                 f"{state.size_second_moment():.12g}"]
-            )
+    write_csv(
+        path,
+        ["K", "E_Kb_minus_2wc", "size"],
+        (
+            (s.momentum, s.energy - 2 * params.omega_c, s.size_second_moment())
+            for s in bands.bound_states
+        ),
+    )

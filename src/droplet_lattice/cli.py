@@ -15,60 +15,39 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import observables as obs
-from .bath import solve_bath, write_band_csv
-from .couplings import (
-    build_effective_couplings,
-    hop_scale_and_length,
-    write_hop_csv,
-    write_pair_hop_blocks_csv,
-)
+from . import pipeline
+from .bath import write_band_csv
+from .couplings import hop_scale_and_length, write_hop_csv, write_pair_hop_blocks_csv
 from .errors import (
+    BracketError,
     ConfigError,
     ConvergenceError,
     SimulationError,
     UnknownFigure,
 )
-from .hamiltonians import (
-    BasisKind,
-    build_adiabatic_model,
-    build_complete_sector,
-    build_constrained_hop,
-    build_full_model,
-    build_pair_hop,
-    build_spin_model,
-    build_unconstrained_hop,
-    export_triplets,
-)
-from .params import PairBasis, SystemParams, build_params, qubit_positions
+from .hamiltonians import BasisKind, export_triplets
+from .output import atomic_open, write_csv
+from .params import asdict_params, build_params, default_params
+from .pipeline import Pipeline
 from .solver import (
-    eigensolve,
     first_order_perturbation,
     minimize_variational,
     propagate,
+    variational_energy,
 )
 
 SCHEMA_VERSION = 1
 
-TASKS = (
-    "spectrum",
-    "correlations",
-    "dynamics",
-    "variational",
-    "overlaps",
-    "sweep",
-    "validate",
-    "figure",
-)
-MODELS = ("spin", "single", "tilde-single", "pair", "adia0", "adia1", "full", "oracle")
+MODELS = tuple(pipeline.MODELS)
+_PAIR_MODELS = ("spin", "single", "tilde-single", "pair")
+_ITERATIVE_MODELS = ("full", "oracle")
 
-DEFAULT_PARAMS = dict(
-    n_cavities=501, n_qubits=60, spacing=1, g=1 / 50, u=-1.0, delta=-1 / 50, omega_c=0.0
-)
+DEFAULT_PARAMS = asdict_params(default_params())
 
 _OPTION_KEYS = {
     "k_lowest",
@@ -104,35 +83,46 @@ class RunConfig:
     schema_version: int = SCHEMA_VERSION
 
 
+def _mapping(raw: dict, key: str) -> dict:
+    value = raw.get(key, {})
+    if not isinstance(value, dict):
+        raise ConfigError(f"{key} must be a mapping, got {value!r}")
+    return value
+
+
 def load_config(raw: dict) -> RunConfig:
-    known = {"task", "params", "model", "options", "out_dir", "deterministic", "schema_version"}
-    unknown = set(raw) - known
+    unknown = set(raw) - {f.name for f in fields(RunConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     if raw.get("schema_version", SCHEMA_VERSION) != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema_version {raw.get('schema_version')}")
     task = raw.get("task")
     if task not in TASKS:
-        raise ConfigError(f"task must be one of {TASKS}, got {task!r}")
+        raise ConfigError(f"task must be one of {tuple(TASKS)}, got {task!r}")
     model = raw.get("model", "spin")
     if model not in MODELS:
         raise ConfigError(f"model must be one of {MODELS}, got {model!r}")
-    params = dict(DEFAULT_PARAMS)
-    raw_params = raw.get("params", {})
+    raw_params = _mapping(raw, "params")
     unknown = set(raw_params) - set(DEFAULT_PARAMS)
     if unknown:
         raise ConfigError(f"unknown params keys: {sorted(unknown)}")
-    params.update(raw_params)
-    options = dict(raw.get("options", {}))
+    options = dict(_mapping(raw, "options"))
     unknown = set(options) - _OPTION_KEYS
     if unknown:
         raise ConfigError(f"unknown option keys: {sorted(unknown)}")
-    deterministic = raw.get("deterministic", True)
-    if deterministic is not True:
+    index = options.get("state_index", 0)
+    if isinstance(index, bool) or not isinstance(index, int) or index < 0:
+        raise ConfigError(f"options.state_index must be a non-negative integer, got {index!r}")
+    if task == "figure":
+        if not options.get("fig"):
+            raise ConfigError("figure task needs options.fig")
+        if str(options["fig"]).lower() not in FIGURES:
+            raise UnknownFigure(f"no data generator for figure {options['fig']!r}")
+    if raw.get("deterministic", True) is not True:
         raise ConfigError("the deterministic flag is always on; remove or set true")
     return RunConfig(
         task=task,
-        params=params,
+        params={**DEFAULT_PARAMS, **raw_params},
         model=model,
         options=options,
         out_dir=str(raw.get("out_dir", "out")),
@@ -160,454 +150,321 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
     return raw
 
 
-def _atomic_write(path, text: str):
-    tmp = f"{path}.tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+def _decompose(pipe: Pipeline, cfg: RunConfig):
+    k = cfg.options.get("k_lowest", 12 if cfg.model in _ITERATIVE_MODELS else None)
+    return pipe.spectrum(cfg.model, int(k) if k else None)
 
 
-def _write_rows(path, header, rows):
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(str(c) for c in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
-class _Workspace:
-    """Lazy shared pipeline pieces for one parameter set."""
-
-    def __init__(self, params: SystemParams):
-        self.params = params
-        self.positions = qubit_positions(params)
-        self.basis = PairBasis(params.n_qubits)
-        self._bands = None
-        self._couplings = {}
-
-    @property
-    def bands(self):
-        if self._bands is None:
-            self._bands = solve_bath(self.params)
-            self._bands.require_gap()
-        return self._bands
-
-    def couplings(self, include_bound_bound=False):
-        key = bool(include_bound_bound)
-        if key not in self._couplings:
-            self._couplings[key] = build_effective_couplings(
-                self.params, self.positions, self.basis, self.bands,
-                include_bound_bound=include_bound_bound,
-            )
-        return self._couplings[key]
-
-    def model(self, name: str):
-        if name == "spin":
-            return build_spin_model(self.couplings(), self.basis, self.params)
-        if name == "single":
-            return build_constrained_hop(self.couplings(), self.basis, self.params)
-        if name == "tilde-single":
-            return build_unconstrained_hop(self.couplings(), self.basis, self.params)
-        if name == "pair":
-            return build_pair_hop(self.couplings(), self.basis, self.params)
-        if name == "adia0":
-            return build_adiabatic_model(
-                self.couplings(True), self.basis, self.params, self.bands, True
-            )
-        if name == "adia1":
-            return build_adiabatic_model(
-                self.couplings(), self.basis, self.params, self.bands, False
-            )
-        if name == "full":
-            return build_full_model(self.params, self.positions, self.basis, self.bands)
-        if name == "oracle":
-            return build_complete_sector(self.params, self.positions, self.basis)
-        raise ConfigError(f"unknown model {name!r}")
-
-
-def _decompose(ws: _Workspace, model_name: str, options: dict):
-    h = ws.model(model_name)
-    if model_name in ("full", "oracle"):
-        k = int(options.get("k_lowest", 12))
-        return h, eigensolve(h, k_lowest=k)
-    k = options.get("k_lowest")
-    return h, eigensolve(h, k_lowest=int(k) if k else None)
-
-
-# ---------------------------------------------------------------------------
-# tasks
-# ---------------------------------------------------------------------------
-
-
-def _task_spectrum(cfg, ws, out):
-    h, decomp = _decompose(ws, cfg.model, cfg.options)
-    _write_rows(
-        os.path.join(out, "spectrum.csv"),
-        ["E_minus_E0b"],
-        [[f"{e:.12g}"] for e in decomp.energies],
+def _eigenstate(decomp, index: int) -> obs.WavepacketState:
+    return obs.WavepacketState(
+        kind=decomp.kind, coefficients=decomp.vectors[:, index], time=0.0, dims=decomp.dims
     )
+
+
+def _write_overlaps(decomp, initial: str, basis, path):
+    psi0 = obs.initial_state(initial, basis)
+    if decomp.kind != BasisKind.SPIN:
+        raise ConfigError("overlap decomposition needs a pair-basis model")
+    energies, weights = obs.overlap_spectrum(psi0, decomp)
+    obs.write_overlap_csv(energies, weights, path)
+
+
+# ---------------------------------------------------------------------------
+# tasks: each returns (decomposition or None, files written, extra manifest keys)
+# ---------------------------------------------------------------------------
+
+
+def _task_spectrum(cfg, pipe, out):
+    decomp = _decompose(pipe, cfg)
+    write_csv(os.path.join(out, "spectrum.csv"), ["E_minus_E0b"], ([e] for e in decomp.energies))
     written = ["spectrum.csv"]
     if cfg.options.get("export_matrix"):
-        export_triplets(h, os.path.join(out, "matrix.txt"))
+        export_triplets(pipe.model(cfg.model), os.path.join(out, "matrix.txt"))
         written.append("matrix.txt")
     if cfg.options.get("dump_bands"):
-        write_band_csv(ws.bands, ws.params, os.path.join(out, "bands.csv"))
+        write_band_csv(pipe.bands, pipe.params, os.path.join(out, "bands.csv"))
         written.append("bands.csv")
     if cfg.options.get("dump_couplings"):
-        write_hop_csv(ws.couplings(), os.path.join(out, "hop.csv"))
-        write_pair_hop_blocks_csv(ws.couplings(), ws.basis, os.path.join(out, "pair_hop_blocks.csv"))
+        write_hop_csv(pipe.couplings, os.path.join(out, "hop.csv"))
+        write_pair_hop_blocks_csv(
+            pipe.couplings, pipe.basis, os.path.join(out, "pair_hop_blocks.csv")
+        )
         written.extend(["hop.csv", "pair_hop_blocks.csv"])
-    return decomp, written
+    return decomp, written, {}
 
 
-def _task_correlations(cfg, ws, out):
-    h, decomp = _decompose(ws, cfg.model, cfg.options)
-    index = int(cfg.options.get("state_index", 0))
-    vec = decomp.vectors[:, index]
-    state = obs.WavepacketState(
-        kind=decomp.kind, coefficients=vec, time=0.0, dims=decomp.dims
+def _task_correlations(cfg, pipe, out):
+    decomp = _decompose(pipe, cfg)
+    index = cfg.options.get("state_index", 0)
+    if index >= len(decomp.energies):
+        raise ConfigError(
+            f"options.state_index {index} out of range: {len(decomp.energies)} states solved"
+        )
+    state = _eigenstate(decomp, index)
+    obs.write_pair_corr_csv(
+        obs.pair_correlation(state, pipe.basis), os.path.join(out, "pair_corr.csv")
     )
-    record = obs.pair_correlation(state, ws.basis)
-    obs.write_pair_corr_csv(record, os.path.join(out, "pair_corr.csv"))
-    grid = obs.spin_spin_correlation(state, ws.basis)
-    obs.write_corr_snapshot_csv(grid, os.path.join(out, "corr_snapshot.csv"))
-    return decomp, ["pair_corr.csv", "corr_snapshot.csv"]
+    obs.write_corr_snapshot_csv(
+        obs.spin_spin_correlation(state, pipe.basis), os.path.join(out, "corr_snapshot.csv")
+    )
+    return decomp, ["pair_corr.csv", "corr_snapshot.csv"], {}
 
 
-def _task_dynamics(cfg, ws, out):
-    if cfg.model not in ("spin", "single", "tilde-single", "pair"):
+def _task_dynamics(cfg, pipe, out):
+    if cfg.model not in _PAIR_MODELS:
         raise ConfigError("dynamics needs a dense pair-basis model")
-    h, decomp = _decompose(ws, cfg.model, {})
-    psi0 = obs.initial_state(cfg.options.get("initial", "fs"), ws.basis)
+    decomp = pipe.spectrum(cfg.model)
     t_max = float(cfg.options.get("t_max", 1e4))
     dt = float(cfg.options.get("dt", 2.0))
     times = np.arange(0.0, t_max + dt / 2, dt)
     alphas = [int(a) for a in cfg.options.get("alphas", [1, 6, 21])]
-    if any(not 1 <= a <= ws.params.n_qubits - 1 for a in alphas):
-        raise ConfigError(f"alphas must lie in [1, {ws.params.n_qubits - 1}], got {alphas}")
-    states = propagate(decomp, psi0, times)
-    series = {a: np.empty(len(times)) for a in alphas}
-    for row, st in enumerate(states):
-        rec = obs.pair_correlation(st, ws.basis)
-        for a in alphas:
-            series[a][row] = rec.probabilities[a - 1]
+    if any(not 1 <= a <= pipe.params.n_qubits - 1 for a in alphas):
+        raise ConfigError(f"alphas must lie in [1, {pipe.params.n_qubits - 1}], got {alphas}")
+    states, series = pipe.quench(cfg.model, cfg.options.get("initial", "fs"), times, alphas)
     obs.write_dynamics_csv(times, series, os.path.join(out, "dynamics.csv"))
     for t_snap in cfg.options.get("snapshot_times", []):
         idx = int(np.argmin(np.abs(times - float(t_snap))))
-        grid = obs.spin_spin_correlation(states[idx], ws.basis)
+        grid = obs.spin_spin_correlation(states[idx], pipe.basis)
         obs.write_corr_snapshot_csv(
             grid, os.path.join(out, f"corr_snapshot_t{int(times[idx])}.csv")
         )
-    return decomp, ["dynamics.csv"]
+    return decomp, ["dynamics.csv"], {}
 
 
-def _variational_with_reference(ws, cfg):
-    h_spin = ws.model("spin")
+def _task_variational(cfg, pipe, out):
+    h_spin = pipe.model("spin")
     n_max = cfg.options.get("n_max")
     result = minimize_variational(h_spin, n_max=int(n_max) if n_max else None)
-    reference = None
-    if cfg.options.get("classify", True):
-        ref_qubits = int(
-            cfg.options.get("reference_qubits", math.ceil(ws.params.n_qubits * 4 / 3))
-        )
-        ref_params = build_params({**asdict_params(ws.params), "n_qubits": ref_qubits})
-        ref_ws = _Workspace(ref_params)
-        reference = minimize_variational(ref_ws.model("spin"), n_max=1)
-    return h_spin, result, reference
-
-
-def asdict_params(params: SystemParams) -> dict:
-    return dict(
-        n_cavities=params.n_cavities,
-        n_qubits=params.n_qubits,
-        spacing=params.spacing,
-        g=params.g,
-        u=params.u,
-        delta=params.delta,
-        omega_c=params.omega_c,
-    )
-
-
-def _task_variational(cfg, ws, out):
-    h_spin, result, reference = _variational_with_reference(ws, cfg)
-    _write_rows(
-        os.path.join(out, "variational.csv"),
-        ["n", "E_var"],
-        [[n + 1, f"{e:.12g}"] for n, e in enumerate(result.energies)],
-    )
+    write_csv(os.path.join(out, "variational.csv"), ["n", "E_var"], enumerate(result.energies, 1))
     written = ["variational.csv"]
     decomp = None
     if cfg.options.get("classify", True):
-        decomp = eigensolve(h_spin)
+        ref_qubits = int(
+            cfg.options.get("reference_qubits", math.ceil(pipe.params.n_qubits * 4 / 3))
+        )
+        ref_params = build_params({**asdict_params(pipe.params), "n_qubits": ref_qubits})
+        reference = minimize_variational(Pipeline(ref_params).model("spin"), n_max=1)
+        decomp = pipe.spectrum("spin")
         labels = obs.classify_droplet_states(decomp, result, reference=reference)
-        _write_rows(
+        write_csv(
             os.path.join(out, "droplets.csv"),
             ["state_index", "mode", "overlap"],
-            [
-                [int(i), int(m), f"{o:.12g}"]
-                for i, m, o in zip(labels.indices, labels.mode_numbers, labels.overlaps)
-            ],
+            zip(labels.indices, labels.mode_numbers, labels.overlaps),
         )
         written.append("droplets.csv")
     return decomp, written, {"L_r": result.length}
 
 
-def _task_overlaps(cfg, ws, out):
-    h, decomp = _decompose(ws, cfg.model, cfg.options)
-    psi0 = obs.initial_state(cfg.options.get("initial", "fs"), ws.basis)
-    if decomp.kind != BasisKind.SPIN:
-        raise ConfigError("overlap decomposition needs a pair-basis model")
-    energies, weights = obs.overlap_spectrum(psi0, decomp)
-    obs.write_overlap_csv(energies, weights, os.path.join(out, "overlap.csv"))
-    return decomp, ["overlap.csv"]
+def _task_overlaps(cfg, pipe, out):
+    decomp = _decompose(pipe, cfg)
+    _write_overlaps(
+        decomp, cfg.options.get("initial", "fs"), pipe.basis, os.path.join(out, "overlap.csv")
+    )
+    return decomp, ["overlap.csv"], {}
 
 
 def _sweep_point(args):
     params_dict, model_name = args
-    params = build_params(params_dict)
-    ws = _Workspace(params)
-    h = ws.model(model_name)
-    decomp = eigensolve(h, k_lowest=1 if model_name in ("full", "oracle") else None)
-    return float(decomp.energies[0])
+    k = 1 if model_name in _ITERATIVE_MODELS else None
+    return float(Pipeline(build_params(params_dict)).spectrum(model_name, k).energies[0])
 
 
-def _task_sweep(cfg, ws, out):
+def _worker_count() -> int:
+    text = os.environ.get("SIMULATE_WORKERS", str(os.cpu_count() or 1))
+    if not text.isdecimal() or int(text) < 1:
+        raise ConfigError(f"SIMULATE_WORKERS must be a positive integer, got {text!r}")
+    return int(text)
+
+
+def _task_sweep(cfg, pipe, out):
     axis = cfg.options.get("axis", "delta")
     if axis not in ("delta", "g", "u", "spacing", "n_qubits"):
         raise ConfigError(f"unsupported sweep axis {axis!r}")
     values = cfg.options.get("values")
     if not values:
         raise ConfigError("sweep needs options.values")
-    jobs = []
-    for v in values:
-        pd = dict(cfg.params)
-        pd[axis] = v
-        jobs.append((pd, cfg.model))
-    workers = int(os.environ.get("SIMULATE_WORKERS", os.cpu_count() or 1))
-    if workers > 1 and len(jobs) > 1:
+    jobs = [({**cfg.params, axis: v}, cfg.model) for v in values]
+    workers = min(_worker_count(), len(jobs))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             energies = list(pool.map(_sweep_point, jobs))
     else:
         energies = [_sweep_point(j) for j in jobs]
-    _write_rows(
-        os.path.join(out, "sweep.csv"),
-        [axis, "E0_minus_E0b"],
-        [[f"{v:.12g}", f"{e:.12g}"] for v, e in zip(values, energies)],
-    )
-    return None, ["sweep.csv"]
+    write_csv(os.path.join(out, "sweep.csv"), [axis, "E0_minus_E0b"], zip(values, energies))
+    return None, ["sweep.csv"], {}
 
 
-def _task_validate(cfg, ws, out):
+def _task_validate(cfg, pipe, out):
     from . import oracles
 
     checks = []
 
     def check(name, value, tol):
         ok = value < tol
-        checks.append((name, value, tol, ok))
+        checks.append((name, f"{value:.6e}", f"{tol:.0e}", int(ok)))
         print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} (tol {tol:.0e})")
 
-    small = build_params({**cfg.params, "n_cavities": 41, "n_qubits": 6, "spacing": 1})
-    sws = _Workspace(small)
-    cpl = sws.couplings()
-    h_single = build_constrained_hop(cpl, sws.basis, small)
-    h_tilde = build_unconstrained_hop(cpl, sws.basis, small)
-    h_pair = build_pair_hop(cpl, sws.basis, small)
-    check(
-        "operator-string single hop",
-        np.abs(oracles.constrained_hop_by_strings(cpl.hop, sws.basis) - h_single.payload).max(),
-        1e-12,
-    )
-    check(
-        "operator-string unconstrained hop",
-        np.abs(oracles.unconstrained_hop_by_strings(cpl.hop, sws.basis) - h_tilde.payload).max(),
-        1e-12,
-    )
-    check(
-        "operator-string pair hop",
-        np.abs(oracles.pair_hop_by_strings(cpl.pair_hop, sws.basis) - h_pair.payload).max(),
-        1e-12,
-    )
-    bath_spec = np.linalg.eigvalsh(oracles.two_photon_bath_sector(small))
-    worst = max(
-        np.abs(bath_spec - e).min() for e in sws.bands.bound_energies
-    )
+    small = Pipeline(build_params({**cfg.params, "n_cavities": 41, "n_qubits": 6, "spacing": 1}))
+    cpl, basis, bands = small.couplings, small.basis, small.bands
+    for name, oracle, model in (
+        ("single hop", oracles.constrained_hop_by_strings(cpl.hop, basis), "single"),
+        ("unconstrained hop", oracles.unconstrained_hop_by_strings(cpl.hop, basis),
+         "tilde-single"),
+        ("pair hop", oracles.pair_hop_by_strings(cpl.pair_hop, basis), "pair"),
+    ):
+        check(f"operator-string {name}", np.abs(oracle - small.model(model).payload).max(), 1e-12)
+    bath_spec = np.linalg.eigvalsh(oracles.two_photon_bath_sector(small.params))
+    worst = max(np.abs(bath_spec - e).min() for e in bands.bound_energies)
     check("bath two-photon sector vs bound band", worst, 1e-9)
-    one_spec = np.linalg.eigvalsh(oracles.single_photon_sector(small))
-    worst = max(
-        np.abs(one_spec - e).min() for e in sws.bands.single_photon_energies
-    )
+    one_spec = np.linalg.eigvalsh(oracles.single_photon_sector(small.params))
+    worst = max(np.abs(one_spec - e).min() for e in bands.single_photon_energies)
     check("bath one-photon sector vs dispersion", worst, 1e-10)
-    ref = oracles.pair_hop_reference(small, cpl.pair_bound, sws.bands)
+    ref = oracles.pair_hop_reference(small.params, cpl.pair_bound, bands)
     check("pair-hop factorization vs wavevector loop", np.abs(ref - cpl.pair_hop).max(), 1e-12)
 
-    tiny = build_params({**cfg.params, "n_cavities": 41, "n_qubits": 4, "spacing": 1})
-    tws = _Workspace(tiny)
-    complete = build_complete_sector(tiny, tws.positions, tws.basis)
-    full = build_full_model(tiny, tws.positions, tws.basis, tws.bands)
-    wc_ = eigensolve(complete, k_lowest=5)
-    wf_ = eigensolve(full, k_lowest=5)
-    check(
-        "bound-pair truncation lowest 5",
-        np.abs(wc_.energies - wf_.energies).max(),
-        1e-4,
-    )
+    tiny = Pipeline(build_params({**cfg.params, "n_cavities": 41, "n_qubits": 4, "spacing": 1}))
+    exact, truncated = tiny.spectrum("oracle", 5).energies, tiny.spectrum("full", 5).energies
+    check("bound-pair truncation lowest 5", np.abs(exact - truncated).max(), 1e-4)
 
-    _write_rows(
-        os.path.join(out, "validate.csv"),
-        ["check", "value", "tol", "ok"],
-        [[n, f"{v:.6e}", f"{t:.0e}", int(ok)] for n, v, t, ok in checks],
-    )
+    write_csv(os.path.join(out, "validate.csv"), ["check", "value", "tol", "ok"], checks)
     if not all(ok for *_, ok in checks):
         raise ConvergenceError("validation suite failed; see validate.csv")
-    return None, ["validate.csv"]
+    return None, ["validate.csv"], {}
+
+
+def _task_figure(cfg, pipe, out):
+    fig = str(cfg.options["fig"]).lower()
+    return None, FIGURES[fig](fig, cfg, pipe, out), {}
 
 
 # ---------------------------------------------------------------------------
-# figure data
+# figure data: each generator writes the series behind one standard figure,
+# in its coordinates, and returns the file names
 # ---------------------------------------------------------------------------
 
 
-def figure_data(fig_id: str, cfg: RunConfig, out: str) -> list[str]:
-    """Emit the data series behind one standard figure, in its coordinates."""
-    fig = str(fig_id).lower()
-    params = build_params(cfg.params)
-    ws = _Workspace(params)
-    if fig == "3":
-        deltas = cfg.options.get("values") or list(np.linspace(-0.15, -0.005, 30))
-        rows = []
-        for d in deltas:
-            p = build_params({**cfg.params, "delta": float(d)})
-            scale, length = hop_scale_and_length(p)
-            rows.append([f"{d:.12g}", f"{scale:.12g}", f"{length:.12g}"])
-        _write_rows(os.path.join(out, "fig3.csv"), ["delta", "W0", "L0"], rows)
-        return ["fig3.csv"]
-    if fig == "4":
-        write_pair_hop_blocks_csv(ws.couplings(), ws.basis, os.path.join(out, "fig4.csv"))
-        return ["fig4.csv"]
-    if fig == "5":
-        spin = eigensolve(ws.model("spin"))
-        single = eigensolve(ws.model("single"))
-        tilde = eigensolve(ws.model("tilde-single"))
-        rows = [
-            [i + 1, f"{a:.12g}", f"{b:.12g}", f"{c:.12g}"]
-            for i, (a, b, c) in enumerate(
-                zip(spin.energies, single.energies, tilde.energies)
-            )
-        ]
-        _write_rows(
-            os.path.join(out, "fig5.csv"), ["index", "E_spin", "E_single", "E_tilde"], rows
-        )
-        return ["fig5.csv"]
-    if fig == "6a":
-        h_spin = ws.model("spin")
-        spin = eigensolve(h_spin)
-        single = eigensolve(ws.model("single"))
-        var = minimize_variational(h_spin, n_max=6)
-        labels = obs.classify_droplet_states(spin, var)
-        droplets = labels.indices[:6] - 1
-        pert = first_order_perturbation(single, ws.couplings().pair_hop, indices=np.arange(6))
-        rows = []
-        for n in range(min(6, len(droplets))):
-            rows.append(
-                [n + 1,
-                 f"{spin.energies[droplets[n]]:.12g}",
-                 f"{single.energies[n]:.12g}",
-                 f"{var.energies[n]:.12g}",
-                 f"{pert[n]:.12g}"]
-            )
-        _write_rows(
-            os.path.join(out, "fig6a.csv"),
-            ["n", "E_spin", "E_single", "E_variational", "E_perturbation"],
-            rows,
-        )
-        return ["fig6a.csv"]
-    if fig == "6b":
-        from .errors import BracketError
-        from .solver import variational_energy
+def _fig3(fig, cfg, pipe, out):
+    deltas = cfg.options.get("values") or list(np.linspace(-0.15, -0.005, 30))
+    rows = [(d, *hop_scale_and_length(build_params({**cfg.params, "delta": float(d)})))
+            for d in deltas]
+    write_csv(os.path.join(out, "fig3.csv"), ["delta", "W0", "L0"], rows)
+    return ["fig3.csv"]
 
-        deltas = cfg.options.get("values") or list(np.linspace(-0.15, -0.01, 8))
-        rows = []
-        for d in deltas:
-            p = build_params({**cfg.params, "delta": float(d)})
-            w = _Workspace(p)
-            h_spin = w.model("spin")
-            spin = eigensolve(h_spin, k_lowest=1)
-            single = eigensolve(w.model("single"), k_lowest=4)
-            pert = first_order_perturbation(single, w.couplings().pair_hop, indices=[0])
-            try:
-                var_energy = minimize_variational(h_spin, n_max=1).energies[0]
-            except BracketError:
-                # unbound regime: the profile wants the whole array; the
-                # bracket edge still gives a valid upper bound
-                var_energy = variational_energy(h_spin, 30.0, 1)
-            rows.append(
-                [f"{d:.12g}", f"{spin.energies[0]:.12g}",
-                 f"{var_energy:.12g}", f"{pert[0]:.12g}"]
-            )
-        _write_rows(
-            os.path.join(out, "fig6b.csv"),
-            ["delta", "E_exact", "E_variational", "E_perturbation"],
-            rows,
-        )
-        return ["fig6b.csv"]
-    if fig in ("7a", "7b"):
-        delta = -1 / 50 if fig == "7a" else -3 / 20
-        p = build_params({**cfg.params, "delta": delta})
-        w = _Workspace(p)
-        spin = eigensolve(w.model("spin"), k_lowest=1)
-        single = eigensolve(w.model("single"), k_lowest=1)
-        full = eigensolve(w.model("full"), k_lowest=4)
-        cols = {}
-        for name, dec in (("spin", spin), ("single", single), ("full", full)):
-            vec = dec.vectors[:, 0]
-            st = obs.WavepacketState(kind=dec.kind, coefficients=vec, time=0.0, dims=dec.dims)
-            rec = obs.pair_correlation(st, w.basis)
-            weight = st.pair_weight()
-            cols[name] = rec.probabilities / weight
-        rows = [
-            [a + 1, f"{cols['full'][a]:.12g}", f"{cols['spin'][a]:.12g}",
-             f"{cols['single'][a]:.12g}"]
-            for a in range(p.n_qubits - 1)
-        ]
-        _write_rows(
-            os.path.join(out, f"fig{fig}.csv"), ["alpha", "P_full", "P_spin", "P_single"], rows
-        )
-        return [f"fig{fig}.csv"]
-    if fig in ("8a", "8b"):
-        decomp = eigensolve(ws.model("spin"))
-        psi0 = obs.initial_state("ps" if fig == "8a" else "fs", ws.basis)
-        energies, weights = obs.overlap_spectrum(psi0, decomp)
-        obs.write_overlap_csv(energies, weights, os.path.join(out, f"fig{fig}.csv"))
-        return [f"fig{fig}.csv"]
-    if fig in ("9a", "9b"):
-        if params.n_qubits < 22:
-            raise ConfigError("figure 9 plots separations 1, 6, 21; needs >= 22 qubits")
-        decomp = eigensolve(ws.model("spin"))
-        psi0 = obs.initial_state("ps" if fig == "9a" else "fs", ws.basis)
-        times = np.arange(0.0, 1e4 + 1, 2.0)
-        states = propagate(decomp, psi0, times)
-        series = {a: np.empty(len(times)) for a in (1, 6, 21)}
-        for row, st in enumerate(states):
-            rec = obs.pair_correlation(st, ws.basis)
-            for a in series:
-                series[a][row] = rec.probabilities[a - 1]
-        obs.write_dynamics_csv(times, series, os.path.join(out, f"fig{fig}.csv"))
-        return [f"fig{fig}.csv"]
-    if fig == "10":
-        decomp = eigensolve(ws.model("spin"))
-        psi0 = obs.initial_state("fs", ws.basis)
-        snaps = cfg.options.get(
-            "snapshot_times", [0, 960, 2220, 3080, 4440, 5220, 6540, 7500]
-        )
-        states = propagate(decomp, psi0, [float(t) for t in snaps])
-        written = []
-        for st in states:
-            grid = obs.spin_spin_correlation(st, ws.basis)
-            name = f"fig10_t{int(st.time)}.csv"
-            obs.write_corr_snapshot_csv(grid, os.path.join(out, name))
-            written.append(name)
-        return written
-    raise UnknownFigure(f"no data generator for figure {fig_id!r}")
+
+def _fig4(fig, cfg, pipe, out):
+    write_pair_hop_blocks_csv(pipe.couplings, pipe.basis, os.path.join(out, "fig4.csv"))
+    return ["fig4.csv"]
+
+
+def _fig5(fig, cfg, pipe, out):
+    columns = [pipe.spectrum(m).energies for m in ("spin", "single", "tilde-single")]
+    write_csv(
+        os.path.join(out, "fig5.csv"),
+        ["index", "E_spin", "E_single", "E_tilde"],
+        ((i, *row) for i, row in enumerate(zip(*columns), 1)),
+    )
+    return ["fig5.csv"]
+
+
+def _fig6a(fig, cfg, pipe, out):
+    spin, single = pipe.spectrum("spin"), pipe.spectrum("single")
+    var = minimize_variational(pipe.model("spin"), n_max=6)
+    droplets = obs.classify_droplet_states(spin, var).indices[:6] - 1
+    pert = first_order_perturbation(single, pipe.couplings.pair_hop, indices=np.arange(6))
+    write_csv(
+        os.path.join(out, "fig6a.csv"),
+        ["n", "E_spin", "E_single", "E_variational", "E_perturbation"],
+        ((n + 1, spin.energies[d], single.energies[n], var.energies[n], pert[n])
+         for n, d in enumerate(droplets)),
+    )
+    return ["fig6a.csv"]
+
+
+def _ground_energies(params):
+    """Exact, variational and first-order ground energies at one detuning."""
+    pipe = Pipeline(params)
+    h_spin = pipe.model("spin")
+    exact = pipe.spectrum("spin", 1).energies[0]
+    single = pipe.spectrum("single", 4)
+    pert = first_order_perturbation(single, pipe.couplings.pair_hop, indices=[0])[0]
+    try:
+        var_energy = minimize_variational(h_spin, n_max=1).energies[0]
+    except BracketError:
+        # unbound regime: the profile wants the whole array; the
+        # bracket edge still gives a valid upper bound
+        var_energy = variational_energy(h_spin, 30.0, 1)
+    return exact, var_energy, pert
+
+
+def _fig6b(fig, cfg, pipe, out):
+    deltas = cfg.options.get("values") or list(np.linspace(-0.15, -0.01, 8))
+    write_csv(
+        os.path.join(out, "fig6b.csv"),
+        ["delta", "E_exact", "E_variational", "E_perturbation"],
+        ((d, *_ground_energies(build_params({**cfg.params, "delta": float(d)})))
+         for d in deltas),
+    )
+    return ["fig6b.csv"]
+
+
+def _fig7(fig, cfg, pipe, out):
+    delta = -1 / 50 if fig == "7a" else -3 / 20
+    point = Pipeline(build_params({**cfg.params, "delta": delta}))
+    cols = {}
+    for name, k in (("spin", 1), ("single", 1), ("full", 4)):
+        state = _eigenstate(point.spectrum(name, k), 0)
+        cols[name] = obs.pair_correlation(state, point.basis).probabilities / state.pair_weight()
+    write_csv(
+        os.path.join(out, f"fig{fig}.csv"),
+        ["alpha", "P_full", "P_spin", "P_single"],
+        zip(range(1, point.params.n_qubits), cols["full"], cols["spin"], cols["single"]),
+    )
+    return [f"fig{fig}.csv"]
+
+
+def _fig8(fig, cfg, pipe, out):
+    initial = "ps" if fig == "8a" else "fs"
+    _write_overlaps(pipe.spectrum("spin"), initial, pipe.basis, os.path.join(out, f"fig{fig}.csv"))
+    return [f"fig{fig}.csv"]
+
+
+def _fig9(fig, cfg, pipe, out):
+    if pipe.params.n_qubits < 22:
+        raise ConfigError("figure 9 plots separations 1, 6, 21; needs >= 22 qubits")
+    times = np.arange(0.0, 1e4 + 1, 2.0)
+    _, series = pipe.quench("spin", "ps" if fig == "9a" else "fs", times, (1, 6, 21))
+    obs.write_dynamics_csv(times, series, os.path.join(out, f"fig{fig}.csv"))
+    return [f"fig{fig}.csv"]
+
+
+def _fig10(fig, cfg, pipe, out):
+    decomp = pipe.spectrum("spin")
+    psi0 = obs.initial_state("fs", pipe.basis)
+    snaps = cfg.options.get("snapshot_times", [0, 960, 2220, 3080, 4440, 5220, 6540, 7500])
+    written = []
+    for st in propagate(decomp, psi0, [float(t) for t in snaps]):
+        name = f"fig10_t{int(st.time)}.csv"
+        grid = obs.spin_spin_correlation(st, pipe.basis)
+        obs.write_corr_snapshot_csv(grid, os.path.join(out, name))
+        written.append(name)
+    return written
+
+
+FIGURES = {
+    "3": _fig3, "4": _fig4, "5": _fig5, "6a": _fig6a, "6b": _fig6b, "7a": _fig7, "7b": _fig7,
+    "8a": _fig8, "8b": _fig8, "9a": _fig9, "9b": _fig9, "10": _fig10,
+}
+
+TASKS = {
+    "spectrum": _task_spectrum,
+    "correlations": _task_correlations,
+    "dynamics": _task_dynamics,
+    "variational": _task_variational,
+    "overlaps": _task_overlaps,
+    "sweep": _task_sweep,
+    "validate": _task_validate,
+    "figure": _task_figure,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -617,40 +474,15 @@ def figure_data(fig_id: str, cfg: RunConfig, out: str) -> list[str]:
 
 def run(cfg: RunConfig) -> int:
     started = time.time()
-    params = build_params(cfg.params)
-    ws = _Workspace(params)
+    pipe = Pipeline(build_params(cfg.params))
     os.makedirs(cfg.out_dir, exist_ok=True)
-    out = cfg.out_dir
-    extra = {}
-    decomp = None
-    if cfg.task == "spectrum":
-        decomp, written = _task_spectrum(cfg, ws, out)
-    elif cfg.task == "correlations":
-        decomp, written = _task_correlations(cfg, ws, out)
-    elif cfg.task == "dynamics":
-        decomp, written = _task_dynamics(cfg, ws, out)
-    elif cfg.task == "variational":
-        decomp, written, extra = _task_variational(cfg, ws, out)
-    elif cfg.task == "overlaps":
-        decomp, written = _task_overlaps(cfg, ws, out)
-    elif cfg.task == "sweep":
-        decomp, written = _task_sweep(cfg, ws, out)
-    elif cfg.task == "validate":
-        decomp, written = _task_validate(cfg, ws, out)
-    elif cfg.task == "figure":
-        fig = cfg.options.get("fig")
-        if not fig:
-            raise ConfigError("figure task needs options.fig")
-        written = figure_data(fig, cfg, out)
-    else:  # pragma: no cover - load_config already rejects this
-        raise ConfigError(f"unhandled task {cfg.task}")
-
+    decomp, written, extra = TASKS[cfg.task](cfg, pipe, cfg.out_dir)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "task": cfg.task,
         "model": cfg.model,
-        "params": asdict_params(params),
-        "params_hash": params.content_hash(),
+        "params": asdict_params(pipe.params),
+        "params_hash": pipe.params.content_hash(),
         "options": cfg.options,
         "deterministic": True,
         "basis_dims": dict(decomp.dims) if decomp is not None else None,
@@ -659,7 +491,8 @@ def run(cfg: RunConfig) -> int:
         "wall_time_s": round(time.time() - started, 3),
         **extra,
     }
-    _atomic_write(os.path.join(out, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
+    with atomic_open(os.path.join(cfg.out_dir, "manifest.json")) as fh:
+        fh.write(json.dumps(manifest, indent=2) + "\n")
     return 0
 
 
@@ -675,7 +508,7 @@ def main(argv=None) -> int:
         metavar="KEY=VALUE", help="override a config entry (dotted keys)",
     )
     parser.add_argument("--out", help="output directory (overrides config)")
-    parser.add_argument("--fig", help="figure id for the figure task")
+    parser.add_argument("--fig", help=f"figure id for the figure task: {', '.join(FIGURES)}")
     args = parser.parse_args(argv)
 
     try:
@@ -683,6 +516,8 @@ def main(argv=None) -> int:
         if args.config:
             with open(args.config) as fh:
                 raw = json.load(fh)
+            if not isinstance(raw, dict):
+                raise ConfigError(f"{args.config} must hold a JSON object")
         raw["task"] = args.task
         if args.out:
             raw["out_dir"] = args.out
@@ -691,7 +526,7 @@ def main(argv=None) -> int:
         raw = apply_overrides(raw, args.assignments)
         cfg = load_config(raw)
         return run(cfg)
-    except ConfigError as exc:
+    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
@@ -700,9 +535,6 @@ def main(argv=None) -> int:
     except SimulationError as exc:
         print(f"validity error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

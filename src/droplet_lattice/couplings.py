@@ -11,7 +11,6 @@ product rather than a quadruple loop.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,6 +18,7 @@ import numpy as np
 
 from .bath import BathBands, profile_table
 from .errors import DomainError
+from .output import write_csv
 from .params import J, PairBasis, SystemParams
 
 
@@ -30,13 +30,11 @@ class EffectiveCouplings:
     pair_bound : (P, N) complex, pair ket to bound ket couplings, one
         column per center-of-mass wavevector.  Carries no factor of g;
         the g^2 prefactors enter at Hamiltonian assembly.
-    bound_bound : (N, N) complex Hermitian, or None when not requested.
     pair_hop : (P, P) real symmetric negative semidefinite.
     """
 
     hop: np.ndarray
     pair_bound: np.ndarray
-    bound_bound: Optional[np.ndarray]
     pair_hop: np.ndarray
     hop_scale: float
     hop_length: float
@@ -146,23 +144,17 @@ def build_effective_couplings(
     positions: np.ndarray,
     basis: PairBasis,
     bands: BathBands,
-    include_bound_bound: bool = False,
 ) -> EffectiveCouplings:
-    """Compute every effective interaction for one parameter set."""
+    """Compute the effective interactions of the spin model for one parameter
+    set; the bound-to-bound block comes from ``bound_bound_couplings``."""
     profiles = profile_table(bands)
     hop = constrained_hop_matrix(params, positions)
     scale, length = hop_scale_and_length(params)
     pair_bound = pair_bound_couplings(params, positions, basis, bands, profiles)
-    bound_bound = (
-        bound_bound_couplings(params, positions, bands, profiles)
-        if include_bound_bound
-        else None
-    )
     pair_hop = pair_hop_matrix(params, pair_bound, bands)
     return EffectiveCouplings(
         hop=hop,
         pair_bound=pair_bound,
-        bound_bound=bound_bound,
         pair_hop=pair_hop,
         hop_scale=scale,
         hop_length=length,
@@ -171,13 +163,12 @@ def build_effective_couplings(
 
 
 def write_hop_csv(couplings: EffectiveCouplings, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["j", "l", "W"])
-        n_e = couplings.hop.shape[0]
-        for j in range(n_e):
-            for l in range(n_e):
-                writer.writerow([j + 1, l + 1, f"{couplings.hop[j, l]:.12g}"])
+    n_e = couplings.hop.shape[0]
+    write_csv(
+        path,
+        ["j", "l", "W"],
+        ((j + 1, l + 1, couplings.hop[j, l]) for j in range(n_e) for l in range(n_e)),
+    )
 
 
 def write_pair_hop_blocks_csv(
@@ -190,14 +181,13 @@ def write_pair_hop_blocks_csv(
     directly as the block-structured contour map.
     """
     keep = np.nonzero(basis.separations <= max_separation)[0]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["row", "col", "i", "j", "l", "h", "Y"])
-        for a, p in enumerate(keep):
-            for b, q in enumerate(keep):
-                writer.writerow(
-                    [a, b,
-                     basis.i_index[p], basis.j_index[p],
-                     basis.i_index[q], basis.j_index[q],
-                     f"{couplings.pair_hop[p, q]:.12g}"]
-                )
+    write_csv(
+        path,
+        ["row", "col", "i", "j", "l", "h", "Y"],
+        (
+            (a, b, basis.i_index[p], basis.j_index[p], basis.i_index[q], basis.j_index[q],
+             couplings.pair_hop[p, q])
+            for a, p in enumerate(keep)
+            for b, q in enumerate(keep)
+        ),
+    )

@@ -28,6 +28,7 @@ import scipy.sparse as sp
 from .bath import BathBands, profile_table
 from .couplings import EffectiveCouplings
 from .errors import BasisMismatch, SizeError
+from .output import atomic_open
 from .params import J, PairBasis, SystemParams
 
 COMPLETE_DIM_CAP = 40_000
@@ -284,9 +285,13 @@ def build_adiabatic_model(
     basis: PairBasis,
     params: SystemParams,
     bands: BathBands,
-    include_bound_bound: bool = False,
+    bound_bound: Optional[np.ndarray] = None,
 ) -> HamiltonianMatrix:
-    """Intermediate model after one elimination step: pairs plus bound kets."""
+    """Intermediate model after one elimination step: pairs plus bound kets.
+
+    ``bound_bound`` (from ``couplings.bound_bound_couplings``) adds the
+    bound-to-bound block; without it that block is dropped.
+    """
     n, p = params.n_cavities, basis.size
     g = params.g
     h = np.zeros((p + n, p + n), dtype=complex)
@@ -294,17 +299,16 @@ def build_adiabatic_model(
     h[:p, p:] = (g * g / (J * np.sqrt(n))) * couplings.pair_bound
     h[p:, :p] = h[:p, p:].conj().T
     h[p:, p:] = np.diag(bands.pair_detunings).astype(complex)
-    if include_bound_bound:
-        if couplings.bound_bound is None:
-            raise BasisMismatch("couplings were built without the bound-bound block")
-        h[p:, p:] += (g * g / (n * J)) * couplings.bound_bound
+    if bound_bound is not None:
+        h[p:, p:] += (g * g / (n * J)) * bound_bound
     return HamiltonianMatrix(
         kind=BasisKind.ADIA,
         payload=h,
         energy_offset=params.delta,
         dims={"pairs": p, "bound": n},
         pair_basis=basis,
-        note=f"one elimination step, bound-bound block {'kept' if include_bound_bound else 'dropped'}",
+        note="one elimination step, bound-bound block "
+        + ("dropped" if bound_bound is None else "kept"),
     )
 
 
@@ -427,7 +431,7 @@ def export_triplets(h: HamiltonianMatrix, path):
         payload = payload.tocoo()
     if payload.nnz > EXPORT_NNZ_CAP:
         raise SizeError(f"{payload.nnz} nonzeros exceed the export cap")
-    with open(path, "w") as fh:
+    with atomic_open(path) as fh:
         fh.write("# row col re im\n")
         for r, c, v in zip(payload.row, payload.col, payload.data):
             v = complex(v)

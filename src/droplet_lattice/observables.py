@@ -3,7 +3,6 @@ decompositions, droplet classification, and loss estimates."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -11,6 +10,7 @@ import numpy as np
 
 from .errors import BasisMismatch, DomainError
 from .hamiltonians import BasisKind
+from .output import write_csv
 from .params import J, PairBasis, SystemParams
 
 
@@ -192,36 +192,27 @@ def classify_droplet_states(
 
 
 def write_pair_corr_csv(record: CorrelationRecord, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["alpha", "P"])
-        for a, p in zip(record.separations, record.probabilities):
-            writer.writerow([int(a), f"{p:.12g}"])
+    write_csv(path, ["alpha", "P"], zip(record.separations, record.probabilities))
 
 
 def write_overlap_csv(energies, weights, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["E_minus_E0b", "weight"])
-        for e, w in zip(energies, weights):
-            writer.writerow([f"{e:.12g}", f"{w:.12g}"])
+    write_csv(path, ["E_minus_E0b", "weight"], zip(energies, weights))
 
 
 def write_dynamics_csv(times, series: dict, path):
     """Columns: t then one P_alpha<k> column per requested separation."""
     keys = sorted(series)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"P_alpha{k}" for k in keys])
-        for row, t in enumerate(times):
-            writer.writerow([f"{t:.12g}"] + [f"{series[k][row]:.12g}" for k in keys])
+    write_csv(
+        path,
+        ["t"] + [f"P_alpha{k}" for k in keys],
+        ([t] + [series[k][row] for k in keys] for row, t in enumerate(times)),
+    )
 
 
 def write_corr_snapshot_csv(grid: np.ndarray, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "P"])
-        n_e = grid.shape[0]
-        for i in range(n_e):
-            for j in range(n_e):
-                writer.writerow([i + 1, j + 1, f"{grid[i, j]:.12g}"])
+    n_e = grid.shape[0]
+    write_csv(
+        path,
+        ["i", "j", "P"],
+        ((i + 1, j + 1, grid[i, j]) for i in range(n_e) for j in range(n_e)),
+    )

@@ -10,11 +10,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .errors import GeometryError, SignError, ValidityError
+from .errors import ConfigError, GeometryError, SignError, ValidityError
 
 J = 1.0
 
@@ -87,42 +87,50 @@ class SystemParams:
         object.__setattr__(
             self, "band_edge_detuning", self.cavity_qubit_detuning - 2 * J
         )
-        # exact identity: delta = 2 omega_e - bound_band_bottom
-        assert abs((2 * self.omega_e - self.bound_band_bottom) - self.delta) < 1e-12 * max(
+        # exact identity: delta = 2 omega_e - bound_band_bottom; the negated
+        # comparison also rejects NaN inputs
+        if not abs((2 * self.omega_e - self.bound_band_bottom) - self.delta) < 1e-12 * max(
             1.0, abs(self.delta)
-        )
+        ):
+            raise ValidityError(
+                f"parameters not finite or inconsistent: delta={self.delta}, u={self.u}"
+            )
 
     def content_hash(self) -> str:
-        payload = json.dumps(
-            {
-                "n_cavities": self.n_cavities,
-                "n_qubits": self.n_qubits,
-                "spacing": self.spacing,
-                "g": self.g,
-                "u": self.u,
-                "delta": self.delta,
-                "omega_c": self.omega_c,
-            },
-            sort_keys=True,
-        )
+        payload = json.dumps(asdict_params(self), sort_keys=True)
         return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+# the settable parameters, in declaration order; the rest are derived
+_SETTABLE = tuple(f for f in fields(SystemParams) if f.init)
+_OPTIONAL = {"spacing": 1, "omega_c": 0.0}
+
+
+def asdict_params(params: SystemParams) -> dict:
+    """The settable parameters of ``params`` as a plain mapping."""
+    return {f.name: getattr(params, f.name) for f in _SETTABLE}
+
+
 def build_params(raw: dict) -> SystemParams:
-    """Construct validated SystemParams from a plain mapping."""
-    known = {"n_cavities", "n_qubits", "spacing", "g", "u", "delta", "omega_c"}
-    unknown = set(raw) - known
+    """Construct validated SystemParams from a plain mapping.
+
+    Integer fields accept anything ``int()`` takes, float fields anything
+    ``float()`` takes that is finite; other values raise ``ConfigError``.
+    """
+    unknown = set(raw) - {f.name for f in _SETTABLE}
     if unknown:
         raise ValidityError(f"unknown parameter keys: {sorted(unknown)}")
-    return SystemParams(
-        n_cavities=int(raw["n_cavities"]),
-        n_qubits=int(raw["n_qubits"]),
-        spacing=int(raw.get("spacing", 1)),
-        g=float(raw["g"]),
-        u=float(raw["u"]),
-        delta=float(raw["delta"]),
-        omega_c=float(raw.get("omega_c", 0.0)),
-    )
+    values = {}
+    for f in _SETTABLE:
+        value = raw.get(f.name, _OPTIONAL.get(f.name))
+        try:
+            # f.type is the annotation text (postponed evaluation)
+            values[f.name] = int(value) if f.type == "int" else float(value)
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"parameter {f.name} must be a number, got {value!r}") from None
+        if not math.isfinite(values[f.name]):
+            raise ConfigError(f"parameter {f.name} must be finite, got {value!r}")
+    return SystemParams(**values)
 
 
 def default_params(**overrides) -> SystemParams:

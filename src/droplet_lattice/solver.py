@@ -59,15 +59,6 @@ def _canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def _matvec_of(h: HamiltonianMatrix):
-    payload = h.payload
-    if isinstance(payload, FullOperator):
-        return payload.matvec
-    if isinstance(payload, np.ndarray):
-        return lambda v: payload @ v
-    return lambda v: payload @ v
-
-
 def eigensolve(
     h: HamiltonianMatrix,
     k_lowest: Optional[int] = None,
@@ -98,7 +89,8 @@ def eigensolve(
                 f"full decomposition of a dim-{dim} matrix-free operator is not supported; "
                 "pass k_lowest"
             )
-        op = spla.LinearOperator((dim, dim), matvec=_matvec_of(h), dtype=complex)
+        matvec = payload.matvec if isinstance(payload, FullOperator) else (lambda v: payload @ v)
+        op = spla.LinearOperator((dim, dim), matvec=matvec, dtype=complex)
         if ncv is None:
             ncv = min(dim - 1, max(6 * k_lowest, 80))
         try:
@@ -108,10 +100,13 @@ def eigensolve(
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     vecs = _canonicalize_signs(vecs)
-    matvec = _matvec_of(h)
-    residuals = np.array(
-        [np.linalg.norm(matvec(vecs[:, i]) - vals[i] * vecs[:, i]) for i in range(vecs.shape[1])]
-    )
+    if isinstance(payload, FullOperator):
+        # FullOperator.matvec takes one flat vector at a time
+        h_vecs = np.column_stack([payload.matvec(v) for v in vecs.T])
+    else:
+        h_vecs = payload @ vecs
+    h_vecs -= vecs * vals
+    residuals = np.linalg.norm(h_vecs, axis=0)
     scale = max(np.abs(vals).max() if len(vals) else 1.0, 1e-30)
     if residuals.max() > 1e-8 * max(scale, 1.0):
         raise ConvergenceError(

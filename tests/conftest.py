@@ -5,134 +5,71 @@ import numpy as np
 import pytest
 from hypothesis import settings
 
-from droplet_lattice import (
-    PairBasis,
-    build_constrained_hop,
-    build_effective_couplings,
-    build_full_model,
-    build_spin_model,
-    build_unconstrained_hop,
-    default_params,
-    eigensolve,
-    minimize_variational,
-    qubit_positions,
-)
-from droplet_lattice.bath import solve_bath
+from droplet_lattice import Pipeline, default_params, eigensolve, minimize_variational
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
 
 
-class Stack:
-    """One parameter point with every pipeline stage computed lazily."""
-
-    def __init__(self, params, include_bound_bound=False):
-        self.params = params
-        self.positions = qubit_positions(params)
-        self.basis = PairBasis(params.n_qubits)
-        self._include_bb = include_bound_bound
-        self._cache = {}
-
-    def _get(self, key, maker):
-        if key not in self._cache:
-            self._cache[key] = maker()
-        return self._cache[key]
-
-    @property
-    def bands(self):
-        return self._get("bands", lambda: solve_bath(self.params))
-
-    @property
-    def couplings(self):
-        return self._get(
-            "couplings",
-            lambda: build_effective_couplings(
-                self.params, self.positions, self.basis, self.bands,
-                include_bound_bound=self._include_bb,
-            ),
-        )
-
-    @property
-    def h_spin(self):
-        return self._get("h_spin", lambda: build_spin_model(self.couplings, self.basis, self.params))
-
-    @property
-    def h_single(self):
-        return self._get(
-            "h_single", lambda: build_constrained_hop(self.couplings, self.basis, self.params)
-        )
-
-    @property
-    def h_tilde(self):
-        return self._get(
-            "h_tilde", lambda: build_unconstrained_hop(self.couplings, self.basis, self.params)
-        )
-
-    @property
-    def h_full(self):
-        return self._get(
-            "h_full", lambda: build_full_model(self.params, self.positions, self.basis, self.bands)
-        )
-
-    @property
-    def spin_decomp(self):
-        return self._get("spin_decomp", lambda: eigensolve(self.h_spin))
-
-    @property
-    def single_decomp(self):
-        return self._get("single_decomp", lambda: eigensolve(self.h_single))
-
-    @property
-    def variational(self):
-        return self._get("variational", lambda: minimize_variational(self.h_spin, n_max=6))
-
-
 @pytest.fixture(scope="session")
 def small_stack():
     """Fast pipeline for module-level tests."""
-    return Stack(default_params(n_cavities=101, n_qubits=10), include_bound_bound=True)
+    return Pipeline(default_params(n_cavities=101, n_qubits=10))
 
 
 @pytest.fixture(scope="session")
 def tiny_stack():
     """Very small pipeline where brute-force oracles are affordable."""
-    return Stack(default_params(n_cavities=41, n_qubits=6), include_bound_bound=True)
+    return Pipeline(default_params(n_cavities=41, n_qubits=6))
 
 
 @pytest.fixture(scope="session")
 def default_stack():
-    return Stack(default_params())
+    return Pipeline(default_params())
 
 
 @pytest.fixture(scope="session")
 def ne80_stack():
-    return Stack(default_params(n_qubits=80))
+    return Pipeline(default_params(n_qubits=80))
 
 
 @pytest.fixture(scope="session")
 def x0_stack():
-    return Stack(default_params(spacing=0, n_qubits=60))
+    return Pipeline(default_params(spacing=0, n_qubits=60))
 
 
 @pytest.fixture(scope="session")
 def x2_stack():
-    return Stack(default_params(spacing=2))
+    return Pipeline(default_params(spacing=2))
 
 
 @pytest.fixture(scope="session")
 def x3_stack():
-    return Stack(default_params(spacing=3))
+    return Pipeline(default_params(spacing=3))
 
 
 @pytest.fixture(scope="session")
 def delta320_stack():
-    return Stack(default_params(delta=-3 / 20))
+    return Pipeline(default_params(delta=-3 / 20))
+
+
+@pytest.fixture(scope="session")
+def variational_family():
+    """Six-mode variational family of a pipeline's spin model, once per pipeline."""
+    cache = {}
+
+    def family(stack):
+        if stack not in cache:
+            cache[stack] = minimize_variational(stack.model("spin"), n_max=6)
+        return cache[stack]
+
+    return family
 
 
 @pytest.fixture(scope="session")
 def full_decomp_default(default_stack):
     """Lowest states of the explicit-photon model at the default point."""
-    spin_ground = default_stack.spin_decomp.vectors[:, 0]
-    v0 = np.zeros(default_stack.h_full.dim, dtype=complex)
+    spin_ground = default_stack.spectrum("spin").vectors[:, 0]
+    v0 = np.zeros(default_stack.model("full").dim, dtype=complex)
     v0[: len(spin_ground)] = spin_ground
-    return eigensolve(default_stack.h_full, k_lowest=12, v0=v0)
+    return eigensolve(default_stack.model("full"), k_lowest=12, v0=v0)

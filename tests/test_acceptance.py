@@ -25,6 +25,7 @@ import pytest
 from scipy.signal import find_peaks
 
 from droplet_lattice import (
+    Pipeline,
     WavepacketState,
     build_adiabatic_model,
     classify_droplet_states,
@@ -59,7 +60,7 @@ def report(criterion, ok, detail):
 
 
 def test_criterion_1_stacked_qubits_spectrum(x0_stack):
-    energies = x0_stack.spin_decomp.energies
+    energies = x0_stack.spectrum("spin").energies
     values, counts = np.unique(np.round(energies, 6), return_counts=True)
     ok = report(
         1,
@@ -82,7 +83,7 @@ def test_criterion_1_stacked_qubits_spectrum(x0_stack):
 @pytest.fixture(scope="module")
 def fs_overlaps(default_stack):
     fs = initial_state("fs", default_stack.basis)
-    energies, weights = overlap_spectrum(fs, default_stack.spin_decomp)
+    energies, weights = overlap_spectrum(fs, default_stack.spectrum("spin"))
     order = np.argsort(weights)[::-1]
     return energies, weights, order
 
@@ -111,7 +112,7 @@ def test_criterion_2_symmetric_state_two_level_structure(fs_overlaps):
 
 @pytest.fixture(scope="module")
 def fs_dynamics(default_stack):
-    decomp = default_stack.spin_decomp
+    decomp = default_stack.spectrum("spin")
     fs = initial_state("fs", default_stack.basis)
     times = np.arange(0.0, 1e4 + 1, 2.0)
     states = propagate(decomp, fs, times)
@@ -148,15 +149,15 @@ def test_criterion_3_oscillation_period(fs_dynamics):
 
 @pytest.fixture(scope="module")
 def reference_variational(ne80_stack):
-    return minimize_variational(ne80_stack.h_spin, n_max=1)
+    return minimize_variational(ne80_stack.model("spin"), n_max=1)
 
 
-def test_criterion_4_droplet_family(default_stack, reference_variational, x2_stack, x3_stack):
-    from conftest import Stack
-
-    variational = default_stack.variational
+def test_criterion_4_droplet_family(
+    default_stack, reference_variational, x2_stack, x3_stack, variational_family
+):
+    variational = variational_family(default_stack)
     labels = classify_droplet_states(
-        default_stack.spin_decomp, variational, reference=reference_variational
+        default_stack.spectrum("spin"), variational, reference=reference_variational
     )
     length_ok = abs(variational.length - 10.0) <= 2.0
     count_estimate = round(60.0 / variational.length)
@@ -164,9 +165,11 @@ def test_criterion_4_droplet_family(default_stack, reference_variational, x2_sta
     indices_ok = labels.indices.tolist() == [1, 2, 3, 4, 7, 10]
 
     for spacing, stack in ((2, x2_stack), (3, x3_stack)):
-        wide = Stack(default_params(spacing=spacing, n_qubits=80))
-        ref = minimize_variational(wide.h_spin, n_max=1)
-        lab = classify_droplet_states(stack.spin_decomp, stack.variational, reference=ref)
+        wide = Pipeline(default_params(spacing=spacing, n_qubits=80))
+        ref = minimize_variational(wide.model("spin"), n_max=1)
+        lab = classify_droplet_states(
+            stack.spectrum("spin"), variational_family(stack), reference=ref
+        )
         counts[spacing] = lab.count
 
     ok = report(
@@ -195,11 +198,11 @@ def _ground_record(decomp, basis, index=0):
 
 
 def test_criterion_5_peak_positions(default_stack, delta320_stack, full_decomp_default):
-    peak_spin_small = _ground_record(default_stack.spin_decomp, default_stack.basis).peak_separation()
-    spin320 = eigensolve(delta320_stack.h_spin, k_lowest=1)
+    peak_spin_small = _ground_record(default_stack.spectrum("spin"), default_stack.basis).peak_separation()
+    spin320 = eigensolve(delta320_stack.model("spin"), k_lowest=1)
     peak_spin_large = _ground_record(spin320, delta320_stack.basis).peak_separation()
     peak_full_small = _ground_record(full_decomp_default, default_stack.basis).peak_separation()
-    full320 = eigensolve(delta320_stack.h_full, k_lowest=4)
+    full320 = eigensolve(delta320_stack.model("full"), k_lowest=4)
     peak_full_large = _ground_record(full320, delta320_stack.basis).peak_separation()
     ok = report(
         5,
@@ -216,13 +219,13 @@ def test_criterion_5_peak_positions(default_stack, delta320_stack, full_decomp_d
 def test_criterion_5_self_binding_stability(default_stack, ne80_stack):
     from droplet_lattice import distribution_drift
 
-    spin60 = _ground_record(default_stack.spin_decomp, default_stack.basis)
-    spin80 = _ground_record(eigensolve(ne80_stack.h_spin, k_lowest=1), ne80_stack.basis)
+    spin60 = _ground_record(default_stack.spectrum("spin"), default_stack.basis)
+    spin80 = _ground_record(eigensolve(ne80_stack.model("spin"), k_lowest=1), ne80_stack.basis)
     single60 = _ground_record(
-        eigensolve(default_stack.h_single, k_lowest=1), default_stack.basis
+        eigensolve(default_stack.model("single"), k_lowest=1), default_stack.basis
     )
     single80 = _ground_record(
-        eigensolve(ne80_stack.h_single, k_lowest=1), ne80_stack.basis
+        eigensolve(ne80_stack.model("single"), k_lowest=1), ne80_stack.basis
     )
     drift_spin = distribution_drift(spin60.probabilities, spin80.probabilities)
     drift_single = distribution_drift(single60.probabilities, single80.probabilities)
@@ -263,14 +266,12 @@ def test_criterion_6_loss_estimates():
 
 
 def test_criterion_7a_operator_strings():
-    from conftest import Stack
-
     worst = 0.0
     for n_qubits in (4, 8):
-        stack = Stack(default_params(n_cavities=41, n_qubits=n_qubits))
+        stack = Pipeline(default_params(n_cavities=41, n_qubits=n_qubits))
         single_dev = np.abs(
             constrained_hop_by_strings(stack.couplings.hop, stack.basis)
-            - stack.h_single.payload
+            - stack.model("single").payload
         ).max()
         pair_dev = np.abs(
             pair_hop_by_strings(stack.couplings.pair_hop, stack.basis)
@@ -279,7 +280,7 @@ def test_criterion_7a_operator_strings():
         spin_dev = np.abs(
             constrained_hop_by_strings(stack.couplings.hop, stack.basis)
             + pair_hop_by_strings(stack.couplings.pair_hop, stack.basis)
-            - stack.h_spin.payload
+            - stack.model("spin").payload
         ).max()
         worst = max(worst, single_dev, pair_dev, spin_dev)
     assert report(7, worst < 1e-12, f"a: operator-string deviation {worst:.2e}") is True
@@ -291,9 +292,7 @@ def test_criterion_7a_operator_strings():
 
 
 def test_criterion_7b_bath_oracle(default_stack):
-    from conftest import Stack
-
-    small = Stack(default_params(n_cavities=41, n_qubits=4))
+    small = Pipeline(default_params(n_cavities=41, n_qubits=4))
     spectrum = np.linalg.eigvalsh(two_photon_bath_sector(small.params))
     worst = max(np.abs(spectrum - e).min() for e in small.bands.bound_energies)
     zero = default_stack.bands.grid.zero_index
@@ -340,13 +339,13 @@ def test_criterion_7c_truncation_oracle():
 def adia_low(default_stack):
     h = build_adiabatic_model(
         default_stack.couplings, default_stack.basis, default_stack.params,
-        default_stack.bands, include_bound_bound=False,
+        default_stack.bands,
     )
     return eigensolve(h, k_lowest=10)
 
 
 def test_criterion_7d_adiabatic_vs_spin(default_stack, adia_low):
-    spin = default_stack.spin_decomp
+    spin = default_stack.spectrum("spin")
     rel = np.abs(adia_low.energies - spin.energies[:10]) / np.abs(spin.energies[:10])
     assert report(7, rel.max() < 0.05, f"d: adia vs spin lowest-10 max rel {rel.max():.4f}") is True
 
@@ -358,7 +357,7 @@ def test_criterion_7d_adiabatic_vs_spin(default_stack, adia_low):
     "full-vs-adia do meet 5 percent",
 )
 def test_criterion_7d_full_chain(default_stack, adia_low, full_decomp_default):
-    spin = default_stack.spin_decomp
+    spin = default_stack.spectrum("spin")
     full = full_decomp_default
     worst = 0.0
     for a, b in (
@@ -388,14 +387,14 @@ def test_criterion_7d_full_chain(default_stack, adia_low, full_decomp_default):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_7e_structural_invariants(default_stack):
+def test_criterion_7e_structural_invariants(default_stack, variational_family):
     from droplet_lattice.hamiltonians import hermiticity_defect
 
     stack = default_stack
     herm = max(
-        hermiticity_defect(stack.h_spin),
-        hermiticity_defect(stack.h_single),
-        hermiticity_defect(stack.h_full),
+        hermiticity_defect(stack.model("spin")),
+        hermiticity_defect(stack.model("single")),
+        hermiticity_defect(stack.model("full")),
     )
     y = stack.couplings.pair_hop
     y_spectrum = np.linalg.eigvalsh(y)
@@ -408,12 +407,12 @@ def test_criterion_7e_structural_invariants(default_stack):
         a = y[basis.encode(i, j), basis.encode(l, h)]
         b = y[basis.encode(i + s, j + s), basis.encode(l + s, h + s)]
         shift_dev = max(shift_dev, abs(a - b) / scale)
-    single = np.linalg.eigvalsh(stack.h_single.payload)
-    tilde = np.linalg.eigvalsh(stack.h_tilde.payload)
+    single = np.linalg.eigvalsh(stack.model("single").payload)
+    tilde = np.linalg.eigvalsh(stack.model("tilde-single").payload)
     upshift_ok = bool(np.all(single >= tilde - 1e-14))
-    exact0 = stack.spin_decomp.energies[0]
-    var0 = variational_energy(stack.h_spin, stack.variational.length, 1)
-    corrections = first_order_perturbation(stack.single_decomp, y) - stack.single_decomp.energies
+    exact0 = stack.spectrum("spin").energies[0]
+    var0 = variational_energy(stack.model("spin"), variational_family(stack).length, 1)
+    corrections = first_order_perturbation(stack.spectrum("single"), y) - stack.spectrum("single").energies
     ok = report(
         7,
         herm < 1e-12 and top <= 1e-13 * psd_scale and shift_dev < 1e-10

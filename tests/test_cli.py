@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from droplet_lattice.cli import main
+from droplet_lattice.cli import FIGURES, main
 
 SMALL = [
     "--set", "params.n_cavities=41",
@@ -35,6 +35,18 @@ def test_spectrum_full_model_dimensions(tmp_path):
     assert manifest["basis_dims"] == {"pairs": 15, "qubit_photon": 246, "bound": 41}
     lines = (tmp_path / "out" / "spectrum.csv").read_text().strip().splitlines()
     assert len(lines) == 1 + 4
+
+
+def test_spectrum_adiabatic_models_differ_by_bound_bound_block(tmp_path):
+    spectra = {}
+    for model in ("adia0", "adia1"):
+        code, _ = run_cli(tmp_path, "spectrum", "--set", f"model={model}", out=str(tmp_path / model))
+        assert code == 0
+        manifest = json.loads((tmp_path / model / "manifest.json").read_text())
+        assert manifest["basis_dims"] == {"pairs": 15, "bound": 41}
+        spectra[model] = np.loadtxt(tmp_path / model / "spectrum.csv", skiprows=1)
+    assert spectra["adia0"].shape == (15 + 41,)
+    assert np.abs(spectra["adia0"] - spectra["adia1"]).max() > 0
 
 
 def test_correlations_outputs(tmp_path):
@@ -197,3 +209,48 @@ def test_repeat_run_bit_identical_manifest_outputs(tmp_path):
     body1 = (tmp_path / "out" / "spectrum.csv").read_bytes()
     code, out = run_cli(tmp_path, "spectrum")
     assert (tmp_path / "out" / "spectrum.csv").read_bytes() == body1
+
+
+@pytest.mark.parametrize("fig", sorted(FIGURES))
+def test_every_figure_writes_what_it_reports(tmp_path, fig):
+    qubits = ["--set", "params.n_qubits=22"] if fig.startswith("9") else []
+    code, out = run_cli(tmp_path, "figure", "--fig", fig, *qubits)
+    assert code == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["outputs"]
+    for name in manifest["outputs"]:
+        body = (tmp_path / "out" / name).read_bytes()
+        assert body.count(b"\n") > 1
+        assert b"\r" not in body
+
+
+def test_stale_temporary_does_not_block_output(tmp_path):
+    (tmp_path / "out" / "spectrum.csv.tmp").mkdir(parents=True)
+    code, _ = run_cli(tmp_path, "spectrum")
+    assert code == 0
+    assert (tmp_path / "out" / "spectrum.csv").is_file()
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == [
+        "manifest.json", "spectrum.csv", "spectrum.csv.tmp"
+    ]
+
+
+@pytest.mark.parametrize(
+    "task, extra, workers",
+    [
+        ("spectrum", ["--set", "params.delta=NaN"], None),
+        ("spectrum", ["--set", "params.u=NaN"], None),
+        ("spectrum", ["--set", "params.g=NaN"], None),
+        ("spectrum", ["--set", "params.n_qubits=abc"], None),
+        ("spectrum", ["--set", "options=3"], None),
+        ("correlations", ["--set", "options.state_index=99"], None),
+        ("sweep", ["--set", "options.values=[-0.02,-0.05]"], "x"),
+    ],
+)
+def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, task, extra, workers):
+    if workers is not None:
+        monkeypatch.setenv("SIMULATE_WORKERS", workers)
+    code, _ = run_cli(tmp_path, task, *extra)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1

@@ -107,7 +107,7 @@ def test_pair_bound_carries_no_coupling_constant(small_stack):
 
 
 def test_bound_bound_hermitian_negative_diagonal(small_stack):
-    g_mat = small_stack.couplings.bound_bound
+    g_mat = small_stack.bound_bound
     np.testing.assert_allclose(g_mat, g_mat.conj().T, atol=1e-12)
     diag = np.diag(g_mat)
     assert np.abs(diag.imag).max() < 1e-12

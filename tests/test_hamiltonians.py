@@ -30,12 +30,12 @@ from droplet_lattice.params import PairBasis, qubit_positions
 
 def test_constrained_hop_matches_operator_strings(tiny_stack):
     oracle = constrained_hop_by_strings(tiny_stack.couplings.hop, tiny_stack.basis)
-    np.testing.assert_allclose(tiny_stack.h_single.payload, oracle, atol=1e-12)
+    np.testing.assert_allclose(tiny_stack.model("single").payload, oracle, atol=1e-12)
 
 
 def test_unconstrained_hop_matches_operator_strings(tiny_stack):
     oracle = unconstrained_hop_by_strings(tiny_stack.couplings.hop, tiny_stack.basis)
-    np.testing.assert_allclose(tiny_stack.h_tilde.payload, oracle, atol=1e-12)
+    np.testing.assert_allclose(tiny_stack.model("tilde-single").payload, oracle, atol=1e-12)
 
 
 def test_pair_hop_matches_operator_strings(tiny_stack):
@@ -48,14 +48,14 @@ def test_spin_model_is_sum(tiny_stack):
     total = build_spin_model(tiny_stack.couplings, tiny_stack.basis, tiny_stack.params)
     np.testing.assert_allclose(
         total.payload,
-        tiny_stack.h_single.payload + tiny_stack.couplings.pair_hop,
+        tiny_stack.model("single").payload + tiny_stack.couplings.pair_hop,
         atol=0,
     )
 
 
 def test_hop_row_connectivity(small_stack):
     """Each pair ket couples to 2(N_e - 2) partners plus itself."""
-    h = small_stack.h_single.payload
+    h = small_stack.model("single").payload
     n_e = small_stack.params.n_qubits
     scale, _ = (small_stack.couplings.hop_scale, small_stack.couplings.hop_length)
     for row in (0, 7, small_stack.basis.size - 1):
@@ -78,8 +78,8 @@ def test_two_qubit_degenerate_case():
 
 
 def test_constraint_upshift_state_by_state(small_stack):
-    single = np.linalg.eigvalsh(small_stack.h_single.payload)
-    tilde = np.linalg.eigvalsh(small_stack.h_tilde.payload)
+    single = np.linalg.eigvalsh(small_stack.model("single").payload)
+    tilde = np.linalg.eigvalsh(small_stack.model("tilde-single").payload)
     assert np.all(single >= tilde - 1e-15)
 
 
@@ -106,7 +106,7 @@ def test_adiabatic_model_layout(small_stack):
     n = small_stack.params.n_cavities
     assert h.dim == p + n
     assert hermiticity_defect(h) < 1e-12
-    np.testing.assert_allclose(h.payload[:p, :p], small_stack.h_single.payload, atol=0)
+    np.testing.assert_allclose(h.payload[:p, :p], small_stack.model("single").payload, atol=0)
     np.testing.assert_allclose(
         np.diag(h.payload[p:, p:]).real, small_stack.bands.pair_detunings, atol=0
     )
@@ -114,10 +114,11 @@ def test_adiabatic_model_layout(small_stack):
 
 def test_adiabatic_bound_bound_toggle(small_stack):
     base = build_adiabatic_model(
-        small_stack.couplings, small_stack.basis, small_stack.params, small_stack.bands, False
+        small_stack.couplings, small_stack.basis, small_stack.params, small_stack.bands
     )
     kept = build_adiabatic_model(
-        small_stack.couplings, small_stack.basis, small_stack.params, small_stack.bands, True
+        small_stack.couplings, small_stack.basis, small_stack.params, small_stack.bands,
+        small_stack.bound_bound,
     )
     p = small_stack.basis.size
     block = kept.payload[p:, p:] - base.payload[p:, p:]
@@ -133,7 +134,7 @@ def test_adiabatic_tracks_spin_model_low_spectrum(small_stack):
         ),
         k_lowest=6,
     )
-    spin = small_stack.spin_decomp
+    spin = small_stack.spectrum("spin")
     rel = np.abs(adia.energies[:6] - spin.energies[:6]) / np.abs(spin.energies[:6])
     assert rel.max() < 0.05
 
@@ -144,7 +145,7 @@ def test_adiabatic_tracks_spin_model_low_spectrum(small_stack):
 
 
 def test_full_operator_matches_sparse_form(tiny_stack):
-    h = tiny_stack.h_full
+    h = tiny_stack.model("full")
     sparse = h.payload.to_sparse()
     rng = np.random.default_rng(7)
     v = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
@@ -154,11 +155,11 @@ def test_full_operator_matches_sparse_form(tiny_stack):
 
 
 def test_full_operator_hermiticity_probe(default_stack):
-    assert hermiticity_defect(default_stack.h_full) < 1e-12
+    assert hermiticity_defect(default_stack.model("full")) < 1e-12
 
 
 def test_full_row_sparsity(tiny_stack):
-    h = tiny_stack.h_full.payload.to_sparse().tocsr()
+    h = tiny_stack.model("full").payload.to_sparse().tocsr()
     p = tiny_stack.basis.size
     n = tiny_stack.params.n_cavities
     n_e = tiny_stack.params.n_qubits
@@ -229,7 +230,7 @@ def test_truncation_against_complete_sector():
 
 def test_rotating_frame_offset_shift(small_stack):
     """Adding a constant to the diagonal shifts every eigenvalue by it."""
-    h = small_stack.h_spin
+    h = small_stack.model("spin")
     shifted = h.payload + 0.37 * np.eye(h.dim)
     base = np.linalg.eigvalsh(h.payload)
     moved = np.linalg.eigvalsh(shifted)
@@ -238,17 +239,17 @@ def test_rotating_frame_offset_shift(small_stack):
 
 def test_export_triplets_roundtrip(tmp_path, tiny_stack):
     path = tmp_path / "matrix.txt"
-    export_triplets(tiny_stack.h_spin, path)
+    export_triplets(tiny_stack.model("spin"), path)
     rows = np.loadtxt(path, comments="#")
-    rebuilt = np.zeros((tiny_stack.h_spin.dim,) * 2, dtype=complex)
+    rebuilt = np.zeros((tiny_stack.model("spin").dim,) * 2, dtype=complex)
     for r, c, re, im in rows:
         rebuilt[int(r), int(c)] += re + 1j * im
-    np.testing.assert_allclose(rebuilt.real, tiny_stack.h_spin.payload, atol=1e-12)
+    np.testing.assert_allclose(rebuilt.real, tiny_stack.model("spin").payload, atol=1e-12)
 
 
 def test_export_size_guard(default_stack):
     with pytest.raises(SizeError):
-        export_triplets(default_stack.h_full, "/dev/null")
+        export_triplets(default_stack.model("full"), "/dev/null")
 
 
 def test_hop_spectrum_flattening_staircase(default_stack):
@@ -257,8 +258,8 @@ def test_hop_spectrum_flattening_staircase(default_stack):
     steps wash away (measured spreads 5.2e-3, 4.9e-4, 6.5e-4, 6.6e-4)."""
     n_e = default_stack.params.n_qubits
     for energies in (
-        default_stack.single_decomp.energies,
-        np.linalg.eigvalsh(default_stack.h_tilde.payload),
+        default_stack.spectrum("single").energies,
+        np.linalg.eigvalsh(default_stack.model("tilde-single").payload),
     ):
         spreads = [
             energies[(g + 1) * n_e - 1] - energies[g * n_e] for g in range(4)
@@ -271,19 +272,15 @@ def test_hop_spectrum_flattening_staircase(default_stack):
 def test_bound_bound_block_shift_is_small(default_stack):
     """Keeping the bound-to-bound coupling moves the lowest level by under
     2.5 percent at the default point (measured: 1.78 percent)."""
-    import dataclasses
-
-    from droplet_lattice.couplings import bound_bound_couplings
-
     stack = default_stack
-    g_block = bound_bound_couplings(stack.params, stack.positions, stack.bands)
-    with_g = dataclasses.replace(stack.couplings, bound_bound=g_block)
     base = eigensolve(
-        build_adiabatic_model(stack.couplings, stack.basis, stack.params, stack.bands, False),
+        build_adiabatic_model(stack.couplings, stack.basis, stack.params, stack.bands),
         k_lowest=1,
     ).energies[0]
     kept = eigensolve(
-        build_adiabatic_model(with_g, stack.basis, stack.params, stack.bands, True),
+        build_adiabatic_model(
+            stack.couplings, stack.basis, stack.params, stack.bands, stack.bound_bound
+        ),
         k_lowest=1,
     ).energies[0]
     assert abs(kept - base) / abs(base) < 0.025
@@ -296,7 +293,7 @@ def test_bound_bound_block_shift_is_small(default_stack):
 
 def test_full_low_spectrum_tracks_spin_model(default_stack, full_decomp_default):
     """The explicit-photon levels sit a few percent above the spin model."""
-    spin = default_stack.spin_decomp
+    spin = default_stack.spectrum("spin")
     rel = np.abs(full_decomp_default.energies[:10] - spin.energies[:10]) / np.abs(
         spin.energies[:10]
     )

@@ -98,14 +98,14 @@ def test_correlation_record_carries_grid():
 
 def test_overlap_spectrum_completeness(small_stack):
     fs = initial_state("fs", small_stack.basis)
-    energies, weights = overlap_spectrum(fs, small_stack.spin_decomp)
+    energies, weights = overlap_spectrum(fs, small_stack.spectrum("spin"))
     assert weights.sum() == pytest.approx(1.0, abs=1e-10)
     assert np.all(np.diff(energies) >= -1e-12)
 
 
 def test_overlap_spectrum_dimension_guard(small_stack):
     with pytest.raises(BasisMismatch):
-        overlap_spectrum(initial_state("fs", PairBasis(5)), small_stack.spin_decomp)
+        overlap_spectrum(initial_state("fs", PairBasis(5)), small_stack.spectrum("spin"))
 
 
 def test_photonic_fraction_bookkeeping():
@@ -150,26 +150,26 @@ def test_distribution_drift_properties(n, seed):
     assert d_ab == pytest.approx(distribution_drift(b, a), abs=1e-14)
 
 
-def test_classifier_small_array(small_stack):
-    labels = classify_droplet_states(small_stack.spin_decomp, small_stack.variational)
+def test_classifier_small_array(small_stack, variational_family):
+    labels = classify_droplet_states(small_stack.spectrum("spin"), variational_family(small_stack))
     assert labels.supported
     assert labels.indices.tolist() == [1, 2]
     assert labels.mode_numbers.tolist() == [1, 2]
     assert np.all(labels.overlaps > 0.9)
 
 
-def test_classifier_growth_gate(small_stack):
+def test_classifier_growth_gate(small_stack, variational_family):
     from droplet_lattice.solver import VariationalResult
 
     grown = VariationalResult(
-        length=small_stack.variational.length * 1.5,
-        energies=small_stack.variational.energies,
-        coefficients=small_stack.variational.coefficients,
-        n_max=small_stack.variational.n_max,
-        energy_offset=small_stack.variational.energy_offset,
+        length=variational_family(small_stack).length * 1.5,
+        energies=variational_family(small_stack).energies,
+        coefficients=variational_family(small_stack).coefficients,
+        n_max=variational_family(small_stack).n_max,
+        energy_offset=variational_family(small_stack).energy_offset,
     )
     labels = classify_droplet_states(
-        small_stack.spin_decomp, small_stack.variational, reference=grown
+        small_stack.spectrum("spin"), variational_family(small_stack), reference=grown
     )
     assert not labels.supported
     assert labels.count == 0
@@ -179,7 +179,7 @@ def test_partially_symmetric_overlap_structure(default_stack):
     """The nearest-neighbor superposition spreads over many eigenstates:
     about ten percent on the ground state, a few percent elsewhere."""
     ps = initial_state("ps", default_stack.basis)
-    _, weights = overlap_spectrum(ps, default_stack.spin_decomp)
+    _, weights = overlap_spectrum(ps, default_stack.spectrum("spin"))
     assert weights[0] == pytest.approx(0.10, abs=0.02)
     assert weights[1:].max() <= 0.03
     assert weights.sum() == pytest.approx(1.0, abs=1e-10)
@@ -191,7 +191,7 @@ def test_correlations_alternate_between_pinned_and_spread(default_stack):
     from droplet_lattice import propagate
 
     basis = default_stack.basis
-    decomp = default_stack.spin_decomp
+    decomp = default_stack.spectrum("spin")
     fs = initial_state("fs", basis)
     maxima, minima = [960.0, 3080.0, 5220.0, 7500.0], [0.0, 2220.0, 4440.0, 6540.0]
     states = propagate(decomp, fs, maxima + minima)
@@ -216,7 +216,7 @@ def test_csv_emitters(tmp_path, small_stack):
     header = (tmp_path / "pair_corr.csv").read_text().splitlines()[0]
     assert header == "alpha,P"
 
-    energies, weights = overlap_spectrum(fs, small_stack.spin_decomp)
+    energies, weights = overlap_spectrum(fs, small_stack.spectrum("spin"))
     write_overlap_csv(energies, weights, tmp_path / "overlap.csv")
     assert (tmp_path / "overlap.csv").read_text().splitlines()[0] == "E_minus_E0b,weight"
 

@@ -42,21 +42,21 @@ def test_two_level_crossing():
 
 
 def test_orthonormal_eigenvectors(small_stack):
-    d = small_stack.spin_decomp
+    d = small_stack.spectrum("spin")
     gram = d.vectors.T @ d.vectors
     np.testing.assert_allclose(gram, np.eye(d.dim), atol=1e-10)
     assert d.residual_norms.max() <= 1e-10 * max(1.0, np.abs(d.energies).max())
 
 
 def test_eigensolve_subset_matches_full(small_stack):
-    full = small_stack.spin_decomp
-    partial = eigensolve(small_stack.h_spin, k_lowest=7)
+    full = small_stack.spectrum("spin")
+    partial = eigensolve(small_stack.model("spin"), k_lowest=7)
     np.testing.assert_allclose(partial.energies, full.energies[:7], atol=1e-11)
 
 
 def test_iterative_matches_dense_on_explicit_photon_model(tiny_stack):
-    dense = np.linalg.eigvalsh(tiny_stack.h_full.payload.to_sparse().toarray())
-    iterative = eigensolve(tiny_stack.h_full, k_lowest=8)
+    dense = np.linalg.eigvalsh(tiny_stack.model("full").payload.to_sparse().toarray())
+    iterative = eigensolve(tiny_stack.model("full"), k_lowest=8)
     np.testing.assert_allclose(
         iterative.energies - tiny_stack.params.delta, dense[:8], atol=1e-9
     )
@@ -77,8 +77,8 @@ def test_iterative_matches_dense_beyond_two_thousand_dimensions():
 
 
 def test_sign_canonicalization_deterministic(small_stack):
-    a = eigensolve(small_stack.h_spin, k_lowest=4)
-    b = eigensolve(small_stack.h_spin, k_lowest=4)
+    a = eigensolve(small_stack.model("spin"), k_lowest=4)
+    b = eigensolve(small_stack.model("spin"), k_lowest=4)
     np.testing.assert_array_equal(a.vectors, b.vectors)
     lead = np.argmax(np.abs(a.vectors), axis=0)
     for col, row in enumerate(lead):
@@ -91,7 +91,7 @@ def test_sign_canonicalization_deterministic(small_stack):
 
 
 def test_propagation_norm_and_reversibility(small_stack):
-    d = small_stack.spin_decomp
+    d = small_stack.spectrum("spin")
     psi0 = initial_state("fs", small_stack.basis)
     forward = propagate(d, psi0, [0.0, 137.0, 512.0])
     for st_ in forward:
@@ -101,8 +101,8 @@ def test_propagation_norm_and_reversibility(small_stack):
 
 
 def test_propagation_conserves_energy(small_stack):
-    d = small_stack.spin_decomp
-    h = small_stack.h_spin.payload
+    d = small_stack.spectrum("spin")
+    h = small_stack.model("spin").payload
     psi0 = initial_state("ps", small_stack.basis)
     snapshots = propagate(d, psi0, [0.0, 50.0, 900.0, 4000.0])
     values = [np.real(np.vdot(s.coefficients, h @ s.coefficients)) for s in snapshots]
@@ -110,7 +110,7 @@ def test_propagation_conserves_energy(small_stack):
 
 
 def test_eigenstate_is_stationary(small_stack):
-    d = small_stack.spin_decomp
+    d = small_stack.spectrum("spin")
     psi0 = WavepacketState(
         kind=d.kind, coefficients=d.vectors[:, 3].astype(complex), time=0.0, dims=d.dims
     )
@@ -120,7 +120,7 @@ def test_eigenstate_is_stationary(small_stack):
 
 
 def test_propagate_rejects_mismatched_state(small_stack):
-    d = small_stack.spin_decomp
+    d = small_stack.spectrum("spin")
     bad = WavepacketState(kind=BasisKind.ADIA, coefficients=np.ones(4), time=0.0, dims={})
     with pytest.raises(BasisMismatch):
         propagate(d, bad, [0.0])
@@ -132,23 +132,23 @@ def test_propagate_rejects_mismatched_state(small_stack):
 
 
 def test_first_order_corrections_nonpositive(small_stack):
-    single = small_stack.single_decomp
+    single = small_stack.spectrum("single")
     corrected = first_order_perturbation(single, small_stack.couplings.pair_hop)
     assert np.all(corrected <= single.energies + 1e-15)
 
 
 def test_first_order_improves_toward_exact(small_stack):
-    single = small_stack.single_decomp
+    single = small_stack.spectrum("single")
     corrected = first_order_perturbation(
         single, small_stack.couplings.pair_hop, indices=[0]
     )[0]
-    exact = small_stack.spin_decomp.energies[0]
+    exact = small_stack.spectrum("spin").energies[0]
     unperturbed = single.energies[0]
     assert exact <= corrected <= unperturbed
 
 
 def test_degeneracy_warning(x0_stack):
-    decomp = x0_stack.single_decomp
+    decomp = x0_stack.spectrum("single")
     with pytest.warns(DegeneracyWarning):
         first_order_perturbation(decomp, x0_stack.couplings.pair_hop, indices=[5])
 
@@ -159,7 +159,7 @@ def test_degeneracy_warning(x0_stack):
 
 
 def test_variational_vector_is_product_profile(small_stack):
-    vec = variational_vector(small_stack.h_spin, 4.0, 1)
+    vec = variational_vector(small_stack.model("spin"), 4.0, 1)
     basis = small_stack.basis
     assert vec.shape == (basis.size,)
     assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
@@ -168,21 +168,21 @@ def test_variational_vector_is_product_profile(small_stack):
 
 
 def test_variational_energy_above_ground(small_stack):
-    e0 = small_stack.spin_decomp.energies[0]
+    e0 = small_stack.spectrum("spin").energies[0]
     for length in (2.0, 5.0, 11.0):
-        assert variational_energy(small_stack.h_spin, length, 1) >= e0 - 1e-12
+        assert variational_energy(small_stack.model("spin"), length, 1) >= e0 - 1e-12
 
 
-def test_variational_modes_orthonormal(small_stack):
-    res = small_stack.variational
+def test_variational_modes_orthonormal(small_stack, variational_family):
+    res = variational_family(small_stack)
     gram = res.coefficients.T @ res.coefficients
     np.testing.assert_allclose(gram, np.eye(res.n_max), atol=1e-10)
 
 
-def test_variational_minimum_interior_and_scan_unimodal(small_stack):
-    res = small_stack.variational
+def test_variational_minimum_interior_and_scan_unimodal(small_stack, variational_family):
+    res = variational_family(small_stack)
     grid = np.linspace(1.5, 29.5, 57)
-    curve = scan_variational(small_stack.h_spin, grid)
+    curve = scan_variational(small_stack.model("spin"), grid)
     interior = np.argmin(curve)
     assert 0 < interior < len(grid) - 1
     assert abs(grid[interior] - res.length) < 1.0
@@ -193,30 +193,30 @@ def test_variational_minimum_interior_and_scan_unimodal(small_stack):
     assert len(minima) == 1
 
 
-def test_variational_ground_close_to_exact(small_stack):
-    res = small_stack.variational
-    exact = small_stack.spin_decomp.energies[0]
+def test_variational_ground_close_to_exact(small_stack, variational_family):
+    res = variational_family(small_stack)
+    exact = small_stack.spectrum("spin").energies[0]
     assert res.energies[0] >= exact
     assert res.energies[0] - exact < 5e-3 * abs(exact)
 
 
-def test_variational_family_tracks_droplet_levels(default_stack):
+def test_variational_family_tracks_droplet_levels(default_stack, variational_family):
     """Each variational mode reproduces its droplet level to well under a
     percent (measured deviations 5e-4 to 1.9e-3 relative)."""
     from droplet_lattice import classify_droplet_states
 
-    labels = classify_droplet_states(default_stack.spin_decomp, default_stack.variational)
+    labels = classify_droplet_states(default_stack.spectrum("spin"), variational_family(default_stack))
     assert labels.count == 6
     for idx, mode in zip(labels.indices, labels.mode_numbers):
-        exact = default_stack.spin_decomp.energies[idx - 1]
-        approx = default_stack.variational.energies[mode - 1]
+        exact = default_stack.spectrum("spin").energies[idx - 1]
+        approx = variational_family(default_stack).energies[mode - 1]
         assert approx >= exact
         assert abs(approx - exact) < 5e-3 * abs(exact)
 
 
 def test_spin_levels_pushed_below_hop_levels(default_stack):
-    spin = default_stack.spin_decomp.energies
-    single = default_stack.single_decomp.energies
+    spin = default_stack.spectrum("spin").energies
+    single = default_stack.spectrum("single").energies
     assert np.all(spin[:6] < single[:6])
 
 
