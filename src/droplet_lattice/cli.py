@@ -61,12 +61,35 @@ _OPTION_KEYS = {
     "n_max",
     "classify",
     "reference_qubits",
-    "kappa",
     "fig",
     "export_matrix",
     "dump_bands",
     "dump_couplings",
     "snapshot_times",
+}
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
+
+
+#: option -> (check, requirement) for the options with a fixed type
+_OPTION_TYPES = {
+    "k_lowest": (lambda v: _is_count(v) and v > 0, "a positive integer"),
+    "state_index": (lambda v: _is_count(v) and v >= 0, "a non-negative integer"),
+    "n_max": (lambda v: _is_count(v) and v > 0, "a positive integer"),
+    "reference_qubits": (lambda v: _is_count(v) and v > 0, "a positive integer"),
+    "t_max": (lambda v: _is_real(v) and v > 0, "a finite positive number"),
+    "dt": (lambda v: _is_real(v) and v > 0, "a finite positive number"),
+    "initial": (lambda v: isinstance(v, str) and v.lower() in ("fs", "ps"), "'fs' or 'ps'"),
+    "alphas": (lambda v: isinstance(v, list) and all(map(_is_count, v)), "a list of integers"),
+    "snapshot_times": (
+        lambda v: isinstance(v, list) and all(map(_is_real, v)), "a list of finite numbers"
+    ),
 }
 
 
@@ -110,9 +133,9 @@ def load_config(raw: dict) -> RunConfig:
     unknown = set(options) - _OPTION_KEYS
     if unknown:
         raise ConfigError(f"unknown option keys: {sorted(unknown)}")
-    index = options.get("state_index", 0)
-    if isinstance(index, bool) or not isinstance(index, int) or index < 0:
-        raise ConfigError(f"options.state_index must be a non-negative integer, got {index!r}")
+    for key, (check, requirement) in _OPTION_TYPES.items():
+        if key in options and not check(options[key]):
+            raise ConfigError(f"options.{key} must be {requirement}, got {options[key]!r}")
     if task == "figure":
         if not options.get("fig"):
             raise ConfigError("figure task needs options.fig")
@@ -152,7 +175,10 @@ def apply_overrides(raw: dict, assignments: list[str]) -> dict:
 
 def _decompose(pipe: Pipeline, cfg: RunConfig):
     k = cfg.options.get("k_lowest", 12 if cfg.model in _ITERATIVE_MODELS else None)
-    return pipe.spectrum(cfg.model, int(k) if k else None)
+    dim = pipe.model(cfg.model).dim
+    if k is not None and k >= dim:
+        raise ConfigError(f"options.k_lowest {k} must be below the model dimension {dim}")
+    return pipe.spectrum(cfg.model, k)
 
 
 def _eigenstate(decomp, index: int) -> obs.WavepacketState:
@@ -217,31 +243,29 @@ def _task_dynamics(cfg, pipe, out):
     t_max = float(cfg.options.get("t_max", 1e4))
     dt = float(cfg.options.get("dt", 2.0))
     times = np.arange(0.0, t_max + dt / 2, dt)
-    alphas = [int(a) for a in cfg.options.get("alphas", [1, 6, 21])]
+    alphas = cfg.options.get("alphas", [1, 6, 21])
     if any(not 1 <= a <= pipe.params.n_qubits - 1 for a in alphas):
         raise ConfigError(f"alphas must lie in [1, {pipe.params.n_qubits - 1}], got {alphas}")
     states, series = pipe.quench(cfg.model, cfg.options.get("initial", "fs"), times, alphas)
     obs.write_dynamics_csv(times, series, os.path.join(out, "dynamics.csv"))
+    written = ["dynamics.csv"]
     for t_snap in cfg.options.get("snapshot_times", []):
         idx = int(np.argmin(np.abs(times - float(t_snap))))
         grid = obs.spin_spin_correlation(states[idx], pipe.basis)
-        obs.write_corr_snapshot_csv(
-            grid, os.path.join(out, f"corr_snapshot_t{int(times[idx])}.csv")
-        )
-    return decomp, ["dynamics.csv"], {}
+        name = f"corr_snapshot_t{int(times[idx])}.csv"
+        obs.write_corr_snapshot_csv(grid, os.path.join(out, name))
+        written.append(name)
+    return decomp, written, {}
 
 
 def _task_variational(cfg, pipe, out):
     h_spin = pipe.model("spin")
-    n_max = cfg.options.get("n_max")
-    result = minimize_variational(h_spin, n_max=int(n_max) if n_max else None)
+    result = minimize_variational(h_spin, n_max=cfg.options.get("n_max"))
     write_csv(os.path.join(out, "variational.csv"), ["n", "E_var"], enumerate(result.energies, 1))
     written = ["variational.csv"]
     decomp = None
     if cfg.options.get("classify", True):
-        ref_qubits = int(
-            cfg.options.get("reference_qubits", math.ceil(pipe.params.n_qubits * 4 / 3))
-        )
+        ref_qubits = cfg.options.get("reference_qubits", math.ceil(pipe.params.n_qubits * 4 / 3))
         ref_params = build_params({**asdict_params(pipe.params), "n_qubits": ref_qubits})
         reference = minimize_variational(Pipeline(ref_params).model("spin"), n_max=1)
         decomp = pipe.spectrum("spin")
@@ -487,6 +511,7 @@ def run(cfg: RunConfig) -> int:
         "deterministic": True,
         "basis_dims": dict(decomp.dims) if decomp is not None else None,
         "residual_max": float(decomp.residual_norms.max()) if decomp is not None else None,
+        "solver": (decomp.solver or None) if decomp is not None else None,
         "outputs": written,
         "wall_time_s": round(time.time() - started, 3),
         **extra,

@@ -18,15 +18,16 @@ COMPLETE       pairs, qubit-photon kets with a real-space photon, then
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
 from .bath import BathBands, profile_table
-from .couplings import EffectiveCouplings
+from .couplings import EffectiveCouplings, bound_bound_couplings, pair_bound_couplings
 from .errors import BasisMismatch, SizeError
 from .output import atomic_open
 from .params import J, PairBasis, SystemParams
@@ -49,6 +50,12 @@ class FullOperator:
     matvec costs a handful of (N_e x N) by (N x N) products, so iterative
     eigensolvers handle the production array sizes without ever forming
     the 3e7-nonzero sparse matrix.
+
+    In block form H = [[A, B], [B^H, D]] with A on pairs and bound kets
+    (zero on pairs, the pair detunings on bound kets, no pair-bound
+    entries), D the diagonal single-photon detunings on the qubit-photon
+    kets, and B the qubit-photon couplings.  ``_absorb`` applies B and
+    ``_emit`` applies B^H.
     """
 
     def __init__(self, params: SystemParams, positions, basis: PairBasis, bands: BathBands):
@@ -66,36 +73,95 @@ class FullOperator:
         self._photon_slice = slice(p, p + n_e * n)
         self._bound_slice = slice(p + n_e * n, self.dim)
 
-    def matvec(self, v: np.ndarray) -> np.ndarray:
-        params, basis = self.params, self.basis
-        n, n_e, p = params.n_cavities, params.n_qubits, basis.size
-        g = params.g
-        phases = self._phases
-        d = v[self._pair_slice]
-        c = v[self._photon_slice].reshape(n_e, n)
-        b = v[self._bound_slice]
-        out = np.empty_like(v, dtype=complex)
+    def _split(self, v: np.ndarray):
+        n, n_e = self.params.n_cavities, self.params.n_qubits
+        return v[self._pair_slice], v[self._photon_slice].reshape(n_e, n), v[self._bound_slice]
 
+    def _absorb(self, c: np.ndarray):
+        """Pair and bound components of B c for qubit-photon amplitudes c."""
+        n, g = self.params.n_cavities, self.params.g
+        phases = self._phases
+        emit = phases @ c.T  # emit[a, b] = sum_k e^{i k n_a} c_{b k}
+        pairs = (g / np.sqrt(n)) * (emit[self._i0, self._j0] + emit[self._j0, self._i0])
+        absorb = (phases * c) @ self._profiles
+        bound = (g / n) * np.sqrt(2) * (phases.conj() * absorb).sum(axis=0)
+        return pairs, bound
+
+    def _emit(self, d: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Qubit-photon components of B^H (d, b) for pair and bound amplitudes."""
+        n, n_e, g = self.params.n_cavities, self.params.n_qubits, self.params.g
+        phases = self._phases
         dmat = np.zeros((n_e, n_e), dtype=complex)
         dmat[self._i0, self._j0] = d
         dmat[self._j0, self._i0] = d
-
-        emit = phases @ c.T  # emit[a, b] = sum_k e^{i k n_a} c_{b k}
-        out[self._pair_slice] = (g / np.sqrt(n)) * (
-            emit[self._i0, self._j0] + emit[self._j0, self._i0]
-        )
-
-        oc = self.bands.single_detunings[None, :] * c
-        oc += (g / np.sqrt(n)) * (dmat @ phases.conj())
+        oc = (g / np.sqrt(n)) * (dmat @ phases.conj())
         bound_in = (phases * b[None, :]) @ self._profiles.T
         oc += (g / n) * np.sqrt(2) * phases.conj() * bound_in
-        out[self._photon_slice] = oc.ravel()
+        return oc
 
-        absorb = (phases * c) @ self._profiles
-        out[self._bound_slice] = self.bands.pair_detunings * b + (g / n) * np.sqrt(2) * (
-            phases.conj() * absorb
-        ).sum(axis=0)
-        return out
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        d, c, b = self._split(v)
+        pairs, bound = self._absorb(c)
+        oc = self.bands.single_detunings[None, :] * c + self._emit(d, b)
+        return np.concatenate([pairs, oc.ravel(), self.bands.pair_detunings * b + bound])
+
+    def schur_complement(self, sigma: float) -> np.ndarray:
+        """Dense A - sigma - B (D - sigma)^-1 B^H on pairs then bound kets.
+
+        This is the first elimination step of the spin-model derivation made
+        exact at energy sigma (Loewdin partitioning): the single-photon
+        detunings are shifted by sigma, the hop is the finite-ring lattice
+        sum rather than the infinite-lattice closed form, and the pair-bound
+        and bound-bound blocks come from the same contractions as the
+        effective couplings.  Needs sigma below every single-photon
+        detuning.
+        """
+        params, basis = self.params, self.basis
+        n, p, g = params.n_cavities, basis.size, params.g
+        bands = replace(self.bands, single_detunings=self.bands.single_detunings - sigma)
+        hop = -(g * g / n) * ((self._phases / bands.single_detunings) @ self._phases.conj().T)
+        s = np.empty((p + n, p + n), dtype=complex)
+        s[:p, :p] = _constrained_hop_payload(hop.real, basis)
+        # this operator's pair-bound phases are the complex conjugate of the
+        # adiabatic model's, which pair_bound_couplings follows
+        pair_bound = pair_bound_couplings(params, self.positions, basis, bands, self._profiles)
+        s[:p, p:] = (g * g / (J * np.sqrt(n))) * pair_bound.conj()
+        s[p:, :p] = s[:p, p:].conj().T
+        s[p:, p:] = (g * g / (n * J)) * bound_bound_couplings(
+            params, self.positions, bands, self._profiles
+        ) + np.diag(self.bands.pair_detunings)
+        s[np.diag_indices(p + n)] -= sigma
+        return s
+
+    def lower_bound(self) -> float:
+        """A lower bound of the lowest eigenvalue, from the Schur complement at 0.
+
+        Every eigenvalue of S(sigma) falls with slope at most -1 in sigma, and
+        H has an eigenvalue where S(sigma) turns singular, so
+        sigma + min(0, lambda_min S(sigma)) lies at or below the lowest
+        eigenvalue; sigma = 0 is below every single-photon detuning.
+        """
+        low = eigh(self.schur_complement(0.0), eigvals_only=True, subset_by_index=[0, 0])
+        return min(float(low[0]), 0.0)
+
+    def shift_invert(self, sigma: float) -> "ShiftInvert":
+        """(H - sigma)^-1 with sigma stepped down until it lies below the spectrum.
+
+        Given D - sigma > 0, H - sigma has as many negative eigenvalues as
+        S(sigma) (Haynsworth inertia), so a Cholesky factorization of
+        S(sigma) that succeeds proves sigma lies below every eigenvalue.
+        """
+        floor = float(self.bands.single_detunings.min())
+        step = 1e-3 * max(abs(sigma), 1e-9)
+        while True:
+            if sigma < floor:
+                try:
+                    factor = cho_factor(self.schur_complement(sigma), lower=True)
+                    return ShiftInvert(self, sigma, factor)
+                except LinAlgError:
+                    pass
+            sigma -= step
+            step *= 2
 
     def to_sparse(self) -> sp.csr_matrix:
         """Explicit sparse matrix; guarded against production array sizes."""
@@ -149,7 +215,35 @@ class FullOperator:
         ).tocsr()
 
 
-Payload = Union[np.ndarray, sp.spmatrix, FullOperator]
+class ShiftInvert:
+    """Exact (H - sigma)^-1 for a ``FullOperator``, from a factored Schur complement.
+
+    One application eliminates the qubit-photon kets with (D - sigma)^-1,
+    solves the pairs-plus-bound system with the Cholesky factor, and
+    back-substitutes; it uses the operator's own coupling products, so it
+    never forms the qubit-photon blocks.  ``applications`` counts calls.
+    """
+
+    def __init__(self, op: FullOperator, sigma: float, factor):
+        self.op = op
+        self.sigma = sigma
+        self.factor = factor
+        self.applications = 0
+        self._detunings = op.bands.single_detunings[None, :] - sigma
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        self.applications += 1
+        op = self.op
+        p = op.basis.size
+        d, c, b = op._split(v)
+        t = c / self._detunings
+        pairs, bound = op._absorb(t)
+        y = cho_solve(self.factor, np.concatenate([d - pairs, b - bound]), check_finite=False)
+        oc = t - op._emit(y[:p], y[p:]) / self._detunings
+        return np.concatenate([y[:p], oc.ravel(), y[p:]])
+
+
+Payload = Union[np.ndarray, sp.spmatrix, sp.sparray, FullOperator]
 
 
 @dataclass
@@ -193,16 +287,8 @@ def _spin_dims(basis: PairBasis) -> dict:
     return {"pairs": basis.size}
 
 
-def build_constrained_hop(
-    couplings: EffectiveCouplings, basis: PairBasis, params: SystemParams
-) -> HamiltonianMatrix:
-    """Constrained single-excitation hop model on the pair basis.
-
-    Each pair ket couples to the 2(N_e - 2) kets sharing one excited
-    qubit; the diagonal carries twice the onsite hop energy (the self
-    interaction of each excitation).
-    """
-    w = couplings.hop
+def _constrained_hop_payload(w: np.ndarray, basis: PairBasis) -> np.ndarray:
+    """Pair-basis matrix of the constrained hop with strengths w[j, l]."""
     n_e = basis.n_qubits
     p = basis.size
     table = _pair_index_table(basis)
@@ -214,9 +300,21 @@ def build_constrained_hop(
         np.add.at(h, (rows[mask], table[l, j0[mask]]), w[i0[mask], l])
         mask = i0 != l
         np.add.at(h, (rows[mask], table[i0[mask], l]), w[l, j0[mask]])
+    return h
+
+
+def build_constrained_hop(
+    couplings: EffectiveCouplings, basis: PairBasis, params: SystemParams
+) -> HamiltonianMatrix:
+    """Constrained single-excitation hop model on the pair basis.
+
+    Each pair ket couples to the 2(N_e - 2) kets sharing one excited
+    qubit; the diagonal carries twice the onsite hop energy (the self
+    interaction of each excitation).
+    """
     return HamiltonianMatrix(
         kind=BasisKind.SPIN,
-        payload=h,
+        payload=_constrained_hop_payload(couplings.hop, basis),
         energy_offset=params.delta,
         dims=_spin_dims(basis),
         pair_basis=basis,

@@ -16,11 +16,12 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
-from .errors import BasisMismatch, BracketError, ConvergenceError, DegeneracyWarning
+from .errors import BasisMismatch, BracketError, ConvergenceError, DegeneracyWarning, SizeError
 from .hamiltonians import BasisKind, FullOperator, HamiltonianMatrix
 from .observables import WavepacketState
 
 DENSE_FALLBACK_DIM = 4000
+DENSE_BYTES_CAP = 2**30
 DEGENERACY_GAP = 1e-10
 
 
@@ -35,6 +36,7 @@ class SpectralDecomposition:
     energy_offset: float
     dim: int
     dims: dict
+    solver: dict = field(default_factory=dict)
 
     @property
     def is_full(self) -> bool:
@@ -59,6 +61,36 @@ def _canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
+def _start_vector(dim: int) -> np.ndarray:
+    """Fixed pseudo-random ARPACK start vector, so iterative solves repeat bit
+    for bit; random rather than constant so that no symmetry sector of the
+    operator is missing from it."""
+    rng = np.random.default_rng(0)
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
+class _Counted:
+    """Products of a sparse matrix with vectors, counted."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+        self.applications = 0
+
+    def matvec(self, v: np.ndarray) -> np.ndarray:
+        self.applications += 1
+        return self.matrix @ v
+
+
+def _densify(payload) -> np.ndarray:
+    """Dense copy of a sparse payload, refused above ``DENSE_BYTES_CAP``."""
+    nbytes = payload.shape[0] * payload.shape[1] * payload.dtype.itemsize
+    if nbytes > DENSE_BYTES_CAP:
+        raise SizeError(
+            f"dense copy of a {payload.shape[0]}-dim sparse matrix needs {nbytes / 2**30:.1f} GiB"
+        )
+    return payload.toarray()
+
+
 def eigensolve(
     h: HamiltonianMatrix,
     k_lowest: Optional[int] = None,
@@ -69,16 +101,22 @@ def eigensolve(
 
     Dense payloads get a full (or index-subset) symmetric decomposition;
     matrix-free and large sparse payloads get an iterative lowest-k solve.
+    The explicit-photon operator is solved in shift-invert mode with the
+    exact inverse of ``FullOperator.shift_invert``, at a shift below its
+    whole spectrum, so the eigenvalues nearest the shift are the lowest;
+    sparse payloads use plain Lanczos for the smallest eigenvalues.
+    ``solver`` on the result records the shift and the operator (or
+    inverse) applications of an iterative solve.
     """
     payload = h.payload
     dim = h.dim
+    stats = {}
+    dense = None
     if isinstance(payload, np.ndarray):
-        if k_lowest is None:
-            vals, vecs = eigh(payload)
-        else:
-            vals, vecs = eigh(payload, subset_by_index=[0, min(k_lowest, dim) - 1])
-    elif isinstance(payload, sp.spmatrix) and (k_lowest is None or dim <= DENSE_FALLBACK_DIM):
-        dense = payload.toarray()
+        dense = payload
+    elif sp.issparse(payload) and (k_lowest is None or dim <= DENSE_FALLBACK_DIM):
+        dense = _densify(payload)
+    if dense is not None:
         if k_lowest is None:
             vals, vecs = eigh(dense)
         else:
@@ -89,14 +127,28 @@ def eigensolve(
                 f"full decomposition of a dim-{dim} matrix-free operator is not supported; "
                 "pass k_lowest"
             )
-        matvec = payload.matvec if isinstance(payload, FullOperator) else (lambda v: payload @ v)
-        op = spla.LinearOperator((dim, dim), matvec=matvec, dtype=complex)
+        if v0 is None:
+            v0 = _start_vector(dim)
+        if isinstance(payload, FullOperator):
+            counted = payload.shift_invert(payload.lower_bound())
+            op = spla.LinearOperator((dim, dim), matvec=payload.matvec, dtype=complex)
+            opinv = spla.LinearOperator((dim, dim), matvec=counted.matvec, dtype=complex)
+            arpack = dict(sigma=counted.sigma, which="LM", OPinv=opinv)
+            stats = {"method": "shift-invert", "sigma": counted.sigma}
+            default_ncv = max(2 * k_lowest + 1, 20)
+        else:
+            counted = _Counted(payload)
+            op = spla.LinearOperator((dim, dim), matvec=counted.matvec, dtype=complex)
+            arpack = dict(which="SA")
+            stats = {"method": "lanczos"}
+            default_ncv = max(6 * k_lowest, 80)
         if ncv is None:
-            ncv = min(dim - 1, max(6 * k_lowest, 80))
+            ncv = min(dim - 1, default_ncv)
         try:
-            vals, vecs = spla.eigsh(op, k=k_lowest, which="SA", ncv=ncv, v0=v0, maxiter=20000)
+            vals, vecs = spla.eigsh(op, k=k_lowest, ncv=ncv, v0=v0, maxiter=20000, **arpack)
         except spla.ArpackNoConvergence as exc:
             raise ConvergenceError(f"iterative eigensolver stalled: {exc}") from exc
+        stats["applications"] = counted.applications
         order = np.argsort(vals)
         vals, vecs = vals[order], vecs[:, order]
     vecs = _canonicalize_signs(vecs)
@@ -121,6 +173,7 @@ def eigensolve(
         energy_offset=h.energy_offset,
         dim=dim,
         dims=dict(h.dims),
+        solver=stats,
     )
 
 

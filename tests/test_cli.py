@@ -192,6 +192,36 @@ def test_determinism_flag_locked(tmp_path):
     assert run_cli(tmp_path, "spectrum", "--set", "deterministic=false")[0] == 2
 
 
+def test_dynamics_manifest_lists_snapshots(tmp_path):
+    code, _ = run_cli(tmp_path, "dynamics", "--set", "options.t_max=20", "--set", "options.dt=5",
+                      "--set", "options.alphas=[1,2]", "--set", "options.snapshot_times=[0,10]")
+    assert code == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["outputs"] == ["dynamics.csv", "corr_snapshot_t0.csv", "corr_snapshot_t10.csv"]
+    for name in manifest["outputs"]:
+        assert (tmp_path / "out" / name).is_file()
+
+
+def test_explicit_photon_reruns_are_bit_identical(tmp_path):
+    runs = []
+    for run in ("a", "b"):
+        spectrum, figure = tmp_path / run / "spectrum", tmp_path / run / "figure"
+        assert run_cli(tmp_path, "spectrum", "--set", "model=full", out=str(spectrum))[0] == 0
+        assert run_cli(tmp_path, "figure", "--fig", "7b", out=str(figure))[0] == 0
+        manifest = json.loads((spectrum / "manifest.json").read_text())
+        runs.append((
+            (spectrum / "spectrum.csv").read_bytes(),
+            manifest["residual_max"],
+            manifest["solver"],
+            (figure / "fig7b.csv").read_bytes(),
+        ))
+    assert runs[0] == runs[1]
+    body, _, solver, _ = runs[0]
+    ground = float(body.decode().splitlines()[1])
+    assert solver["method"] == "shift-invert" and solver["applications"] > 0
+    assert solver["sigma"] + manifest["params"]["delta"] < ground
+
+
 def test_invalid_regime_exit_code(tmp_path):
     assert run_cli(tmp_path, "spectrum", "--set", "params.delta=0.01")[0] == 3
     assert run_cli(tmp_path, "spectrum", "--set", "params.u=-0.001")[0] == 3
@@ -244,6 +274,18 @@ def test_stale_temporary_does_not_block_output(tmp_path):
         ("spectrum", ["--set", "options=3"], None),
         ("correlations", ["--set", "options.state_index=99"], None),
         ("sweep", ["--set", "options.values=[-0.02,-0.05]"], "x"),
+        ("spectrum", ["--set", "options.k_lowest=abc"], None),
+        ("spectrum", ["--set", "options.k_lowest=0"], None),
+        ("spectrum", ["--set", "options.k_lowest=15"], None),
+        ("spectrum", ["--set", "options.kappa=0.02"], None),
+        ("variational", ["--set", "options.n_max=abc"], None),
+        ("variational", ["--set", "options.reference_qubits=abc"], None),
+        ("overlaps", ["--set", "options.initial=3"], None),
+        ("dynamics", ["--set", "options.t_max=abc"], None),
+        ("dynamics", ["--set", "options.t_max=Infinity"], None),
+        ("dynamics", ["--set", "options.dt=0"], None),
+        ("dynamics", ["--set", 'options.alphas=["x"]'], None),
+        ("dynamics", ["--set", "options.snapshot_times=[0,\"x\"]"], None),
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, task, extra, workers):

@@ -158,6 +158,31 @@ def test_full_operator_hermiticity_probe(default_stack):
     assert hermiticity_defect(default_stack.model("full")) < 1e-12
 
 
+@pytest.mark.parametrize("n_cavities, n_qubits", [(41, 6), (61, 8)])
+def test_schur_complement_matches_dense_elimination(n_cavities, n_qubits):
+    """The structured Schur complement equals A - B (D - sigma)^-1 B^H taken
+    from the sparse form, its shift lies below the spectrum, and the shift
+    inverse undoes H - sigma."""
+    from droplet_lattice.bath import solve_bath
+
+    p = default_params(n_cavities=n_cavities, n_qubits=n_qubits)
+    op = build_full_model(p, qubit_positions(p), PairBasis(n_qubits), solve_bath(p)).payload
+    h = op.to_sparse().toarray()
+    sigma = op.lower_bound()
+    pairs, photons = op.basis.size, n_qubits * n_cavities
+    keep = np.r_[0:pairs, pairs + photons : op.dim]
+    photon = np.arange(pairs, pairs + photons)
+    a = h[np.ix_(keep, keep)] - sigma * np.eye(len(keep))
+    b = h[np.ix_(keep, photon)]
+    dense = a - (b / (h.diagonal()[photon] - sigma)) @ b.conj().T
+    np.testing.assert_allclose(op.schur_complement(sigma), dense, rtol=0, atol=1e-12)
+    assert sigma < np.linalg.eigvalsh(h)[0]
+    inverse = op.shift_invert(sigma)
+    assert inverse.sigma == sigma
+    v = np.random.default_rng(3).normal(size=op.dim) + 0j
+    np.testing.assert_allclose(inverse.matvec(op.matvec(v) - sigma * v), v, atol=1e-10)
+
+
 def test_full_row_sparsity(tiny_stack):
     h = tiny_stack.model("full").payload.to_sparse().tocsr()
     p = tiny_stack.basis.size

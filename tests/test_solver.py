@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -7,6 +8,7 @@ from droplet_lattice import (
     BasisMismatch,
     BracketError,
     DegeneracyWarning,
+    SizeError,
     eigensolve,
     first_order_perturbation,
     initial_state,
@@ -14,7 +16,7 @@ from droplet_lattice import (
     propagate,
     variational_energy,
 )
-from droplet_lattice.hamiltonians import BasisKind, HamiltonianMatrix
+from droplet_lattice.hamiltonians import BasisKind, FullOperator, HamiltonianMatrix
 from droplet_lattice.observables import WavepacketState
 from droplet_lattice.solver import golden_section, scan_variational, variational_vector
 
@@ -74,6 +76,30 @@ def test_iterative_matches_dense_beyond_two_thousand_dimensions():
     dense = np.linalg.eigvalsh(h.payload.to_sparse().toarray())
     iterative = eigensolve(h, k_lowest=10)
     np.testing.assert_allclose(iterative.energies - p.delta, dense[:10], atol=1e-9)
+
+
+def test_shift_invert_steps_sigma_down_from_inside_the_spectrum(tiny_stack, monkeypatch):
+    h = tiny_stack.model("full")
+    dense = np.linalg.eigvalsh(h.payload.to_sparse().toarray())
+    inside = 0.5 * (dense[2] + dense[3])
+    monkeypatch.setattr(FullOperator, "lower_bound", lambda self: inside)
+    iterative = eigensolve(h, k_lowest=8)
+    assert iterative.solver["sigma"] < dense[0]
+    np.testing.assert_allclose(
+        iterative.energies - tiny_stack.params.delta, dense[:8], atol=1e-9
+    )
+
+
+def test_sparse_array_payloads_take_the_dense_path():
+    d = eigensolve(_toy_spin_matrix(sp.csr_array(np.diag([3.0, 1.0, 2.0]))), k_lowest=2)
+    np.testing.assert_allclose(d.energies, [1.0, 2.0], atol=1e-14)
+    assert d.solver == {}
+
+
+def test_dense_copy_of_a_huge_sparse_payload_is_refused():
+    empty = sp.csr_array((50_000, 50_000))
+    with pytest.raises(SizeError):
+        eigensolve(_toy_spin_matrix(empty), k_lowest=None)
 
 
 def test_sign_canonicalization_deterministic(small_stack):
