@@ -172,13 +172,29 @@ def bound_matrix_element(k, cavity: int, state: RelativeBoundState) -> complex:
 
 
 def profile_table(bands: BathBands) -> np.ndarray:
-    """Matrix S[k_idx, K_idx] of relative-profile transforms for all k, K."""
-    k = bands.grid.wavevectors
+    """Matrix S[k_idx, K_idx] of relative-profile transforms for all k, K.
+
+    On the grid k = 2 pi n_k / N, K = 2 pi n_K / N the phase of every term
+    is exactly m (k - K/2) = pi m l / N with l = 2 n_k - n_K, so only 2N
+    distinct rows of cosines exist.  With Psi[m, K] = psi_K(m) zero-padded
+    to the longest state and C[l, m] = cos(pi ((l m) mod 2N) / N), the
+    argument reduced in integers so that accuracy does not fall with m,
+    one product G = C Psi over m >= 1 holds every sum, and the table is
+    the gather S[n_k, n_K] = psi_K(0) + 2 G[(2 n_k - n_K) mod 2N, n_K].
+    """
     n = bands.grid.n_cavities
-    table = np.empty((n, n))
-    for col, state in enumerate(bands.bound_states):
-        table[:, col] = state.profile_transform(k)
-    return table
+    states = bands.bound_states
+    psi = np.zeros((max(s.m_max for s in states), n))
+    for col, state in enumerate(states):
+        psi[: state.m_max, col] = state.amplitudes[1:]
+    l = np.arange(2 * n)
+    m = np.arange(1, psi.shape[0] + 1)
+    cosines = np.cos(np.pi * l / n)[np.outer(l, m) % (2 * n)]
+    sums = cosines @ psi
+    idx = bands.grid.indices
+    rows = (2 * idx[:, None] - idx[None, :]) % (2 * n)
+    head = np.array([s.amplitudes[0] for s in states])
+    return head + 2.0 * sums[rows, np.arange(n)]
 
 
 def write_band_csv(bands: BathBands, params: SystemParams, path):

@@ -21,6 +21,9 @@ from .errors import DomainError
 from .output import write_csv
 from .params import J, PairBasis, SystemParams
 
+# rows of the pair basis per block of the pair-hop imaginary-part check
+_ROW_BLOCK = 256
+
 
 @dataclass(frozen=True)
 class EffectiveCouplings:
@@ -83,8 +86,8 @@ def pair_bound_couplings(
         profiles = profile_table(bands)
     weighted = profiles / bands.single_detunings[:, None]
 
-    n_i = positions[basis.i_index - 1]
-    n_j = positions[basis.j_index - 1]
+    i0, j0 = basis.i_index - 1, basis.j_index - 1
+    n_i, n_j = positions[i0], positions[j0]
     # distances present in the pair basis: r * spacing for r = 0 ... N_e - 1
     dist_vals = np.unique(n_j - n_i)
     if dist_vals[0] != 0:
@@ -93,10 +96,15 @@ def pair_bound_couplings(
     row_of = {int(d): row for row, d in enumerate(dist_vals)}
     rows = np.array([row_of[int(d)] for d in (n_j - n_i)])
     t_pair = t_table[rows, :]
-    return -(np.sqrt(2) * J / n) * (
-        np.exp(-1j * np.outer(n_j, k)) * t_pair
-        + np.exp(-1j * np.outer(n_i, k)) * np.conj(t_pair)
-    )
+    # rows e^{-i k n_j} and e^{-i k n_i} are taken from one table per qubit
+    phases = np.exp(-1j * np.outer(positions, k))
+    out = phases[j0]
+    out *= t_pair
+    t_pair = np.conjugate(t_pair, out=t_pair)
+    t_pair *= phases[i0]
+    out += t_pair
+    out *= -(np.sqrt(2) * J / n)
+    return out
 
 
 def bound_bound_couplings(
@@ -123,20 +131,36 @@ def pair_hop_matrix(
 ) -> np.ndarray:
     """Second-elimination pair-hop matrix on the pair basis.
 
-    Assembled as -(g^4 / (N J^2)) A A^H with A = pair_bound / sqrt(pair
-    detuning), which is exactly negative semidefinite.  With the real
-    bound-state phase convention the result is real.
+    Assembled as -(g^4 / (N J^2)) Re(A A^H) with A = pair_bound / sqrt(pair
+    detuning).  With the real bound-state phase convention A A^H is real,
+    so only the real part is formed, in real arithmetic: Re(A A^H) =
+    X X^T with X = [A_r A_i], a Gram product and therefore exactly
+    symmetric and negative semidefinite.  The imaginary part Im(A A^H) =
+    M - M^T with M = A_i A_r^T is not kept: it is evaluated here in row
+    blocks, as [A_i, -A_r] X^T on and above the diagonal, and a
+    DomainError is raised if its largest entry exceeds 1e-10 times the
+    largest real entry.  No P x P complex array is formed.
     """
     if np.any(bands.pair_detunings <= 0):
         raise DomainError("pair detuning not positive for every K; not in the band gap")
     a = pair_bound / np.sqrt(bands.pair_detunings)[None, :]
-    y = -(params.g**4 / (params.n_cavities * J * J)) * (a @ a.conj().T)
-    scale = np.abs(y.real).max() or 1.0
-    imag_max = np.abs(y.imag).max()
+    x = np.concatenate((a.real, a.imag), axis=1)
+    del a
+    prefactor = params.g**4 / (params.n_cavities * J * J)
+    y = x @ x.T  # numpy takes x @ x.T to syrk, which mirrors one triangle
+    y *= -prefactor
+    # the largest entry of a Gram matrix sits on its diagonal
+    scale = np.abs(np.diagonal(y)).max() or 1.0
+    n = pair_bound.shape[1]
+    imag_max = 0.0
+    for start in range(0, len(x), _ROW_BLOCK):
+        rows = x[start : start + _ROW_BLOCK]
+        rotated = np.concatenate((rows[:, n:], -rows[:, :n]), axis=1)
+        imag_max = max(imag_max, np.abs(rotated @ x[start:].T).max())
+    imag_max *= prefactor
     if imag_max > 1e-10 * scale:
         raise DomainError(f"pair-hop matrix unexpectedly complex (max imag {imag_max:g})")
-    y = y.real
-    return 0.5 * (y + y.T)
+    return y
 
 
 def build_effective_couplings(

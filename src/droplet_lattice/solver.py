@@ -48,17 +48,17 @@ class SpectralDecomposition:
 
 def _canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
     """Fix each eigenvector's global phase: largest component positive real."""
-    out = vectors.copy()
-    lead = np.argmax(np.abs(out), axis=0)
-    for col, row in enumerate(lead):
-        pivot = out[row, col]
-        if np.iscomplexobj(out):
-            mag = abs(pivot)
-            if mag > 0:
-                out[:, col] *= np.conj(pivot) / mag
-        elif pivot < 0:
-            out[:, col] = -out[:, col]
-    return out
+    lead = np.argmax(np.abs(vectors), axis=0)
+    pivot = vectors[lead, np.arange(vectors.shape[1])]
+    if np.iscomplexobj(vectors):
+        # hypot, as Python's abs() of a complex scalar; np.abs rounds differently
+        mag = np.hypot(pivot.real, pivot.imag)
+        nonzero = mag > 0
+        factor = np.ones_like(pivot)
+        factor[nonzero] = np.conj(pivot[nonzero]) / mag[nonzero]
+    else:
+        factor = np.where(pivot < 0, -1.0, 1.0)
+    return vectors * factor
 
 
 def _start_vector(dim: int) -> np.ndarray:

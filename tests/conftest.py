@@ -9,6 +9,8 @@ from droplet_lattice import Pipeline, default_params, eigensolve, minimize_varia
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
+# whole CLI runs per example: a fixed, small set of draws
+settings.register_profile("cli_fuzz", derandomize=True, deadline=None, max_examples=40)
 
 
 @pytest.fixture(scope="session")

@@ -5,6 +5,7 @@ from droplet_lattice import default_params
 from droplet_lattice.bath import (
     bound_energy_closed_form,
     bound_matrix_element,
+    profile_table,
     single_photon_energy,
     solve_bath,
     solve_bound_state,
@@ -189,3 +190,25 @@ def test_band_csv_dump(tmp_path, small_bands):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "K,E_Kb_minus_2wc,size"
     assert len(lines) == 1 + p.n_cavities
+
+
+@pytest.mark.parametrize(
+    "n_cavities, n_qubits, u, wrapped",
+    [(3, 2, -3.0, True), (41, 6, -1.0, True), (301, 50, -1.0, False)],
+)
+def test_profile_table_matches_per_state_transform(n_cavities, n_qubits, u, wrapped):
+    """The one-product table equals each state's own cosine sum, column by column.
+
+    At N = 3 every state reaches the half ring; at N = 41 all but the two
+    states at the zone edge are ring-wrapped (m_max at the half ring); at
+    N = 301 none is.  Every grid has both parities of n_K.
+    """
+    bands = solve_bath(default_params(n_cavities=n_cavities, n_qubits=n_qubits, u=u))
+    assert any(s.ring_wrapped for s in bands.bound_states) == wrapped
+    assert {int(n) % 2 for n in bands.grid.indices} == {0, 1}
+    table = profile_table(bands)
+    reference = np.column_stack(
+        [s.profile_transform(bands.grid.wavevectors) for s in bands.bound_states]
+    )
+    assert table.shape == reference.shape == (n_cavities, n_cavities)
+    np.testing.assert_allclose(table, reference, rtol=0, atol=1e-13 * np.abs(reference).max())

@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
+import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from droplet_lattice.cli import FIGURES, main
+from droplet_lattice.cli import _OPTION_KEYS, DEFAULT_PARAMS, FIGURES, main
 
 SMALL = [
     "--set", "params.n_cavities=41",
@@ -296,3 +301,40 @@ def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, task, ex
     assert code == 2
     assert err.startswith("config error: ")
     assert err.count("\n") == 1
+
+
+# JSON texts for --set values: wrong types, bools, non-finite numbers and
+# strings, nested lists, non-JSON text and non-positive counts
+_BAD_VALUES = st.one_of(
+    st.sampled_from([
+        '"abc"', "abc", "{}", '{"a": 1}', "null", "true", "false", "NaN", "Infinity",
+        "-Infinity", '"nan"', '"inf"', '"-inf"', "1e400", "[]", "[[1]]", "[1, [2, [3]]]",
+        '["x", null]', "2.5", '"7"',
+    ]),
+    st.integers(-10, 0).map(str),
+)
+_KEYS = st.sampled_from(
+    ["params", "options"]
+    + [f"params.{key}" for key in sorted(DEFAULT_PARAMS)]
+    + [f"options.{key}" for key in sorted(_OPTION_KEYS)]
+)
+
+
+@settings(settings.get_profile("cli_fuzz"))
+@given(assignments=st.lists(st.tuples(_KEYS, _BAD_VALUES), min_size=1, max_size=3))
+def test_bad_settings_never_end_in_a_traceback(tmp_path_factory, assignments):
+    """Any mix of bad --set values either runs or exits 2, 3 or 4 with one
+    line on stderr; only a run that succeeds leaves a manifest."""
+    out = str(tmp_path_factory.mktemp("fuzz") / "out")
+    args = [item for key, value in assignments for item in ("--set", f"{key}={value}")]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(["spectrum", "--out", out, *SMALL, *args])
+    manifest = os.path.join(out, "manifest.json")
+    assert code in (0, 2, 3, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        assert os.path.isfile(manifest)
+    else:
+        assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
+        assert not os.path.exists(manifest)

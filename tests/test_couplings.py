@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from droplet_lattice import DomainError, PairBasis, build_effective_couplings, default_params
+from droplet_lattice import couplings
 from droplet_lattice.bath import solve_bath
 from droplet_lattice.couplings import (
     bound_bound_couplings,
@@ -12,7 +13,7 @@ from droplet_lattice.couplings import (
     write_pair_hop_blocks_csv,
 )
 from droplet_lattice.oracles import pair_hop_reference
-from droplet_lattice.params import qubit_positions
+from droplet_lattice.params import J, qubit_positions
 
 
 def test_hop_scale_and_length_reference_point():
@@ -127,6 +128,45 @@ def test_pair_hop_negative_semidefinite(small_stack):
     vals = np.linalg.eigvalsh(y)
     assert vals.max() <= 1e-14 * abs(vals.min())
     assert np.all(np.diag(y) < 0)
+
+
+def test_pair_hop_equals_real_part_of_complex_product(small_stack):
+    params, bands = small_stack.params, small_stack.bands
+    pair_bound = small_stack.couplings.pair_bound
+    y = pair_hop_matrix(params, pair_bound, bands)
+    a = pair_bound / np.sqrt(bands.pair_detunings)[None, :]
+    reference = -(params.g**4 / (params.n_cavities * J * J)) * (a @ a.conj().T).real
+    scale = np.abs(reference).max()
+    np.testing.assert_allclose(y, reference, rtol=0, atol=1e-13 * scale)
+    assert np.array_equal(y, y.T)
+    assert np.linalg.eigvalsh(y).max() <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("row_block", [None, 7])
+def test_pair_hop_refuses_unpaired_wavevectors(small_stack, monkeypatch, row_block):
+    """Column -K of pair_bound is the conjugate of column K, which makes A A^H
+    real.  A phase on one column leaves A A^H unchanged; a changed magnitude
+    breaks the pairing and leaves an imaginary part, also when it is checked
+    in several row blocks."""
+    if row_block:
+        monkeypatch.setattr(couplings, "_ROW_BLOCK", row_block)
+    params, bands = small_stack.params, small_stack.bands
+    pair_bound = small_stack.couplings.pair_bound
+    col = bands.grid.zero_index + 1
+    partner = bands.grid.zero_index - 1
+    np.testing.assert_allclose(
+        pair_bound[:, partner], pair_bound[:, col].conj(), atol=1e-13 * np.abs(pair_bound).max()
+    )
+    phased = pair_bound.copy()
+    phased[:, col] *= 1j
+    y = small_stack.couplings.pair_hop
+    np.testing.assert_allclose(
+        pair_hop_matrix(params, phased, bands), y, rtol=0, atol=1e-13 * np.abs(y).max()
+    )
+    broken = pair_bound.copy()
+    broken[:, col] *= 2
+    with pytest.raises(DomainError, match="unexpectedly complex"):
+        pair_hop_matrix(params, broken, bands)
 
 
 def test_pair_hop_off_diagonal_bounded_by_diagonals(small_stack):
