@@ -8,8 +8,6 @@ variational length, and the ground-state pair correlation into out/survey/.
 import argparse
 import os
 
-import numpy as np
-
 from droplet_lattice import (
     Pipeline,
     classify_droplet_states,
@@ -18,6 +16,7 @@ from droplet_lattice import (
     pair_correlation,
 )
 from droplet_lattice.observables import WavepacketState, write_pair_corr_csv
+from droplet_lattice.output import write_csv
 
 
 def main():
@@ -30,11 +29,8 @@ def main():
 
     pipe = Pipeline(default_params(spacing=args.spacing, delta=args.delta))
     decomp = pipe.spectrum("spin")
-    np.savetxt(
-        os.path.join(args.out, "spectrum.csv"),
-        decomp.energies,
-        header="E_minus_E0b",
-        comments="",
+    write_csv(
+        os.path.join(args.out, "spectrum.csv"), ["E_minus_E0b"], ([e] for e in decomp.energies)
     )
 
     variational = minimize_variational(pipe.model("spin"))

@@ -77,6 +77,10 @@ def _is_real(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value)
 
 
+def _is_real_list(value) -> bool:
+    return isinstance(value, list) and all(map(_is_real, value))
+
+
 #: option -> (check, requirement) for the options with a fixed type
 _OPTION_TYPES = {
     "k_lowest": (lambda v: _is_count(v) and v > 0, "a positive integer"),
@@ -87,9 +91,8 @@ _OPTION_TYPES = {
     "dt": (lambda v: _is_real(v) and v > 0, "a finite positive number"),
     "initial": (lambda v: isinstance(v, str) and v.lower() in ("fs", "ps"), "'fs' or 'ps'"),
     "alphas": (lambda v: isinstance(v, list) and all(map(_is_count, v)), "a list of integers"),
-    "snapshot_times": (
-        lambda v: isinstance(v, list) and all(map(_is_real, v)), "a list of finite numbers"
-    ),
+    "snapshot_times": (_is_real_list, "a list of finite numbers"),
+    "values": (_is_real_list, "a list of finite numbers"),
 }
 
 

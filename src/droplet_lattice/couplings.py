@@ -41,7 +41,6 @@ class EffectiveCouplings:
     pair_hop: np.ndarray
     hop_scale: float
     hop_length: float
-    params_hash: str
 
 
 def hop_scale_and_length(params: SystemParams) -> tuple[float, float]:
@@ -182,7 +181,6 @@ def build_effective_couplings(
         pair_hop=pair_hop,
         hop_scale=scale,
         hop_length=length,
-        params_hash=params.content_hash(),
     )
 
 

@@ -34,6 +34,7 @@ from .params import J, PairBasis, SystemParams
 
 COMPLETE_DIM_CAP = 40_000
 EXPORT_NNZ_CAP = 20_000_000
+HERMITICITY_PROBES = 4
 
 
 class BasisKind(Enum):
@@ -56,6 +57,9 @@ class FullOperator:
     entries), D the diagonal single-photon detunings on the qubit-photon
     kets, and B the qubit-photon couplings.  ``_absorb`` applies B and
     ``_emit`` applies B^H.
+
+    Like an ndarray it has ``shape``, ``dtype`` and ``@`` (column by column
+    on a block); ARPACK applies it through ``matvec``.
     """
 
     def __init__(self, params: SystemParams, positions, basis: PairBasis, bands: BathBands):
@@ -65,6 +69,8 @@ class FullOperator:
         self.bands = bands
         n, n_e, p = params.n_cavities, params.n_qubits, basis.size
         self.dim = p + n_e * n + n
+        self.shape = (self.dim, self.dim)
+        self.dtype = np.dtype(complex)
         self._profiles = profile_table(bands)
         self._phases = np.exp(1j * np.outer(self.positions, bands.grid.wavevectors))
         self._i0 = basis.i_index - 1
@@ -104,6 +110,11 @@ class FullOperator:
         pairs, bound = self._absorb(c)
         oc = self.bands.single_detunings[None, :] * c + self._emit(d, b)
         return np.concatenate([pairs, oc.ravel(), self.bands.pair_detunings * b + bound])
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        if v.ndim == 1:
+            return self.matvec(v)
+        return np.column_stack([self.matvec(col) for col in v.T])
 
     def schur_complement(self, sigma: float) -> np.ndarray:
         """Dense A - sigma - B (D - sigma)^-1 B^H on pairs then bound kets.
@@ -221,18 +232,20 @@ class ShiftInvert:
     One application eliminates the qubit-photon kets with (D - sigma)^-1,
     solves the pairs-plus-bound system with the Cholesky factor, and
     back-substitutes; it uses the operator's own coupling products, so it
-    never forms the qubit-photon blocks.  ``applications`` counts calls.
+    never forms the qubit-photon blocks.  Applied with ``@`` like the operator.
     """
 
     def __init__(self, op: FullOperator, sigma: float, factor):
         self.op = op
         self.sigma = sigma
         self.factor = factor
-        self.applications = 0
+        self.shape = op.shape
+        self.dtype = op.dtype
         self._detunings = op.bands.single_detunings[None, :] - sigma
 
+    __matmul__ = FullOperator.__matmul__
+
     def matvec(self, v: np.ndarray) -> np.ndarray:
-        self.applications += 1
         op = self.op
         p = op.basis.size
         d, c, b = op._split(v)
@@ -248,27 +261,17 @@ Payload = Union[np.ndarray, sp.spmatrix, sp.sparray, FullOperator]
 
 @dataclass
 class HamiltonianMatrix:
-    """A Hermitian operator plus the metadata needed to interpret it."""
+    """A Hermitian operator (any payload with shape, dtype and @) and its metadata."""
 
     kind: BasisKind
     payload: Payload = field(repr=False)
     energy_offset: float
     dims: dict
     pair_basis: Optional[PairBasis] = None
-    note: str = ""
 
     @property
     def dim(self) -> int:
-        if isinstance(self.payload, FullOperator):
-            return self.payload.dim
         return self.payload.shape[0]
-
-    def dense(self) -> np.ndarray:
-        if isinstance(self.payload, np.ndarray):
-            return self.payload
-        if isinstance(self.payload, FullOperator):
-            return self.payload.to_sparse().toarray()
-        return self.payload.toarray()
 
     def require_kind(self, *kinds: BasisKind):
         if self.kind not in kinds:
@@ -318,7 +321,6 @@ def build_constrained_hop(
         energy_offset=params.delta,
         dims=_spin_dims(basis),
         pair_basis=basis,
-        note="constrained single-qubit hopping",
     )
 
 
@@ -346,7 +348,6 @@ def build_unconstrained_hop(
         energy_offset=params.delta,
         dims=_spin_dims(basis),
         pair_basis=basis,
-        note="unconstrained one-qubit hopping, two-magnon sector",
     )
 
 
@@ -359,7 +360,6 @@ def build_pair_hop(
         energy_offset=params.delta,
         dims=_spin_dims(basis),
         pair_basis=basis,
-        note="pair hopping",
     )
 
 
@@ -374,7 +374,6 @@ def build_spin_model(
         energy_offset=params.delta,
         dims=_spin_dims(basis),
         pair_basis=basis,
-        note="constrained hopping plus pair hopping",
     )
 
 
@@ -405,8 +404,6 @@ def build_adiabatic_model(
         energy_offset=params.delta,
         dims={"pairs": p, "bound": n},
         pair_basis=basis,
-        note="one elimination step, bound-bound block "
-        + ("dropped" if bound_bound is None else "kept"),
     )
 
 
@@ -425,7 +422,6 @@ def build_full_model(
             "bound": params.n_cavities,
         },
         pair_basis=basis,
-        note="pairs, qubit-photon, and bound-pair kets",
     )
 
 
@@ -514,48 +510,39 @@ def build_complete_sector(
         energy_offset=params.delta,
         dims={"pairs": p, "qubit_photon": n_e * n, "photon_pairs": n_pp},
         pair_basis=basis,
-        note="all two-excitation kets including the scattering continuum",
     )
 
 
 def export_triplets(h: HamiltonianMatrix, path):
     """Write the matrix as text triplets: row col re im, one entry per line."""
     payload = h.payload
-    if isinstance(payload, FullOperator):
-        payload = payload.to_sparse()
-    if isinstance(payload, np.ndarray):
-        payload = sp.coo_matrix(payload)
-    else:
-        payload = payload.tocoo()
-    if payload.nnz > EXPORT_NNZ_CAP:
-        raise SizeError(f"{payload.nnz} nonzeros exceed the export cap")
+    coo = sp.coo_matrix(payload.to_sparse() if isinstance(payload, FullOperator) else payload)
+    if coo.nnz > EXPORT_NNZ_CAP:
+        raise SizeError(f"{coo.nnz} nonzeros exceed the export cap")
     with atomic_open(path) as fh:
         fh.write("# row col re im\n")
-        for r, c, v in zip(payload.row, payload.col, payload.data):
+        for r, c, v in zip(coo.row, coo.col, coo.data):
             v = complex(v)
             fh.write(f"{r} {c} {v.real:.16e} {v.imag:.16e}\n")
 
 
-def hermiticity_defect(h: HamiltonianMatrix, probes: int = 4) -> float:
+def hermiticity_defect(h: HamiltonianMatrix) -> float:
     """Max deviation from Hermiticity, relative to the largest entry.
 
-    Dense and sparse payloads are checked exactly; matrix-free payloads
-    are probed with fixed pseudo-random vectors.
+    Dense and sparse payloads are checked exactly; the matrix-free
+    ``FullOperator`` is probed with ``HERMITICITY_PROBES`` fixed
+    pseudo-random vector pairs, the one check that scales to production
+    array sizes.
     """
     payload = h.payload
-    if isinstance(payload, np.ndarray):
-        scale = np.abs(payload).max() or 1.0
-        return float(np.abs(payload - payload.conj().T).max() / scale)
     if isinstance(payload, FullOperator):
         rng = np.random.default_rng(1234)
         worst = 0.0
-        for _ in range(probes):
-            a = rng.normal(size=payload.dim) + 1j * rng.normal(size=payload.dim)
-            b = rng.normal(size=payload.dim) + 1j * rng.normal(size=payload.dim)
-            lhs = np.vdot(b, payload.matvec(a))
-            rhs = np.vdot(payload.matvec(b), a)
+        for _ in range(HERMITICITY_PROBES):
+            a = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
+            b = rng.normal(size=h.dim) + 1j * rng.normal(size=h.dim)
+            lhs = np.vdot(b, payload @ a)
+            rhs = np.vdot(payload @ b, a)
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
         return worst
-    diff = payload - payload.conj().T
-    scale = np.abs(payload.data).max() if payload.nnz else 1.0
-    return float(np.abs(diff.data).max() / scale) if diff.nnz else 0.0
+    return float(abs(payload - payload.conj().T).max() / (abs(payload).max() or 1.0))

@@ -4,7 +4,6 @@ decompositions, droplet classification, and loss estimates."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -39,26 +38,22 @@ class WavepacketState:
 
 @dataclass
 class CorrelationRecord:
-    """Pair correlation (and optionally the full spin-spin grid)."""
+    """Pair correlation: probability per qubit separation."""
 
     separations: np.ndarray
     probabilities: np.ndarray
-    grid: Optional[np.ndarray] = None
 
     def peak_separation(self) -> int:
         """argmax over integer separation, ties broken toward smaller values."""
         return int(self.separations[np.argmax(self.probabilities)])
 
 
-def pair_correlation(
-    state: WavepacketState, basis: PairBasis, include_grid: bool = False
-) -> CorrelationRecord:
+def pair_correlation(state: WavepacketState, basis: PairBasis) -> CorrelationRecord:
     """Probability that the two excitations sit a given number of qubits apart."""
     weights = np.abs(state.pair_block()) ** 2
     acc = np.bincount(basis.separations, weights=weights, minlength=basis.n_qubits)
     alphas = np.arange(1, basis.n_qubits)
-    grid = spin_spin_correlation(state, basis) if include_grid else None
-    return CorrelationRecord(separations=alphas, probabilities=acc[1:], grid=grid)
+    return CorrelationRecord(separations=alphas, probabilities=acc[1:])
 
 
 def spin_spin_correlation(state: WavepacketState, basis: PairBasis) -> np.ndarray:
@@ -70,11 +65,6 @@ def spin_spin_correlation(state: WavepacketState, basis: PairBasis) -> np.ndarra
     grid[basis.i_index - 1, basis.j_index - 1] = w
     grid[basis.j_index - 1, basis.i_index - 1] = w
     return grid
-
-
-def correlation_record(state: WavepacketState, basis: PairBasis) -> CorrelationRecord:
-    """Pair correlation together with the full spin-spin grid."""
-    return pair_correlation(state, basis, include_grid=True)
 
 
 def initial_state(kind: str, basis: PairBasis) -> WavepacketState:

@@ -114,8 +114,9 @@ def asdict_params(params: SystemParams) -> dict:
 def build_params(raw: dict) -> SystemParams:
     """Construct validated SystemParams from a plain mapping.
 
-    Integer fields accept anything ``int()`` takes, float fields anything
-    ``float()`` takes that is finite; other values raise ``ConfigError``.
+    Integer fields accept anything ``int()`` takes except a number with a
+    fractional part, float fields anything ``float()`` takes that is finite;
+    bools and other values raise ``ConfigError``.
     """
     unknown = set(raw) - {f.name for f in _SETTABLE}
     if unknown:
@@ -123,6 +124,10 @@ def build_params(raw: dict) -> SystemParams:
     values = {}
     for f in _SETTABLE:
         value = raw.get(f.name, _OPTIONAL.get(f.name))
+        if isinstance(value, bool):
+            raise ConfigError(f"parameter {f.name} must be a number, got {value!r}")
+        if f.type == "int" and isinstance(value, float) and not value.is_integer():
+            raise ConfigError(f"parameter {f.name} must be an integer, got {value!r}")
         try:
             # f.type is the annotation text (postponed evaluation)
             values[f.name] = int(value) if f.type == "int" else float(value)

@@ -70,15 +70,18 @@ def _start_vector(dim: int) -> np.ndarray:
 
 
 class _Counted:
-    """Products of a sparse matrix with vectors, counted."""
+    """The operator ARPACK applies (a sparse payload or a shift inverse), as
+    a complex linear operator whose products with vectors are counted."""
 
-    def __init__(self, matrix):
-        self.matrix = matrix
+    def __init__(self, operator):
+        self.operator = operator
+        self.shape = operator.shape
+        self.dtype = np.dtype(complex)
         self.applications = 0
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         self.applications += 1
-        return self.matrix @ v
+        return self.operator @ v
 
 
 def _densify(payload) -> np.ndarray:
@@ -91,11 +94,21 @@ def _densify(payload) -> np.ndarray:
     return payload.toarray()
 
 
+def _arpack(op, k: int, ncv: int, v0: Optional[np.ndarray], **mode):
+    """Lowest ``k`` eigenpairs of ``op`` from ARPACK, ascending."""
+    dim = op.shape[0]
+    if v0 is None:
+        v0 = _start_vector(dim)
+    try:
+        vals, vecs = spla.eigsh(op, k=k, ncv=min(dim - 1, ncv), v0=v0, maxiter=20000, **mode)
+    except spla.ArpackNoConvergence as exc:
+        raise ConvergenceError(f"iterative eigensolver stalled: {exc}") from exc
+    order = np.argsort(vals)
+    return vals[order], vecs[:, order]
+
+
 def eigensolve(
-    h: HamiltonianMatrix,
-    k_lowest: Optional[int] = None,
-    ncv: Optional[int] = None,
-    v0: Optional[np.ndarray] = None,
+    h: HamiltonianMatrix, k_lowest: Optional[int] = None, v0: Optional[np.ndarray] = None
 ) -> SpectralDecomposition:
     """Diagonalize a tagged Hamiltonian.
 
@@ -104,59 +117,34 @@ def eigensolve(
     The explicit-photon operator is solved in shift-invert mode with the
     exact inverse of ``FullOperator.shift_invert``, at a shift below its
     whole spectrum, so the eigenvalues nearest the shift are the lowest;
-    sparse payloads use plain Lanczos for the smallest eigenvalues.
+    sparse payloads above ``DENSE_FALLBACK_DIM`` use plain Lanczos.
     ``solver`` on the result records the shift and the operator (or
     inverse) applications of an iterative solve.
     """
     payload = h.payload
     dim = h.dim
-    stats = {}
-    dense = None
-    if isinstance(payload, np.ndarray):
-        dense = payload
-    elif sp.issparse(payload) and (k_lowest is None or dim <= DENSE_FALLBACK_DIM):
-        dense = _densify(payload)
-    if dense is not None:
-        if k_lowest is None:
-            vals, vecs = eigh(dense)
-        else:
-            vals, vecs = eigh(dense, subset_by_index=[0, min(k_lowest, dim) - 1])
-    else:
+    sparse = sp.issparse(payload)
+    if isinstance(payload, FullOperator):
         if k_lowest is None:
             raise ConvergenceError(
                 f"full decomposition of a dim-{dim} matrix-free operator is not supported; "
                 "pass k_lowest"
             )
-        if v0 is None:
-            v0 = _start_vector(dim)
-        if isinstance(payload, FullOperator):
-            counted = payload.shift_invert(payload.lower_bound())
-            op = spla.LinearOperator((dim, dim), matvec=payload.matvec, dtype=complex)
-            opinv = spla.LinearOperator((dim, dim), matvec=counted.matvec, dtype=complex)
-            arpack = dict(sigma=counted.sigma, which="LM", OPinv=opinv)
-            stats = {"method": "shift-invert", "sigma": counted.sigma}
-            default_ncv = max(2 * k_lowest + 1, 20)
-        else:
-            counted = _Counted(payload)
-            op = spla.LinearOperator((dim, dim), matvec=counted.matvec, dtype=complex)
-            arpack = dict(which="SA")
-            stats = {"method": "lanczos"}
-            default_ncv = max(6 * k_lowest, 80)
-        if ncv is None:
-            ncv = min(dim - 1, default_ncv)
-        try:
-            vals, vecs = spla.eigsh(op, k=k_lowest, ncv=ncv, v0=v0, maxiter=20000, **arpack)
-        except spla.ArpackNoConvergence as exc:
-            raise ConvergenceError(f"iterative eigensolver stalled: {exc}") from exc
-        stats["applications"] = counted.applications
-        order = np.argsort(vals)
-        vals, vecs = vals[order], vecs[:, order]
-    vecs = _canonicalize_signs(vecs)
-    if isinstance(payload, FullOperator):
-        # FullOperator.matvec takes one flat vector at a time
-        h_vecs = np.column_stack([payload.matvec(v) for v in vecs.T])
+        inverse = _Counted(payload.shift_invert(payload.lower_bound()))
+        sigma = inverse.operator.sigma
+        ncv = max(2 * k_lowest + 1, 20)
+        vals, vecs = _arpack(payload, k_lowest, ncv, v0, sigma=sigma, which="LM", OPinv=inverse)
+        stats = {"method": "shift-invert", "sigma": sigma, "applications": inverse.applications}
+    elif sparse and k_lowest is not None and dim > DENSE_FALLBACK_DIM:
+        counted = _Counted(payload)
+        vals, vecs = _arpack(counted, k_lowest, max(6 * k_lowest, 80), v0, which="SA")
+        stats = {"method": "lanczos", "applications": counted.applications}
     else:
-        h_vecs = payload @ vecs
+        subset = None if k_lowest is None else [0, min(k_lowest, dim) - 1]
+        vals, vecs = eigh(_densify(payload) if sparse else payload, subset_by_index=subset)
+        stats = {}
+    vecs = _canonicalize_signs(vecs)
+    h_vecs = payload @ vecs
     h_vecs -= vecs * vals
     residuals = np.linalg.norm(h_vecs, axis=0)
     scale = max(np.abs(vals).max() if len(vals) else 1.0, 1e-30)

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -291,6 +292,13 @@ def test_stale_temporary_does_not_block_output(tmp_path):
         ("dynamics", ["--set", "options.dt=0"], None),
         ("dynamics", ["--set", 'options.alphas=["x"]'], None),
         ("dynamics", ["--set", "options.snapshot_times=[0,\"x\"]"], None),
+        ("spectrum", ["--set", "params.n_qubits=2.5"], None),
+        ("spectrum", ["--set", "params.spacing=true"], None),
+        ("sweep", ["--set", "options.axis=n_qubits", "--set", "options.values=[4.5]"], None),
+        ("spectrum", ["--set", "params.g=true"], None),
+        ("sweep", ["--set", "options.values=5"], None),
+        ("figure", ["--set", "options.fig=6b", "--set", "options.values=5"], None),
+        ("figure", ["--set", "options.fig=3", "--set", 'options.values=["x"]'], None),
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, task, extra, workers):
@@ -320,16 +328,14 @@ _KEYS = st.sampled_from(
 )
 
 
-@settings(settings.get_profile("cli_fuzz"))
-@given(assignments=st.lists(st.tuples(_KEYS, _BAD_VALUES), min_size=1, max_size=3))
-def test_bad_settings_never_end_in_a_traceback(tmp_path_factory, assignments):
+def _check_bad_settings(tmp_path_factory, task, assignments):
     """Any mix of bad --set values either runs or exits 2, 3 or 4 with one
     line on stderr; only a run that succeeds leaves a manifest."""
     out = str(tmp_path_factory.mktemp("fuzz") / "out")
     args = [item for key, value in assignments for item in ("--set", f"{key}={value}")]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main(["spectrum", "--out", out, *SMALL, *args])
+        code = main([task, "--out", out, *SMALL, *args])
     manifest = os.path.join(out, "manifest.json")
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
@@ -338,3 +344,17 @@ def test_bad_settings_never_end_in_a_traceback(tmp_path_factory, assignments):
     else:
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
         assert not os.path.exists(manifest)
+
+
+@settings(settings.get_profile("cli_fuzz"))
+@given(assignments=st.lists(st.tuples(_KEYS, _BAD_VALUES), min_size=1, max_size=3))
+def test_bad_settings_never_end_in_a_traceback(tmp_path_factory, assignments):
+    _check_bad_settings(tmp_path_factory, "spectrum", assignments)
+
+
+@settings(settings.get_profile("cli_fuzz"))
+@given(assignments=st.lists(st.tuples(_KEYS, _BAD_VALUES), min_size=1, max_size=3))
+def test_bad_sweep_settings_never_end_in_a_traceback(tmp_path_factory, assignments):
+    """As above for ``sweep``, which reads ``options.values``."""
+    with mock.patch.dict(os.environ, {"SIMULATE_WORKERS": "1"}):
+        _check_bad_settings(tmp_path_factory, "sweep", assignments)

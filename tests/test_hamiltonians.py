@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from droplet_lattice import (
     SizeError,
@@ -13,7 +14,12 @@ from droplet_lattice import (
     default_params,
     eigensolve,
 )
-from droplet_lattice.hamiltonians import export_triplets, hermiticity_defect
+from droplet_lattice.hamiltonians import (
+    BasisKind,
+    HamiltonianMatrix,
+    export_triplets,
+    hermiticity_defect,
+)
 from droplet_lattice.oracles import (
     constrained_hop_by_strings,
     pair_hop_by_strings,
@@ -230,8 +236,22 @@ def test_complete_sector_decoupled_pairs():
     p = default_params(n_cavities=21, n_qubits=3, g=0.0)
     basis = PairBasis(3)
     h = build_complete_sector(p, qubit_positions(p), basis)
-    dense = h.dense()
+    dense = h.payload.toarray()
     np.testing.assert_allclose(dense[: basis.size, :], 0.0, atol=0)
+
+
+@pytest.mark.parametrize("wrap", [np.asarray, sp.csr_matrix, sp.csr_array])
+def test_hermiticity_defect_of_dense_and_sparse_payloads(wrap):
+    """|H - H^H| max over |H| max: 0.5 / 2.5 for [[1, 2], [2.5, 0]]."""
+    payload = wrap(np.array([[1.0, 2.0], [2.5, 0.0]]))
+    h = HamiltonianMatrix(kind=BasisKind.SPIN, payload=payload, energy_offset=0.0, dims={})
+    assert hermiticity_defect(h) == pytest.approx(0.2, abs=1e-15)
+
+
+def test_complete_sector_is_hermitian():
+    p = default_params(n_cavities=41, n_qubits=4)
+    h = build_complete_sector(p, qubit_positions(p), PairBasis(4))
+    assert hermiticity_defect(h) < 1e-12
 
 
 def test_complete_sector_size_cap():

@@ -85,17 +85,6 @@ def test_spin_spin_grid_mirrored_zero_diagonal():
     assert grid.sum() == pytest.approx(2 * state.pair_weight(), abs=1e-10)
 
 
-def test_correlation_record_carries_grid():
-    from droplet_lattice.observables import correlation_record
-
-    basis = PairBasis(8)
-    state = _random_spin_state(basis, 11)
-    rec = correlation_record(state, basis)
-    assert rec.grid is not None
-    # row sums over j > i recover the separation-resolved probabilities
-    assert rec.grid.sum() == pytest.approx(2 * rec.probabilities.sum(), abs=1e-12)
-
-
 def test_overlap_spectrum_completeness(small_stack):
     fs = initial_state("fs", small_stack.basis)
     energies, weights = overlap_spectrum(fs, small_stack.spectrum("spin"))

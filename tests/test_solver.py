@@ -96,6 +96,21 @@ def test_sparse_array_payloads_take_the_dense_path():
     assert d.solver == {}
 
 
+def test_large_sparse_payloads_take_the_lanczos_path(monkeypatch):
+    """Above ``DENSE_FALLBACK_DIM`` a sparse payload is solved by Lanczos and
+    agrees with the dense path; the dim-1031 oracle stands in for a large one."""
+    from droplet_lattice import build_complete_sector, default_params, solver
+    from droplet_lattice.params import PairBasis, qubit_positions
+
+    p = default_params(n_cavities=41, n_qubits=4)
+    h = build_complete_sector(p, qubit_positions(p), PairBasis(4))
+    dense = eigensolve(h, k_lowest=5)
+    monkeypatch.setattr(solver, "DENSE_FALLBACK_DIM", 500)
+    lanczos = eigensolve(h, k_lowest=5)
+    assert lanczos.solver["method"] == "lanczos" and lanczos.solver["applications"] > 0
+    np.testing.assert_allclose(lanczos.energies, dense.energies, atol=1e-9, rtol=0)
+
+
 def test_dense_copy_of_a_huge_sparse_payload_is_refused():
     empty = sp.csr_array((50_000, 50_000))
     with pytest.raises(SizeError):
