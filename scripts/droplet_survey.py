@@ -15,7 +15,7 @@ from droplet_lattice import (
     minimize_variational,
     pair_correlation,
 )
-from droplet_lattice.observables import WavepacketState, write_pair_corr_csv
+from droplet_lattice.observables import write_pair_corr_csv
 from droplet_lattice.output import write_csv
 
 
@@ -43,11 +43,8 @@ def main():
     print(f"droplet-like states (1-based): {labels.indices.tolist()}")
     print(f"mode assignment: {labels.mode_numbers.tolist()}")
 
-    ground = WavepacketState(
-        kind=decomp.kind, coefficients=decomp.vectors[:, 0], time=0.0, dims=decomp.dims
-    )
     write_pair_corr_csv(
-        pair_correlation(ground, pipe.basis), os.path.join(args.out, "pair_corr.csv")
+        pair_correlation(decomp.state(0), pipe.basis), os.path.join(args.out, "pair_corr.csv")
     )
     print(f"wrote {args.out}/spectrum.csv, pair_corr.csv")
 

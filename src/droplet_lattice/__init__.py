@@ -21,7 +21,6 @@ from .errors import (
     ValidityError,
 )
 from .hamiltonians import (
-    BasisKind,
     HamiltonianMatrix,
     build_adiabatic_model,
     build_complete_sector,

@@ -50,10 +50,6 @@ class RelativeBoundState:
     def m_max(self) -> int:
         return len(self.amplitudes) - 1
 
-    def amplitude(self, m: int) -> float:
-        m = abs(int(m))
-        return float(self.amplitudes[m]) if m <= self.m_max else 0.0
-
     def size_second_moment(self) -> float:
         """Mean squared relative distance, a measure of the pair size."""
         m = np.arange(self.m_max + 1, dtype=float)

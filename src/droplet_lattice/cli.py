@@ -30,7 +30,7 @@ from .errors import (
     SimulationError,
     UnknownFigure,
 )
-from .hamiltonians import BasisKind, export_triplets
+from .hamiltonians import _require_pairs, export_triplets
 from .output import atomic_open, write_csv
 from .params import asdict_params, build_params, default_params
 from .pipeline import Pipeline
@@ -44,29 +44,10 @@ from .solver import (
 SCHEMA_VERSION = 1
 
 MODELS = tuple(pipeline.MODELS)
-_PAIR_MODELS = ("spin", "single", "tilde-single", "pair")
 _ITERATIVE_MODELS = ("full", "oracle")
+_SWEEP_AXES = ("delta", "g", "u", "spacing", "n_qubits")
 
 DEFAULT_PARAMS = asdict_params(default_params())
-
-_OPTION_KEYS = {
-    "k_lowest",
-    "state_index",
-    "initial",
-    "t_max",
-    "dt",
-    "alphas",
-    "axis",
-    "values",
-    "n_max",
-    "classify",
-    "reference_qubits",
-    "fig",
-    "export_matrix",
-    "dump_bands",
-    "dump_couplings",
-    "snapshot_times",
-}
 
 
 def _is_count(value) -> bool:
@@ -81,8 +62,10 @@ def _is_real_list(value) -> bool:
     return isinstance(value, list) and all(map(_is_real, value))
 
 
-#: option -> (check, requirement) for the options with a fixed type
-_OPTION_TYPES = {
+_FLAG = (lambda v: isinstance(v, bool), "true or false")
+
+#: every option -> (check, requirement); any other option key is refused
+_OPTIONS = {
     "k_lowest": (lambda v: _is_count(v) and v > 0, "a positive integer"),
     "state_index": (lambda v: _is_count(v) and v >= 0, "a non-negative integer"),
     "n_max": (lambda v: _is_count(v) and v > 0, "a positive integer"),
@@ -93,6 +76,12 @@ _OPTION_TYPES = {
     "alphas": (lambda v: isinstance(v, list) and all(map(_is_count, v)), "a list of integers"),
     "snapshot_times": (_is_real_list, "a list of finite numbers"),
     "values": (_is_real_list, "a list of finite numbers"),
+    "axis": (lambda v: v in _SWEEP_AXES, f"one of {_SWEEP_AXES}"),
+    "fig": (lambda v: isinstance(v, str) or _is_count(v), "a figure id"),
+    "classify": _FLAG,
+    "export_matrix": _FLAG,
+    "dump_bands": _FLAG,
+    "dump_couplings": _FLAG,
 }
 
 
@@ -133,10 +122,10 @@ def load_config(raw: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown params keys: {sorted(unknown)}")
     options = dict(_mapping(raw, "options"))
-    unknown = set(options) - _OPTION_KEYS
+    unknown = set(options) - set(_OPTIONS)
     if unknown:
         raise ConfigError(f"unknown option keys: {sorted(unknown)}")
-    for key, (check, requirement) in _OPTION_TYPES.items():
+    for key, (check, requirement) in _OPTIONS.items():
         if key in options and not check(options[key]):
             raise ConfigError(f"options.{key} must be {requirement}, got {options[key]!r}")
     if task == "figure":
@@ -184,16 +173,8 @@ def _decompose(pipe: Pipeline, cfg: RunConfig):
     return pipe.spectrum(cfg.model, k)
 
 
-def _eigenstate(decomp, index: int) -> obs.WavepacketState:
-    return obs.WavepacketState(
-        kind=decomp.kind, coefficients=decomp.vectors[:, index], time=0.0, dims=decomp.dims
-    )
-
-
 def _write_overlaps(decomp, initial: str, basis, path):
     psi0 = obs.initial_state(initial, basis)
-    if decomp.kind != BasisKind.SPIN:
-        raise ConfigError("overlap decomposition needs a pair-basis model")
     energies, weights = obs.overlap_spectrum(psi0, decomp)
     obs.write_overlap_csv(energies, weights, path)
 
@@ -229,7 +210,7 @@ def _task_correlations(cfg, pipe, out):
         raise ConfigError(
             f"options.state_index {index} out of range: {len(decomp.energies)} states solved"
         )
-    state = _eigenstate(decomp, index)
+    state = decomp.state(index)
     obs.write_pair_corr_csv(
         obs.pair_correlation(state, pipe.basis), os.path.join(out, "pair_corr.csv")
     )
@@ -240,8 +221,8 @@ def _task_correlations(cfg, pipe, out):
 
 
 def _task_dynamics(cfg, pipe, out):
-    if cfg.model not in _PAIR_MODELS:
-        raise ConfigError("dynamics needs a dense pair-basis model")
+    dims = pipe.model(cfg.model).dims
+    _require_pairs(dims, "dynamics needs a dense pair-basis model", ConfigError)
     decomp = pipe.spectrum(cfg.model)
     t_max = float(cfg.options.get("t_max", 1e4))
     dt = float(cfg.options.get("dt", 2.0))
@@ -283,6 +264,8 @@ def _task_variational(cfg, pipe, out):
 
 
 def _task_overlaps(cfg, pipe, out):
+    dims = pipe.model(cfg.model).dims
+    _require_pairs(dims, "overlap decomposition needs a pair-basis model", ConfigError)
     decomp = _decompose(pipe, cfg)
     _write_overlaps(
         decomp, cfg.options.get("initial", "fs"), pipe.basis, os.path.join(out, "overlap.csv")
@@ -305,8 +288,6 @@ def _worker_count() -> int:
 
 def _task_sweep(cfg, pipe, out):
     axis = cfg.options.get("axis", "delta")
-    if axis not in ("delta", "g", "u", "spacing", "n_qubits"):
-        raise ConfigError(f"unsupported sweep axis {axis!r}")
     values = cfg.options.get("values")
     if not values:
         raise ConfigError("sweep needs options.values")
@@ -439,7 +420,7 @@ def _fig7(fig, cfg, pipe, out):
     point = Pipeline(build_params({**cfg.params, "delta": delta}))
     cols = {}
     for name, k in (("spin", 1), ("single", 1), ("full", 4)):
-        state = _eigenstate(point.spectrum(name, k), 0)
+        state = point.spectrum(name, k).state(0)
         cols[name] = obs.pair_correlation(state, point.basis).probabilities / state.pair_weight()
     write_csv(
         os.path.join(out, f"fig{fig}.csv"),

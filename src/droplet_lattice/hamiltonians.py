@@ -7,19 +7,24 @@ two-excitation detuning as a constant offset.
 
 Basis layouts
 -------------
-SPIN           pair kets only, dim P = N_e (N_e - 1) / 2
-ADIA           pairs then bound-pair kets, dim P + N
-FULL           pairs, qubit-photon kets (qubit index major, wavevector
-               minor), then bound kets, dim P + N_e N + N
-COMPLETE       pairs, qubit-photon kets with a real-space photon, then
-               symmetrized photon-pair kets |n <= m>, dim
-               P + N_e N + N (N + 1) / 2
+A model's ``dims`` maps each block of its basis, in order, to its size; the
+keys alone tell the layouts apart.
+
+pairs                         spin models: pair kets only,
+                              P = N_e (N_e - 1) / 2
+pairs, bound                  adiabatic: pairs then bound-pair kets, P + N
+pairs, qubit_photon, bound    explicit photon: pairs, qubit-photon kets
+                              (qubit index major, wavevector minor), then
+                              bound kets, P + N_e N + N
+pairs, qubit_photon,          complete sector: pairs, qubit-photon kets
+photon_pairs                  with a real-space photon, then symmetrized
+                              photon-pair kets |n <= m>,
+                              P + N_e N + N (N + 1) / 2
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from enum import Enum
 from typing import Optional, Union
 
 import numpy as np
@@ -35,13 +40,6 @@ from .params import J, PairBasis, SystemParams
 COMPLETE_DIM_CAP = 40_000
 EXPORT_NNZ_CAP = 20_000_000
 HERMITICITY_PROBES = 4
-
-
-class BasisKind(Enum):
-    SPIN = "spin"
-    ADIA = "adia"
-    FULL = "full"
-    COMPLETE = "complete"
 
 
 class FullOperator:
@@ -263,7 +261,6 @@ Payload = Union[np.ndarray, sp.spmatrix, sp.sparray, FullOperator]
 class HamiltonianMatrix:
     """A Hermitian operator (any payload with shape, dtype and @) and its metadata."""
 
-    kind: BasisKind
     payload: Payload = field(repr=False)
     energy_offset: float
     dims: dict
@@ -273,9 +270,11 @@ class HamiltonianMatrix:
     def dim(self) -> int:
         return self.payload.shape[0]
 
-    def require_kind(self, *kinds: BasisKind):
-        if self.kind not in kinds:
-            raise BasisMismatch(f"expected basis {kinds}, got {self.kind}")
+
+def _require_pairs(dims: dict, message: str, error=BasisMismatch):
+    """Raise ``error(message)`` unless ``dims`` is the pair basis alone."""
+    if list(dims) != ["pairs"]:
+        raise error(message)
 
 
 def _pair_index_table(basis: PairBasis) -> np.ndarray:
@@ -286,8 +285,11 @@ def _pair_index_table(basis: PairBasis) -> np.ndarray:
     return table
 
 
-def _spin_dims(basis: PairBasis) -> dict:
-    return {"pairs": basis.size}
+def _pair_model(payload: np.ndarray, basis: PairBasis, params: SystemParams) -> HamiltonianMatrix:
+    """A spin model: the payload on the pair basis alone."""
+    return HamiltonianMatrix(
+        payload=payload, energy_offset=params.delta, dims={"pairs": basis.size}, pair_basis=basis
+    )
 
 
 def _constrained_hop_payload(w: np.ndarray, basis: PairBasis) -> np.ndarray:
@@ -315,13 +317,7 @@ def build_constrained_hop(
     qubit; the diagonal carries twice the onsite hop energy (the self
     interaction of each excitation).
     """
-    return HamiltonianMatrix(
-        kind=BasisKind.SPIN,
-        payload=_constrained_hop_payload(couplings.hop, basis),
-        energy_offset=params.delta,
-        dims=_spin_dims(basis),
-        pair_basis=basis,
-    )
+    return _pair_model(_constrained_hop_payload(couplings.hop, basis), basis, params)
 
 
 def build_unconstrained_hop(
@@ -342,39 +338,20 @@ def build_unconstrained_hop(
         np.add.at(h, (rows[mask], table[l, j0[mask]]), 2 * w[l, i0[mask]])
         np.add.at(h, (rows[mask], table[i0[mask], l]), 2 * w[l, j0[mask]])
     h[rows, rows] += 2 * (w[i0, i0] + w[j0, j0])
-    return HamiltonianMatrix(
-        kind=BasisKind.SPIN,
-        payload=h,
-        energy_offset=params.delta,
-        dims=_spin_dims(basis),
-        pair_basis=basis,
-    )
+    return _pair_model(h, basis, params)
 
 
 def build_pair_hop(
     couplings: EffectiveCouplings, basis: PairBasis, params: SystemParams
 ) -> HamiltonianMatrix:
-    return HamiltonianMatrix(
-        kind=BasisKind.SPIN,
-        payload=couplings.pair_hop.copy(),
-        energy_offset=params.delta,
-        dims=_spin_dims(basis),
-        pair_basis=basis,
-    )
+    return _pair_model(couplings.pair_hop.copy(), basis, params)
 
 
 def build_spin_model(
     couplings: EffectiveCouplings, basis: PairBasis, params: SystemParams
 ) -> HamiltonianMatrix:
     single = build_constrained_hop(couplings, basis, params)
-    h = single.payload + couplings.pair_hop
-    return HamiltonianMatrix(
-        kind=BasisKind.SPIN,
-        payload=h,
-        energy_offset=params.delta,
-        dims=_spin_dims(basis),
-        pair_basis=basis,
-    )
+    return _pair_model(single.payload + couplings.pair_hop, basis, params)
 
 
 def build_adiabatic_model(
@@ -399,7 +376,6 @@ def build_adiabatic_model(
     if bound_bound is not None:
         h[p:, p:] += (g * g / (n * J)) * bound_bound
     return HamiltonianMatrix(
-        kind=BasisKind.ADIA,
         payload=h,
         energy_offset=params.delta,
         dims={"pairs": p, "bound": n},
@@ -413,7 +389,6 @@ def build_full_model(
     """Two-excitation model with explicit photons, truncated to bound pairs."""
     op = FullOperator(params, positions, basis, bands)
     return HamiltonianMatrix(
-        kind=BasisKind.FULL,
         payload=op,
         energy_offset=params.delta,
         dims={
@@ -505,7 +480,6 @@ def build_complete_sector(
         (np.asarray(vals, dtype=float), (rows, cols)), shape=(dim, dim)
     ).tocsr()
     return HamiltonianMatrix(
-        kind=BasisKind.COMPLETE,
         payload=h,
         energy_offset=params.delta,
         dims={"pairs": p, "qubit_photon": n_e * n, "photon_pairs": n_pp},

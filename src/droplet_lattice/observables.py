@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BasisMismatch, DomainError
-from .hamiltonians import BasisKind
+from .hamiltonians import _require_pairs
 from .output import write_csv
 from .params import J, PairBasis, SystemParams
 
@@ -21,7 +21,6 @@ class WavepacketState:
     slots; photon-sector slots follow when the basis has them.
     """
 
-    kind: object
     coefficients: np.ndarray = field(repr=False)
     time: float
     dims: dict
@@ -78,17 +77,13 @@ def initial_state(kind: str, basis: PairBasis) -> WavepacketState:
         coeff[nearest] = 1.0 / np.sqrt(n_e - 1)
     else:
         raise BasisMismatch(f"unknown initial state kind {kind!r}; use 'ps' or 'fs'")
-    return WavepacketState(
-        kind=BasisKind.SPIN, coefficients=coeff, time=0.0, dims={"pairs": basis.size}
-    )
+    return WavepacketState(coefficients=coeff, time=0.0, dims={"pairs": basis.size})
 
 
 def overlap_spectrum(psi0: WavepacketState, decomp) -> tuple[np.ndarray, np.ndarray]:
     """Squared projections of psi0 on each eigenstate, sorted by energy."""
-    if psi0.kind != decomp.kind:
-        raise BasisMismatch(f"state on {psi0.kind}, decomposition on {decomp.kind}")
-    if len(psi0.coefficients) != decomp.dim:
-        raise BasisMismatch("state and decomposition dimensions differ")
+    if psi0.dims != decomp.dims:
+        raise BasisMismatch(f"state on {psi0.dims}, decomposition on {decomp.dims}")
     weights = np.abs(decomp.vectors.conj().T @ psi0.coefficients) ** 2
     return decomp.energies.copy(), weights
 
@@ -154,8 +149,7 @@ def classify_droplet_states(
     more than growth_tol, no state is labeled droplet-like: the ansatz is
     then tracking the array size rather than an intrinsic length.
     """
-    if decomp.kind != BasisKind.SPIN:
-        raise BasisMismatch("droplet classification runs on the spin-model decomposition")
+    _require_pairs(decomp.dims, "droplet classification runs on the spin-model decomposition")
     if reference is not None:
         growth = reference.length / variational.length - 1.0
         if growth > growth_tol:

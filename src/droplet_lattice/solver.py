@@ -16,8 +16,15 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
-from .errors import BasisMismatch, BracketError, ConvergenceError, DegeneracyWarning, SizeError
-from .hamiltonians import BasisKind, FullOperator, HamiltonianMatrix
+from .errors import (
+    BasisMismatch,
+    BracketError,
+    ConfigError,
+    ConvergenceError,
+    DegeneracyWarning,
+    SizeError,
+)
+from .hamiltonians import FullOperator, HamiltonianMatrix, _require_pairs
 from .observables import WavepacketState
 
 DENSE_FALLBACK_DIM = 4000
@@ -29,14 +36,16 @@ DEGENERACY_GAP = 1e-10
 class SpectralDecomposition:
     """Eigenpairs of one Hamiltonian, energies ascending as E - E_0b."""
 
-    kind: BasisKind
     energies: np.ndarray
     vectors: np.ndarray = field(repr=False)
     residual_norms: np.ndarray = field(repr=False)
     energy_offset: float
-    dim: int
     dims: dict
     solver: dict = field(default_factory=dict)
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[0]
 
     @property
     def is_full(self) -> bool:
@@ -44,6 +53,10 @@ class SpectralDecomposition:
 
     def rotating_frame_energies(self) -> np.ndarray:
         return self.energies - self.energy_offset
+
+    def state(self, index: int) -> WavepacketState:
+        """Eigenvector ``index`` (0-based, ascending energy) as a state at t = 0."""
+        return WavepacketState(coefficients=self.vectors[:, index], time=0.0, dims=self.dims)
 
 
 def _canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
@@ -97,10 +110,16 @@ def _densify(payload) -> np.ndarray:
 def _arpack(op, k: int, ncv: int, v0: Optional[np.ndarray], **mode):
     """Lowest ``k`` eigenpairs of ``op`` from ARPACK, ascending."""
     dim = op.shape[0]
+    ncv = min(dim - 1, ncv)
+    if k + 1 >= ncv:
+        raise ConfigError(
+            f"k_lowest {k} is above {dim - 3}: ARPACK needs k + 1 < ncv <= {dim - 1} "
+            f"on a dim-{dim} operator"
+        )
     if v0 is None:
         v0 = _start_vector(dim)
     try:
-        vals, vecs = spla.eigsh(op, k=k, ncv=min(dim - 1, ncv), v0=v0, maxiter=20000, **mode)
+        vals, vecs = spla.eigsh(op, k=k, ncv=ncv, v0=v0, maxiter=20000, **mode)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(f"iterative eigensolver stalled: {exc}") from exc
     order = np.argsort(vals)
@@ -154,12 +173,10 @@ def eigensolve(
             residuals=residuals,
         )
     return SpectralDecomposition(
-        kind=h.kind,
         energies=vals + h.energy_offset,
         vectors=vecs,
         residual_norms=residuals,
         energy_offset=h.energy_offset,
-        dim=dim,
         dims=dict(h.dims),
         solver=stats,
     )
@@ -169,12 +186,8 @@ def propagate(
     decomp: SpectralDecomposition, psi0: WavepacketState, times: Sequence[float]
 ) -> list[WavepacketState]:
     """Evolve psi0 through the spectral representation at the given times."""
-    if psi0.kind != decomp.kind:
-        raise BasisMismatch(f"state on {psi0.kind}, decomposition on {decomp.kind}")
-    if len(psi0.coefficients) != decomp.dim:
-        raise BasisMismatch(
-            f"state dim {len(psi0.coefficients)} != decomposition dim {decomp.dim}"
-        )
+    if psi0.dims != decomp.dims:
+        raise BasisMismatch(f"state on {psi0.dims}, decomposition on {decomp.dims}")
     if not decomp.is_full:
         raise BasisMismatch("propagation needs the full decomposition")
     times = np.asarray(times, dtype=float)
@@ -184,12 +197,7 @@ def propagate(
     ) * weights[:, None]
     snapshots = decomp.vectors @ phases
     return [
-        WavepacketState(
-            kind=decomp.kind,
-            coefficients=snapshots[:, col],
-            time=float(t),
-            dims=dict(decomp.dims),
-        )
+        WavepacketState(coefficients=snapshots[:, col], time=float(t), dims=dict(decomp.dims))
         for col, t in enumerate(times)
     ]
 
@@ -205,8 +213,7 @@ def first_order_perturbation(
     Warns when adjacent levels are closer than the degeneracy gap, where
     the non-degenerate formula stops being meaningful.
     """
-    if decomp.kind != BasisKind.SPIN:
-        raise BasisMismatch("perturbation theory runs on the spin-model decomposition")
+    _require_pairs(decomp.dims, "perturbation theory runs on the spin-model decomposition")
     if indices is None:
         indices = np.arange(len(decomp.energies))
     indices = np.asarray(indices, dtype=int)
@@ -240,7 +247,6 @@ class VariationalResult:
     energies: np.ndarray
     coefficients: np.ndarray = field(repr=False)  # (P, n_max), orthonormal columns
     n_max: int
-    energy_offset: float
 
 
 def variational_vector(h_spin: HamiltonianMatrix, length: float, n: int) -> np.ndarray:
@@ -260,7 +266,7 @@ def variational_vector(h_spin: HamiltonianMatrix, length: float, n: int) -> np.n
 
 def variational_energy(h_spin: HamiltonianMatrix, length: float, n: int = 1) -> float:
     """Rayleigh quotient of the ansatz, reported as E - E_0b."""
-    h_spin.require_kind(BasisKind.SPIN)
+    _require_pairs(h_spin.dims, "the variational ansatz runs on a spin model")
     if length <= 0:
         raise BracketError(f"length must be positive, got {length}")
     vec = variational_vector(h_spin, length, n)
@@ -325,7 +331,6 @@ def minimize_variational(
         energies=energies,
         coefficients=ortho,
         n_max=n_max,
-        energy_offset=h_spin.energy_offset,
     )
 
 

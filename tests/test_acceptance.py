@@ -26,7 +26,6 @@ from scipy.signal import find_peaks
 
 from droplet_lattice import (
     Pipeline,
-    WavepacketState,
     build_adiabatic_model,
     classify_droplet_states,
     eigensolve,
@@ -191,10 +190,7 @@ def test_criterion_4_droplet_family(
 
 
 def _ground_record(decomp, basis, index=0):
-    state = WavepacketState(
-        kind=decomp.kind, coefficients=decomp.vectors[:, index], time=0.0, dims=decomp.dims
-    )
-    return pair_correlation(state, basis)
+    return pair_correlation(decomp.state(index), basis)
 
 
 def test_criterion_5_peak_positions(default_stack, delta320_stack, full_decomp_default):
@@ -366,16 +362,7 @@ def test_criterion_7d_full_chain(default_stack, adia_low, full_decomp_default):
         (adia_low.energies, spin.energies[:10]),
     ):
         worst = max(worst, (np.abs(np.asarray(a) - np.asarray(b)) / np.abs(b)).max())
-    fractions = np.array(
-        [
-            photonic_fraction(
-                WavepacketState(
-                    kind=full.kind, coefficients=full.vectors[:, col], time=0.0, dims=full.dims
-                )
-            )
-            for col in range(10)
-        ]
-    )
+    fractions = np.array([photonic_fraction(full.state(col)) for col in range(10)])
     report(7, worst < 0.05 and fractions.max() < 0.10,
            f"d: chain max rel {worst:.4f}, photonic max {fractions.max():.4f}")
     assert worst < 0.05, f"measured mutual deviation {worst:.4f}"

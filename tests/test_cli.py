@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droplet_lattice.cli import _OPTION_KEYS, DEFAULT_PARAMS, FIGURES, main
+from droplet_lattice.cli import _OPTIONS, DEFAULT_PARAMS, FIGURES, main
 
 SMALL = [
     "--set", "params.n_cavities=41",
@@ -73,6 +73,27 @@ def test_dynamics_columns_and_determinism(tmp_path):
     assert (tmp_path / "out" / "dynamics.csv").read_bytes() == first
     header = first.decode().splitlines()[0]
     assert header == "t,P_alpha1,P_alpha2"
+
+
+_PAIR_BASIS_MODELS = ("spin", "single", "tilde-single", "pair")
+_PAIR_ONLY = {
+    "dynamics": "config error: dynamics needs a dense pair-basis model\n",
+    "overlaps": "config error: overlap decomposition needs a pair-basis model\n",
+}
+
+
+@pytest.mark.parametrize("task", sorted(_PAIR_ONLY))
+@pytest.mark.parametrize("model", _PAIR_BASIS_MODELS + ("adia0", "adia1", "full", "oracle"))
+def test_pair_basis_tasks_refuse_photon_models(tmp_path, capsys, task, model):
+    """Dynamics and overlaps run on the four pair-basis models and refuse the
+    models whose basis also holds bound pairs or photons."""
+    code, _ = run_cli(tmp_path, task, "--set", f"model={model}",
+                      "--set", "options.t_max=20", "--set", "options.alphas=[1,2]")
+    err = capsys.readouterr().err
+    if model in _PAIR_BASIS_MODELS:
+        assert code == 0, err
+    else:
+        assert (code, err) == (2, _PAIR_ONLY[task])
 
 
 def test_dynamics_rejects_out_of_range_alpha(tmp_path):
@@ -299,6 +320,13 @@ def test_stale_temporary_does_not_block_output(tmp_path):
         ("sweep", ["--set", "options.values=5"], None),
         ("figure", ["--set", "options.fig=6b", "--set", "options.values=5"], None),
         ("figure", ["--set", "options.fig=3", "--set", 'options.values=["x"]'], None),
+        ("spectrum", ["--set", "model=full", "--set", "options.k_lowest=300"], None),
+        ("spectrum", ["--set", "model=full", "--set", "options.k_lowest=301"], None),
+        ("spectrum", ["--set", "options.export_matrix=no"], None),
+        ("spectrum", ["--set", "options.dump_bands=1"], None),
+        ("spectrum", ["--set", "options.dump_couplings=yes"], None),
+        ("variational", ["--set", "options.classify=no"], None),
+        ("sweep", ["--set", "options.axis=kappa", "--set", "options.values=[1]"], None),
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, task, extra, workers):
@@ -324,7 +352,7 @@ _BAD_VALUES = st.one_of(
 _KEYS = st.sampled_from(
     ["params", "options"]
     + [f"params.{key}" for key in sorted(DEFAULT_PARAMS)]
-    + [f"options.{key}" for key in sorted(_OPTION_KEYS)]
+    + [f"options.{key}" for key in sorted(_OPTIONS)]
 )
 
 
@@ -344,6 +372,7 @@ def _check_bad_settings(tmp_path_factory, task, assignments):
     else:
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
         assert not os.path.exists(manifest)
+    return code
 
 
 @settings(settings.get_profile("cli_fuzz"))
@@ -358,3 +387,23 @@ def test_bad_sweep_settings_never_end_in_a_traceback(tmp_path_factory, assignmen
     """As above for ``sweep``, which reads ``options.values``."""
     with mock.patch.dict(os.environ, {"SIMULATE_WORKERS": "1"}):
         _check_bad_settings(tmp_path_factory, "sweep", assignments)
+
+
+# model=full at 41x6 has dimension 15 + 6 * 41 + 41 = 302; ARPACK takes at most
+# k = 299 there, because it needs k + 1 < ncv <= dim - 1
+_FULL_DIM = 302
+
+
+@settings(settings.get_profile("cli_fuzz"))
+@given(k=st.integers(_FULL_DIM - 2, _FULL_DIM + 2))
+def test_k_lowest_beyond_the_arpack_limit_is_refused(tmp_path_factory, k):
+    assignments = [("model", "full"), ("options.k_lowest", str(k))]
+    assert _check_bad_settings(tmp_path_factory, "spectrum", assignments) == 2
+
+
+def test_largest_accepted_k_lowest_runs(tmp_path):
+    k = _FULL_DIM - 3
+    code, _ = run_cli(tmp_path, "spectrum", "--set", "model=full",
+                      "--set", f"options.k_lowest={k}")
+    assert code == 0
+    assert len((tmp_path / "out" / "spectrum.csv").read_text().splitlines()) == 1 + k

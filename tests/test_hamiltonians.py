@@ -15,7 +15,6 @@ from droplet_lattice import (
     eigensolve,
 )
 from droplet_lattice.hamiltonians import (
-    BasisKind,
     HamiltonianMatrix,
     export_triplets,
     hermiticity_defect,
@@ -244,7 +243,7 @@ def test_complete_sector_decoupled_pairs():
 def test_hermiticity_defect_of_dense_and_sparse_payloads(wrap):
     """|H - H^H| max over |H| max: 0.5 / 2.5 for [[1, 2], [2.5, 0]]."""
     payload = wrap(np.array([[1.0, 2.0], [2.5, 0.0]]))
-    h = HamiltonianMatrix(kind=BasisKind.SPIN, payload=payload, energy_offset=0.0, dims={})
+    h = HamiltonianMatrix(payload=payload, energy_offset=0.0, dims={})
     assert hermiticity_defect(h) == pytest.approx(0.2, abs=1e-15)
 
 
@@ -347,17 +346,8 @@ def test_full_low_spectrum_tracks_spin_model(default_stack, full_decomp_default)
 
 
 def test_full_photonic_weight_regression(full_decomp_default):
-    from droplet_lattice import WavepacketState, photonic_fraction
+    from droplet_lattice import photonic_fraction
 
-    fractions = []
-    for col in range(10):
-        st = WavepacketState(
-            kind=full_decomp_default.kind,
-            coefficients=full_decomp_default.vectors[:, col],
-            time=0.0,
-            dims=full_decomp_default.dims,
-        )
-        fractions.append(photonic_fraction(st))
-    fractions = np.array(fractions)
+    fractions = np.array([photonic_fraction(full_decomp_default.state(col)) for col in range(10)])
     assert fractions.max() < 0.25
     assert fractions.min() > 0.0

@@ -18,7 +18,6 @@ from droplet_lattice import (
     photonic_fraction,
     spin_spin_correlation,
 )
-from droplet_lattice.hamiltonians import BasisKind
 from droplet_lattice.observables import (
     write_corr_snapshot_csv,
     write_dynamics_csv,
@@ -31,7 +30,7 @@ def _random_spin_state(basis, seed):
     rng = np.random.default_rng(seed)
     c = rng.normal(size=basis.size) + 1j * rng.normal(size=basis.size)
     c /= np.linalg.norm(c)
-    return WavepacketState(kind=BasisKind.SPIN, coefficients=c, time=0.0, dims={"pairs": basis.size})
+    return WavepacketState(coefficients=c, time=0.0, dims={"pairs": basis.size})
 
 
 def test_fully_symmetric_state_profile():
@@ -93,19 +92,22 @@ def test_overlap_spectrum_completeness(small_stack):
 
 
 def test_overlap_spectrum_dimension_guard(small_stack):
-    with pytest.raises(BasisMismatch):
-        overlap_spectrum(initial_state("fs", PairBasis(5)), small_stack.spectrum("spin"))
+    other_size = initial_state("fs", PairBasis(5))
+    other_layout = WavepacketState(
+        coefficients=np.ones(45), time=0.0, dims={"pairs": 35, "bound": 10}
+    )
+    for bad in (other_size, other_layout):
+        with pytest.raises(BasisMismatch):
+            overlap_spectrum(bad, small_stack.spectrum("spin"))
 
 
 def test_photonic_fraction_bookkeeping():
     dims = {"pairs": 3, "bound": 4}
     c = np.array([0.5, 0.5, 0.0, 0.5, 0.0, 0.0, 0.5])
-    st_ = WavepacketState(kind=BasisKind.ADIA, coefficients=c, time=0.0, dims=dims)
+    st_ = WavepacketState(coefficients=c, time=0.0, dims=dims)
     assert photonic_fraction(st_) == pytest.approx(0.5, abs=1e-12)
     assert photonic_fraction(st_) + st_.pair_weight() == pytest.approx(1.0, abs=1e-12)
-    pure = WavepacketState(
-        kind=BasisKind.SPIN, coefficients=np.ones(3) / np.sqrt(3), time=0.0, dims={"pairs": 3}
-    )
+    pure = WavepacketState(coefficients=np.ones(3) / np.sqrt(3), time=0.0, dims={"pairs": 3})
     with pytest.raises(BasisMismatch):
         photonic_fraction(pure)
 
@@ -155,7 +157,6 @@ def test_classifier_growth_gate(small_stack, variational_family):
         energies=variational_family(small_stack).energies,
         coefficients=variational_family(small_stack).coefficients,
         n_max=variational_family(small_stack).n_max,
-        energy_offset=variational_family(small_stack).energy_offset,
     )
     labels = classify_droplet_states(
         small_stack.spectrum("spin"), variational_family(small_stack), reference=grown

@@ -16,19 +16,17 @@ from droplet_lattice import (
     propagate,
     variational_energy,
 )
-from droplet_lattice.hamiltonians import BasisKind, FullOperator, HamiltonianMatrix
+from droplet_lattice.hamiltonians import FullOperator, HamiltonianMatrix
 from droplet_lattice.observables import WavepacketState
+from droplet_lattice.params import PairBasis
 from droplet_lattice.solver import golden_section, scan_variational, variational_vector
 
 
 def _toy_spin_matrix(matrix, offset=0.0):
-    from droplet_lattice.params import PairBasis
-
     n = matrix.shape[0]
     # smallest pair basis with size >= n is irrelevant here; tests using this
-    # helper only exercise generic solver behavior on SPIN-tagged payloads
+    # helper only exercise generic solver behavior on pair-basis payloads
     return HamiltonianMatrix(
-        kind=BasisKind.SPIN,
         payload=matrix,
         energy_offset=offset,
         dims={"pairs": n},
@@ -152,9 +150,7 @@ def test_propagation_conserves_energy(small_stack):
 
 def test_eigenstate_is_stationary(small_stack):
     d = small_stack.spectrum("spin")
-    psi0 = WavepacketState(
-        kind=d.kind, coefficients=d.vectors[:, 3].astype(complex), time=0.0, dims=d.dims
-    )
+    psi0 = d.state(3)
     out = propagate(d, psi0, [233.0])[0]
     probabilities = np.abs(out.coefficients) ** 2
     np.testing.assert_allclose(probabilities, np.abs(psi0.coefficients) ** 2, atol=1e-10)
@@ -162,9 +158,11 @@ def test_eigenstate_is_stationary(small_stack):
 
 def test_propagate_rejects_mismatched_state(small_stack):
     d = small_stack.spectrum("spin")
-    bad = WavepacketState(kind=BasisKind.ADIA, coefficients=np.ones(4), time=0.0, dims={})
-    with pytest.raises(BasisMismatch):
-        propagate(d, bad, [0.0])
+    other_layout = WavepacketState(coefficients=np.ones(4), time=0.0, dims={})
+    other_size = initial_state("fs", PairBasis(9))
+    for bad in (other_layout, other_size):
+        with pytest.raises(BasisMismatch):
+            propagate(d, bad, [0.0])
 
 
 # ---------------------------------------------------------------------------
