@@ -6,6 +6,7 @@ variational length, and the ground-state pair correlation into out/survey/.
 """
 
 import argparse
+import math
 import os
 
 from droplet_lattice import (
@@ -35,7 +36,7 @@ def main():
 
     variational = minimize_variational(pipe.model("spin"))
     reference_params = default_params(
-        spacing=args.spacing, delta=args.delta, n_qubits=pipe.params.n_qubits * 4 // 3
+        spacing=args.spacing, delta=args.delta, n_qubits=math.ceil(pipe.params.n_qubits * 4 / 3)
     )
     reference = minimize_variational(Pipeline(reference_params).model("spin"), n_max=1)
     labels = classify_droplet_states(decomp, variational, reference=reference)

@@ -1,7 +1,8 @@
 """Spectral data of the nonlinear photonic bath.
 
-The single-photon band is the tight-binding dispersion E_k = omega_c -
-2J cos(k).  For attractive onsite interaction (u < 0) the two-photon
+Energies are measured in the frame where the cavity frequency omega_c
+is 0, so the single-photon band is the tight-binding dispersion
+E_k = -2J cos(k).  For attractive onsite interaction (u < 0) the two-photon
 sector additionally supports a bound band below the scattering continuum
 near K = 0.  The bound state at center-of-mass wavevector K is obtained
 from the relative-motion problem on the half line m >= 0: a symmetric
@@ -28,7 +29,7 @@ TAIL_TARGET = 1e-14
 
 def single_photon_energy(params: SystemParams, k) -> np.ndarray:
     """Dispersion of one photon on the cavity array."""
-    return params.omega_c - 2 * J * np.cos(np.asarray(k, dtype=float))
+    return -2 * J * np.cos(np.asarray(k, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -40,7 +41,6 @@ class RelativeBoundState:
     over m in [-m_max, m_max].  The global phase is fixed by psi(0) > 0.
     """
 
-    momentum_index: int
     momentum: float
     energy: float
     amplitudes: np.ndarray
@@ -85,7 +85,7 @@ def solve_bound_state(params: SystemParams, grid: MomentumGrid, kappa_index: int
     else:
         m_max = min(4, half_ring)
 
-    diag = np.full(m_max + 1, 2 * params.omega_c)
+    diag = np.zeros(m_max + 1)
     diag[0] += u
     off = np.full(m_max, -2 * J * hop)
     off[0] *= np.sqrt(2)
@@ -96,7 +96,7 @@ def solve_bound_state(params: SystemParams, grid: MomentumGrid, kappa_index: int
 
     vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
     energy = float(vals[0])
-    edge = 2 * params.omega_c - 4 * J * abs(hop)
+    edge = -4 * J * abs(hop)
     if energy >= edge:
         raise NoBoundState(
             f"no state below the scattering edge at K index {kappa_index} "
@@ -108,7 +108,6 @@ def solve_bound_state(params: SystemParams, grid: MomentumGrid, kappa_index: int
     psi = phi.copy()
     psi[1:] /= np.sqrt(2)
     return RelativeBoundState(
-        momentum_index=int(kappa_index),
         momentum=float(k_com),
         energy=energy,
         amplitudes=psi,
@@ -153,7 +152,7 @@ def solve_bath(params: SystemParams) -> BathBands:
 def bound_energy_closed_form(params: SystemParams, k_com) -> np.ndarray:
     """Infinite-lattice bound-band dispersion, used as a cross-check only."""
     hop = np.cos(np.asarray(k_com, dtype=float) / 2)
-    return 2 * params.omega_c - np.sqrt(params.u**2 + 16 * J * J * hop * hop)
+    return -np.sqrt(params.u**2 + 16 * J * J * hop * hop)
 
 
 def bound_matrix_element(k, cavity: int, state: RelativeBoundState) -> complex:
@@ -193,13 +192,13 @@ def profile_table(bands: BathBands) -> np.ndarray:
     return head + 2.0 * sums[rows, np.arange(n)]
 
 
-def write_band_csv(bands: BathBands, params: SystemParams, path):
+def write_band_csv(bands: BathBands, path):
     """Dump (K, E_Kb_minus_2wc, size) rows for band plots."""
     write_csv(
         path,
         ["K", "E_Kb_minus_2wc", "size"],
         (
-            (s.momentum, s.energy - 2 * params.omega_c, s.size_second_moment())
+            (s.momentum, s.energy, s.size_second_moment())
             for s in bands.bound_states
         ),
     )

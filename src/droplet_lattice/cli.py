@@ -35,6 +35,7 @@ from .output import atomic_open, write_csv
 from .params import asdict_params, build_params, default_params
 from .pipeline import Pipeline
 from .solver import (
+    VARIATIONAL_BRACKET,
     first_order_perturbation,
     minimize_variational,
     propagate,
@@ -192,7 +193,7 @@ def _task_spectrum(cfg, pipe, out):
         export_triplets(pipe.model(cfg.model), os.path.join(out, "matrix.txt"))
         written.append("matrix.txt")
     if cfg.options.get("dump_bands"):
-        write_band_csv(pipe.bands, pipe.params, os.path.join(out, "bands.csv"))
+        write_band_csv(pipe.bands, os.path.join(out, "bands.csv"))
         written.append("bands.csv")
     if cfg.options.get("dump_couplings"):
         write_hop_csv(pipe.couplings, os.path.join(out, "hop.csv"))
@@ -275,8 +276,7 @@ def _task_overlaps(cfg, pipe, out):
 
 def _sweep_point(args):
     params_dict, model_name = args
-    k = 1 if model_name in _ITERATIVE_MODELS else None
-    return float(Pipeline(build_params(params_dict)).spectrum(model_name, k).energies[0])
+    return float(Pipeline(build_params(params_dict)).spectrum(model_name, 1).energies[0])
 
 
 def _worker_count() -> int:
@@ -400,7 +400,7 @@ def _ground_energies(params):
     except BracketError:
         # unbound regime: the profile wants the whole array; the
         # bracket edge still gives a valid upper bound
-        var_energy = variational_energy(h_spin, 30.0, 1)
+        var_energy = variational_energy(h_spin, VARIATIONAL_BRACKET[1], 1)
     return exact, var_energy, pert
 
 

@@ -23,6 +23,8 @@ from .params import J, PairBasis, SystemParams
 
 # rows of the pair basis per block of the pair-hop imaginary-part check
 _ROW_BLOCK = 256
+# largest pair separation written by the pair-hop block dump
+BLOCK_DUMP_MAX_SEPARATION = 9
 
 
 @dataclass(frozen=True)
@@ -193,16 +195,14 @@ def write_hop_csv(couplings: EffectiveCouplings, path):
     )
 
 
-def write_pair_hop_blocks_csv(
-    couplings: EffectiveCouplings, basis: PairBasis, path, max_separation: int = 9
-):
-    """Pair-hop entries restricted to separations <= max_separation.
+def write_pair_hop_blocks_csv(couplings: EffectiveCouplings, basis: PairBasis, path):
+    """Pair-hop entries restricted to separations <= BLOCK_DUMP_MAX_SEPARATION.
 
     Rows follow the block layout of the pair basis itself (ascending
     separation, ascending left index), so the dump can be rendered
     directly as the block-structured contour map.
     """
-    keep = np.nonzero(basis.separations <= max_separation)[0]
+    keep = np.nonzero(basis.separations <= BLOCK_DUMP_MAX_SEPARATION)[0]
     write_csv(
         path,
         ["row", "col", "i", "j", "l", "h", "Y"],

@@ -325,7 +325,13 @@ def build_unconstrained_hop(
 ) -> HamiltonianMatrix:
     """Two-magnon sector of the unconstrained flip-flop model (twice the
     hop matrix contracted with sigma+ sigma-), kept as an independent
-    construction for comparison with the constrained variant."""
+    construction for comparison with the constrained variant.
+
+    Its payload is exactly twice the constrained ``single`` payload: the
+    hop matrix is symmetric, so each entry the two index loops add here is
+    twice the one ``_constrained_hop_payload`` adds at the same place,
+    diagonal included.
+    """
     w = couplings.hop
     n_e = basis.n_qubits
     p = basis.size
@@ -400,9 +406,7 @@ def build_full_model(
     )
 
 
-def build_complete_sector(
-    params: SystemParams, positions, basis: PairBasis, dim_cap: int = COMPLETE_DIM_CAP
-) -> HamiltonianMatrix:
+def build_complete_sector(params: SystemParams, positions, basis: PairBasis) -> HamiltonianMatrix:
     """Literal two-excitation sector with all photon-pair states.
 
     Validation reference for the bound-pair truncation; photon pairs are
@@ -413,8 +417,8 @@ def build_complete_sector(
     n, n_e, p = params.n_cavities, params.n_qubits, basis.size
     n_pp = n * (n + 1) // 2
     dim = p + n_e * n + n_pp
-    if dim > dim_cap:
-        raise SizeError(f"complete sector dimension {dim} exceeds cap {dim_cap}")
+    if dim > COMPLETE_DIM_CAP:
+        raise SizeError(f"complete sector dimension {dim} exceeds cap {COMPLETE_DIM_CAP}")
     positions = np.asarray(positions)
     g, u = params.g, params.u
     det = params.cavity_qubit_detuning

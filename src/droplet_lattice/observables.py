@@ -12,6 +12,9 @@ from .hamiltonians import _require_pairs
 from .output import write_csv
 from .params import J, PairBasis, SystemParams
 
+DROPLET_OVERLAP = 0.9      # least weight on the variational span of a droplet state
+DROPLET_GROWTH_TOL = 0.10  # largest relative growth of a self-bound length
+
 
 @dataclass
 class WavepacketState:
@@ -135,24 +138,18 @@ class DropletClassification:
         return len(self.indices)
 
 
-def classify_droplet_states(
-    decomp,
-    variational,
-    reference=None,
-    overlap_threshold: float = 0.9,
-    growth_tol: float = 0.10,
-) -> DropletClassification:
+def classify_droplet_states(decomp, variational, reference=None) -> DropletClassification:
     """Label eigenstates whose projection onto the variational span is large.
 
     A droplet family must be self bound, so when a reference optimization
     on an enlarged qubit array is supplied and its optimal length grew by
-    more than growth_tol, no state is labeled droplet-like: the ansatz is
-    then tracking the array size rather than an intrinsic length.
+    more than DROPLET_GROWTH_TOL, no state is labeled droplet-like: the
+    ansatz is then tracking the array size rather than an intrinsic length.
     """
     _require_pairs(decomp.dims, "droplet classification runs on the spin-model decomposition")
     if reference is not None:
         growth = reference.length / variational.length - 1.0
-        if growth > growth_tol:
+        if growth > DROPLET_GROWTH_TOL:
             empty = np.array([], dtype=int)
             return DropletClassification(
                 indices=empty, mode_numbers=empty, overlaps=np.array([]), supported=False
@@ -160,7 +157,7 @@ def classify_droplet_states(
     span = variational.coefficients
     proj = span.T @ decomp.vectors            # (n_max, n_states)
     totals = np.sum(np.abs(proj) ** 2, axis=0)
-    hits = np.nonzero(totals > overlap_threshold)[0]
+    hits = np.nonzero(totals > DROPLET_OVERLAP)[0]
     modes = np.argmax(np.abs(proj[:, hits]) ** 2, axis=0) + 1 if len(hits) else np.array([], int)
     return DropletClassification(
         indices=hits + 1,

@@ -16,6 +16,7 @@ from .errors import SizeError
 from .params import J, PairBasis, SystemParams
 
 OPERATOR_STRING_CAP = 10  # 2^10 qubit space is the practical limit here
+BATH_SECTOR_CAP = 61  # cavities; the two-photon sector is dense and O(N^2) wide
 
 
 def ladder_operators(n_qubits: int) -> tuple[list, list]:
@@ -88,26 +89,25 @@ def pair_hop_by_strings(pair_hop: np.ndarray, basis: PairBasis) -> np.ndarray:
 
 
 def single_photon_sector(params: SystemParams) -> np.ndarray:
-    """One-photon block of the bath model on the ring, absolute energies."""
+    """One-photon block of the bath model on the ring."""
     n = params.n_cavities
-    h = np.full((n, n), 0.0)
-    np.fill_diagonal(h, params.omega_c)
+    h = np.zeros((n, n))
     for site in range(n):
         h[site, (site + 1) % n] = -J
         h[(site + 1) % n, site] = -J
     return h
 
 
-def two_photon_bath_sector(params: SystemParams, cap: int = 61) -> np.ndarray:
-    """Two-photon block of the bath model on the ring, absolute energies.
+def two_photon_bath_sector(params: SystemParams) -> np.ndarray:
+    """Two-photon block of the bath model on the ring.
 
     Symmetrized basis |n <= m| with sqrt(2) normalization on n = m; the
     spectrum holds both the scattering continuum and the bound band.
     """
     n = params.n_cavities
-    if n > cap:
-        raise SizeError(f"bath sector oracle limited to {cap} cavities")
-    u, wc = params.u, params.omega_c
+    if n > BATH_SECTOR_CAP:
+        raise SizeError(f"bath sector oracle limited to {BATH_SECTOR_CAP} cavities")
+    u = params.u
 
     def idx(n1, m1):
         return (n1 - 1) * n - (n1 - 1) * (n1 - 2) // 2 + (m1 - n1)
@@ -117,7 +117,7 @@ def two_photon_bath_sector(params: SystemParams, cap: int = 61) -> np.ndarray:
     for n1 in range(1, n + 1):
         for m1 in range(n1, n + 1):
             src = idx(n1, m1)
-            h[src, src] += 2 * wc + (u if n1 == m1 else 0.0)
+            h[src, src] += u if n1 == m1 else 0.0
             pref = 1 / np.sqrt(2) if n1 == m1 else 1.0
             for u_, v_ in (
                 (n1 % n + 1, m1),

@@ -2,7 +2,8 @@
 
 Units: the cavity tunneling energy J is the unit of energy (J = 1),
 hbar = 1, and the lattice constant a = 1.  Only detunings enter any
-computed quantity, so the cavity frequency omega_c defaults to 0.
+computed quantity, so energies are measured in the frame where the cavity
+frequency omega_c is 0.
 """
 
 from __future__ import annotations
@@ -38,8 +39,6 @@ class SystemParams:
     delta : float
         Two-excitation detuning from the bottom of the photon-pair bound
         band, negative in the supported band-gap regime.
-    omega_c : float
-        Cavity frequency reference, defaults to 0.
     """
 
     n_cavities: int
@@ -48,7 +47,6 @@ class SystemParams:
     g: float
     u: float
     delta: float
-    omega_c: float = 0.0
 
     # derived, filled in __post_init__
     omega_e: float = field(init=False)
@@ -82,8 +80,8 @@ class SystemParams:
             )
         root = math.sqrt(self.u * self.u + 16 * J * J)
         object.__setattr__(self, "cavity_qubit_detuning", 0.5 * (-self.delta + root))
-        object.__setattr__(self, "omega_e", self.omega_c - self.cavity_qubit_detuning)
-        object.__setattr__(self, "bound_band_bottom", 2 * self.omega_c - root)
+        object.__setattr__(self, "omega_e", -self.cavity_qubit_detuning)
+        object.__setattr__(self, "bound_band_bottom", -root)
         object.__setattr__(
             self, "band_edge_detuning", self.cavity_qubit_detuning - 2 * J
         )
@@ -103,7 +101,7 @@ class SystemParams:
 
 # the settable parameters, in declaration order; the rest are derived
 _SETTABLE = tuple(f for f in fields(SystemParams) if f.init)
-_OPTIONAL = {"spacing": 1, "omega_c": 0.0}
+_OPTIONAL = {"spacing": 1}
 
 
 def asdict_params(params: SystemParams) -> dict:

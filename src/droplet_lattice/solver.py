@@ -30,6 +30,9 @@ from .observables import WavepacketState
 DENSE_FALLBACK_DIM = 4000
 DENSE_BYTES_CAP = 2**30
 DEGENERACY_GAP = 1e-10
+# relative lengths searched by the variational optimization, and its tolerance
+VARIATIONAL_BRACKET = (1.0, 30.0)
+VARIATIONAL_XATOL = 1e-3
 
 
 @dataclass
@@ -107,7 +110,7 @@ def _densify(payload) -> np.ndarray:
     return payload.toarray()
 
 
-def _arpack(op, k: int, ncv: int, v0: Optional[np.ndarray], **mode):
+def _arpack(op, k: int, ncv: int, **mode):
     """Lowest ``k`` eigenpairs of ``op`` from ARPACK, ascending."""
     dim = op.shape[0]
     ncv = min(dim - 1, ncv)
@@ -116,19 +119,15 @@ def _arpack(op, k: int, ncv: int, v0: Optional[np.ndarray], **mode):
             f"k_lowest {k} is above {dim - 3}: ARPACK needs k + 1 < ncv <= {dim - 1} "
             f"on a dim-{dim} operator"
         )
-    if v0 is None:
-        v0 = _start_vector(dim)
     try:
-        vals, vecs = spla.eigsh(op, k=k, ncv=ncv, v0=v0, maxiter=20000, **mode)
+        vals, vecs = spla.eigsh(op, k=k, ncv=ncv, v0=_start_vector(dim), maxiter=20000, **mode)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(f"iterative eigensolver stalled: {exc}") from exc
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 
 
-def eigensolve(
-    h: HamiltonianMatrix, k_lowest: Optional[int] = None, v0: Optional[np.ndarray] = None
-) -> SpectralDecomposition:
+def eigensolve(h: HamiltonianMatrix, k_lowest: Optional[int] = None) -> SpectralDecomposition:
     """Diagonalize a tagged Hamiltonian.
 
     Dense payloads get a full (or index-subset) symmetric decomposition;
@@ -152,11 +151,11 @@ def eigensolve(
         inverse = _Counted(payload.shift_invert(payload.lower_bound()))
         sigma = inverse.operator.sigma
         ncv = max(2 * k_lowest + 1, 20)
-        vals, vecs = _arpack(payload, k_lowest, ncv, v0, sigma=sigma, which="LM", OPinv=inverse)
+        vals, vecs = _arpack(payload, k_lowest, ncv, sigma=sigma, which="LM", OPinv=inverse)
         stats = {"method": "shift-invert", "sigma": sigma, "applications": inverse.applications}
     elif sparse and k_lowest is not None and dim > DENSE_FALLBACK_DIM:
         counted = _Counted(payload)
-        vals, vecs = _arpack(counted, k_lowest, max(6 * k_lowest, 80), v0, which="SA")
+        vals, vecs = _arpack(counted, k_lowest, max(6 * k_lowest, 80), which="SA")
         stats = {"method": "lanczos", "applications": counted.applications}
     else:
         subset = None if k_lowest is None else [0, min(k_lowest, dim) - 1]
@@ -293,12 +292,7 @@ def golden_section(fun, lo: float, hi: float, xatol: float) -> tuple[float, floa
     return x, min(fc, fd)
 
 
-def minimize_variational(
-    h_spin: HamiltonianMatrix,
-    n_max: Optional[int] = None,
-    bracket: tuple[float, float] = (1.0, 30.0),
-    xatol: float = 1e-3,
-) -> VariationalResult:
+def minimize_variational(h_spin: HamiltonianMatrix, n_max: Optional[int] = None) -> VariationalResult:
     """Optimize the relative length on the ground mode, then reuse it.
 
     The same length is shared by all modes since the relative profile is
@@ -306,11 +300,12 @@ def minimize_variational(
     increasing mode number (the ground vector itself is unchanged), so
     overlaps with the family are projections onto its span.
     """
-    lo, hi = bracket
+    lo, hi = VARIATIONAL_BRACKET
+    xatol = VARIATIONAL_XATOL
     length, _ = golden_section(lambda L: variational_energy(h_spin, L, 1), lo, hi, xatol)
     if length - lo < 5 * xatol or hi - length < 5 * xatol:
         raise BracketError(
-            f"variational optimum {length:.4g} sits at the bracket edge {bracket}"
+            f"variational optimum {length:.4g} sits at the bracket edge {VARIATIONAL_BRACKET}"
         )
     basis = h_spin.pair_basis
     if n_max is None:
@@ -332,8 +327,3 @@ def minimize_variational(
         coefficients=ortho,
         n_max=n_max,
     )
-
-
-def scan_variational(h_spin: HamiltonianMatrix, lengths: Sequence[float], n: int = 1):
-    """Energy along a grid of lengths, for unimodality checks and figures."""
-    return np.array([variational_energy(h_spin, L, n) for L in lengths])

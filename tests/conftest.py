@@ -1,7 +1,6 @@
 """Shared fixtures.  Heavy pipelines are session scoped and lazy, so a
 targeted test run only pays for what it touches."""
 
-import numpy as np
 import pytest
 from hypothesis import settings
 
@@ -71,7 +70,4 @@ def variational_family():
 @pytest.fixture(scope="session")
 def full_decomp_default(default_stack):
     """Lowest states of the explicit-photon model at the default point."""
-    spin_ground = default_stack.spectrum("spin").vectors[:, 0]
-    v0 = np.zeros(default_stack.model("full").dim, dtype=complex)
-    v0[: len(spin_ground)] = spin_ground
-    return eigensolve(default_stack.model("full"), k_lowest=12, v0=v0)
+    return eigensolve(default_stack.model("full"), k_lowest=12)

@@ -24,8 +24,8 @@ def small_bands():
 
 def test_dispersion_band_edges():
     p = default_params()
-    assert single_photon_energy(p, 0.0) == pytest.approx(p.omega_c - 2, abs=1e-15)
-    assert single_photon_energy(p, np.pi) == pytest.approx(p.omega_c + 2, abs=1e-15)
+    assert single_photon_energy(p, 0.0) == pytest.approx(-2, abs=1e-15)
+    assert single_photon_energy(p, np.pi) == pytest.approx(2, abs=1e-15)
 
 
 def test_dispersion_matches_one_photon_diagonalization():
@@ -39,9 +39,7 @@ def test_dispersion_matches_one_photon_diagonalization():
 def test_bound_state_zero_momentum_closed_form(small_bands):
     p, bands = small_bands
     zero = bands.grid.zero_index
-    assert bands.bound_energies[zero] - 2 * p.omega_c == pytest.approx(
-        -np.sqrt(17), abs=1e-9
-    )
+    assert bands.bound_energies[zero] == pytest.approx(-np.sqrt(17), abs=1e-9)
 
 
 def test_bound_state_band_edge_is_onsite_pair():
@@ -53,9 +51,9 @@ def test_bound_state_band_edge_is_onsite_pair():
     assert edge.energy == pytest.approx(
         bound_energy_closed_form(p, edge.momentum), abs=1e-9
     )
-    assert bound_energy_closed_form(p, np.pi) == pytest.approx(2 * p.omega_c + p.u, abs=1e-14)
+    assert bound_energy_closed_form(p, np.pi) == pytest.approx(p.u, abs=1e-14)
     assert abs(edge.amplitudes[0]) > 0.999
-    assert edge.energy - 2 * p.omega_c == pytest.approx(p.u, abs=5e-3)
+    assert edge.energy == pytest.approx(p.u, abs=5e-3)
 
 
 def test_bound_state_monotone_profile(small_bands):
@@ -87,7 +85,7 @@ def test_bound_band_even_and_monotone(small_bands):
 def test_bound_band_below_scattering_edge(small_bands):
     p, bands = small_bands
     k = bands.grid.wavevectors
-    edge = 2 * p.omega_c - 4 * np.cos(k / 2)
+    edge = -4 * np.cos(k / 2)
     assert np.all(bands.bound_energies < edge)
 
 
@@ -98,7 +96,7 @@ def test_band_overlap_depends_on_interaction_strength():
     for p, overlaps in ((weak, True), (strong, False)):
         bands = solve_bath(p)
         top = bands.bound_energies.max()
-        scattering_bottom = 2 * p.omega_c - 4.0
+        scattering_bottom = -4.0
         assert (top > scattering_bottom) == overlaps
 
 
@@ -127,7 +125,7 @@ def test_grid_convergence_doubling_cutoff():
     state = solve_bound_state(p, grid, 0)
     hop = 1.0
     m2 = 2 * state.m_max
-    diag = np.full(m2 + 1, 2 * p.omega_c)
+    diag = np.zeros(m2 + 1)
     diag[0] += p.u
     off = np.full(m2, -2 * hop)
     off[0] *= np.sqrt(2)
@@ -186,7 +184,7 @@ def test_minimum_pair_detuning_at_zero_momentum():
 def test_band_csv_dump(tmp_path, small_bands):
     p, bands = small_bands
     path = tmp_path / "bands.csv"
-    write_band_csv(bands, p, path)
+    write_band_csv(bands, path)
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "K,E_Kb_minus_2wc,size"
     assert len(lines) == 1 + p.n_cavities

@@ -327,6 +327,7 @@ def test_stale_temporary_does_not_block_output(tmp_path):
         ("spectrum", ["--set", "options.dump_couplings=yes"], None),
         ("variational", ["--set", "options.classify=no"], None),
         ("sweep", ["--set", "options.axis=kappa", "--set", "options.values=[1]"], None),
+        ("spectrum", ["--set", "params.omega_c=0"], None),
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, task, extra, workers):

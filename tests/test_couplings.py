@@ -268,9 +268,10 @@ def test_gap_guard_raises_inside_band(small_stack):
         pair_hop_matrix(small_stack.params, small_stack.couplings.pair_bound, broken2)
 
 
-def test_pair_hop_block_dump(tmp_path, small_stack):
+def test_pair_hop_block_dump(tmp_path, monkeypatch, small_stack):
+    monkeypatch.setattr(couplings, "BLOCK_DUMP_MAX_SEPARATION", 3)
     path = tmp_path / "blocks.csv"
-    write_pair_hop_blocks_csv(small_stack.couplings, small_stack.basis, path, max_separation=3)
+    write_pair_hop_blocks_csv(small_stack.couplings, small_stack.basis, path)
     lines = path.read_text().strip().splitlines()
     kept = sum(1 for r in small_stack.basis.separations if r <= 3)
     assert len(lines) == 1 + kept * kept

@@ -13,6 +13,7 @@ from droplet_lattice import (
     build_unconstrained_hop,
     default_params,
     eigensolve,
+    hamiltonians,
 )
 from droplet_lattice.hamiltonians import (
     HamiltonianMatrix,
@@ -253,10 +254,11 @@ def test_complete_sector_is_hermitian():
     assert hermiticity_defect(h) < 1e-12
 
 
-def test_complete_sector_size_cap():
+def test_complete_sector_size_cap(monkeypatch):
+    monkeypatch.setattr(hamiltonians, "COMPLETE_DIM_CAP", 5000)
     p = default_params(n_cavities=201, n_qubits=4)
     with pytest.raises(SizeError):
-        build_complete_sector(p, qubit_positions(p), PairBasis(4), dim_cap=5000)
+        build_complete_sector(p, qubit_positions(p), PairBasis(4))
 
 
 def test_truncation_against_complete_sector():

@@ -19,7 +19,7 @@ from droplet_lattice import (
 from droplet_lattice.hamiltonians import FullOperator, HamiltonianMatrix
 from droplet_lattice.observables import WavepacketState
 from droplet_lattice.params import PairBasis
-from droplet_lattice.solver import golden_section, scan_variational, variational_vector
+from droplet_lattice.solver import golden_section, variational_vector
 
 
 def _toy_spin_matrix(matrix, offset=0.0):
@@ -221,7 +221,8 @@ def test_variational_modes_orthonormal(small_stack, variational_family):
 def test_variational_minimum_interior_and_scan_unimodal(small_stack, variational_family):
     res = variational_family(small_stack)
     grid = np.linspace(1.5, 29.5, 57)
-    curve = scan_variational(small_stack.model("spin"), grid)
+    h_spin = small_stack.model("spin")
+    curve = np.array([variational_energy(h_spin, L, 1) for L in grid])
     interior = np.argmin(curve)
     assert 0 < interior < len(grid) - 1
     assert abs(grid[interior] - res.length) < 1.0
