@@ -17,7 +17,6 @@ from .errors import (
     SignError,
     SimulationError,
     SizeError,
-    UnknownFigure,
     ValidityError,
 )
 from .hamiltonians import (

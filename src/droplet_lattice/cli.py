@@ -23,13 +23,7 @@ from . import observables as obs
 from . import pipeline
 from .bath import write_band_csv
 from .couplings import hop_scale_and_length, write_hop_csv, write_pair_hop_blocks_csv
-from .errors import (
-    BracketError,
-    ConfigError,
-    ConvergenceError,
-    SimulationError,
-    UnknownFigure,
-)
+from .errors import BracketError, ConfigError, ConvergenceError, SimulationError
 from .hamiltonians import _require_pairs, export_triplets
 from .output import atomic_open, write_csv
 from .params import asdict_params, build_params, default_params
@@ -133,7 +127,7 @@ def load_config(raw: dict) -> RunConfig:
         if not options.get("fig"):
             raise ConfigError("figure task needs options.fig")
         if str(options["fig"]).lower() not in FIGURES:
-            raise UnknownFigure(f"no data generator for figure {options['fig']!r}")
+            raise ConfigError(f"no data generator for figure {options['fig']!r}")
     if raw.get("deterministic", True) is not True:
         raise ConfigError("the deterministic flag is always on; remove or set true")
     return RunConfig(
@@ -172,6 +166,19 @@ def _decompose(pipe: Pipeline, cfg: RunConfig):
     if k is not None and k >= dim:
         raise ConfigError(f"options.k_lowest {k} must be below the model dimension {dim}")
     return pipe.spectrum(cfg.model, k)
+
+
+def _write_snapshots(prefix, states, basis, out):
+    """Write each state's spin-spin grid to ``<prefix><time>.csv``, once per
+    distinct name, and return the names."""
+    written = []
+    for state in states:
+        name = f"{prefix}{state.time:.12g}.csv"
+        if name not in written:
+            grid = obs.spin_spin_correlation(state, basis)
+            obs.write_corr_snapshot_csv(grid, os.path.join(out, name))
+            written.append(name)
+    return written
 
 
 def _write_overlaps(decomp, initial: str, basis, path):
@@ -233,14 +240,9 @@ def _task_dynamics(cfg, pipe, out):
         raise ConfigError(f"alphas must lie in [1, {pipe.params.n_qubits - 1}], got {alphas}")
     states, series = pipe.quench(cfg.model, cfg.options.get("initial", "fs"), times, alphas)
     obs.write_dynamics_csv(times, series, os.path.join(out, "dynamics.csv"))
-    written = ["dynamics.csv"]
-    for t_snap in cfg.options.get("snapshot_times", []):
-        idx = int(np.argmin(np.abs(times - float(t_snap))))
-        grid = obs.spin_spin_correlation(states[idx], pipe.basis)
-        name = f"corr_snapshot_t{int(times[idx])}.csv"
-        obs.write_corr_snapshot_csv(grid, os.path.join(out, name))
-        written.append(name)
-    return decomp, written, {}
+    snaps = [states[np.argmin(np.abs(times - t))] for t in cfg.options.get("snapshot_times", [])]
+    written = _write_snapshots("corr_snapshot_t", snaps, pipe.basis, out)
+    return decomp, ["dynamics.csv", *written], {}
 
 
 def _task_variational(cfg, pipe, out):
@@ -449,13 +451,7 @@ def _fig10(fig, cfg, pipe, out):
     decomp = pipe.spectrum("spin")
     psi0 = obs.initial_state("fs", pipe.basis)
     snaps = cfg.options.get("snapshot_times", [0, 960, 2220, 3080, 4440, 5220, 6540, 7500])
-    written = []
-    for st in propagate(decomp, psi0, [float(t) for t in snaps]):
-        name = f"fig10_t{int(st.time)}.csv"
-        grid = obs.spin_spin_correlation(st, pipe.basis)
-        obs.write_corr_snapshot_csv(grid, os.path.join(out, name))
-        written.append(name)
-    return written
+    return _write_snapshots("fig10_t", propagate(decomp, psi0, snaps), pipe.basis, out)
 
 
 FIGURES = {
@@ -535,7 +531,10 @@ def main(argv=None) -> int:
         raw = apply_overrides(raw, args.assignments)
         cfg = load_config(raw)
         return run(cfg)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (
+        ConfigError, json.JSONDecodeError, UnicodeDecodeError,
+        FileNotFoundError, IsADirectoryError, FileExistsError, NotADirectoryError,
+    ) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

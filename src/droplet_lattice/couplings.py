@@ -41,8 +41,6 @@ class EffectiveCouplings:
     hop: np.ndarray
     pair_bound: np.ndarray
     pair_hop: np.ndarray
-    hop_scale: float
-    hop_length: float
 
 
 def hop_scale_and_length(params: SystemParams) -> tuple[float, float]:
@@ -174,16 +172,9 @@ def build_effective_couplings(
     set; the bound-to-bound block comes from ``bound_bound_couplings``."""
     profiles = profile_table(bands)
     hop = constrained_hop_matrix(params, positions)
-    scale, length = hop_scale_and_length(params)
     pair_bound = pair_bound_couplings(params, positions, basis, bands, profiles)
     pair_hop = pair_hop_matrix(params, pair_bound, bands)
-    return EffectiveCouplings(
-        hop=hop,
-        pair_bound=pair_bound,
-        pair_hop=pair_hop,
-        hop_scale=scale,
-        hop_length=length,
-    )
+    return EffectiveCouplings(hop=hop, pair_bound=pair_bound, pair_hop=pair_hop)
 
 
 def write_hop_csv(couplings: EffectiveCouplings, path):

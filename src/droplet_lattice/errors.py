@@ -49,9 +49,5 @@ class ConfigError(SimulationError):
     """Run configuration failed schema validation."""
 
 
-class UnknownFigure(SimulationError):
-    """Requested figure id has no registered data generator."""
-
-
 class DegeneracyWarning(UserWarning):
     """Non-degenerate perturbation theory applied near a level crossing."""

@@ -148,11 +148,6 @@ def test_figure_data_hop_profile(tmp_path):
     assert rows[0, 1] == pytest.approx(-7.410826e-4, rel=1e-5)
 
 
-def test_figure_unknown_id(tmp_path):
-    code, _ = run_cli(tmp_path, "figure", "--fig", "99")
-    assert code == 3
-
-
 def test_figure_pair_hop_blocks(tmp_path):
     code, _ = run_cli(tmp_path, "figure", "--fig", "4")
     assert code == 0
@@ -227,6 +222,30 @@ def test_dynamics_manifest_lists_snapshots(tmp_path):
     assert manifest["outputs"] == ["dynamics.csv", "corr_snapshot_t0.csv", "corr_snapshot_t10.csv"]
     for name in manifest["outputs"]:
         assert (tmp_path / "out" / name).is_file()
+
+
+@pytest.mark.parametrize(
+    "task, extra, expected",
+    [
+        # 0.6 is not on the dt = 0.5 grid: it lands on the 0.5 sample
+        ("dynamics",
+         ["--set", "options.t_max=2", "--set", "options.dt=0.5", "--set", "options.alphas=[1]"],
+         ["dynamics.csv", "corr_snapshot_t0.csv", "corr_snapshot_t0.5.csv"]),
+        ("figure", ["--fig", "10"], ["fig10_t0.csv", "fig10_t0.5.csv", "fig10_t0.6.csv"]),
+    ],
+)
+def test_snapshots_at_distinct_times_get_distinct_files(tmp_path, task, extra, expected):
+    """A snapshot is named by its time as the CSV cells print it; a repeated
+    time, or two requests on one grid sample, give one file listed once."""
+    code, _ = run_cli(tmp_path, task, *extra, "--set", "options.snapshot_times=[0,0.5,0.5,0.6]")
+    assert code == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["outputs"] == expected
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == sorted(
+        expected + ["manifest.json"]
+    )
+    snapshots = [(tmp_path / "out" / n).read_bytes() for n in expected if n != "dynamics.csv"]
+    assert len(set(snapshots)) == len(snapshots)
 
 
 def test_explicit_photon_reruns_are_bit_identical(tmp_path):
@@ -328,12 +347,29 @@ def test_stale_temporary_does_not_block_output(tmp_path):
         ("variational", ["--set", "options.classify=no"], None),
         ("sweep", ["--set", "options.axis=kappa", "--set", "options.values=[1]"], None),
         ("spectrum", ["--set", "params.omega_c=0"], None),
+        ("figure", ["--fig", "99"], None),
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, task, extra, workers):
     if workers is not None:
         monkeypatch.setenv("SIMULATE_WORKERS", workers)
     code, _ = run_cli(tmp_path, task, *extra)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "option, name",
+    [("--config", "."), ("--config", "bom.json"), ("--out", "file"), ("--out", "file/out")],
+)
+def test_unreadable_config_or_output_path_exits_2(tmp_path, capsys, option, name):
+    """A config path that is a directory or not UTF-8 text, and an output path
+    that is a file or lies under one, end in one config-error line."""
+    (tmp_path / "bom.json").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "file").write_text("")
+    code, _ = run_cli(tmp_path, "spectrum", option, str(tmp_path / name))
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: ")

@@ -15,6 +15,7 @@ from droplet_lattice import (
     eigensolve,
     hamiltonians,
 )
+from droplet_lattice.couplings import hop_scale_and_length
 from droplet_lattice.hamiltonians import (
     HamiltonianMatrix,
     export_triplets,
@@ -63,7 +64,7 @@ def test_hop_row_connectivity(small_stack):
     """Each pair ket couples to 2(N_e - 2) partners plus itself."""
     h = small_stack.model("single").payload
     n_e = small_stack.params.n_qubits
-    scale, _ = (small_stack.couplings.hop_scale, small_stack.couplings.hop_length)
+    scale = hop_scale_and_length(small_stack.params)[0]
     for row in (0, 7, small_stack.basis.size - 1):
         nonzero = np.nonzero(np.abs(h[row]) > 0)[0]
         assert len(nonzero) == 2 * (n_e - 2) + 1
@@ -80,7 +81,7 @@ def test_two_qubit_degenerate_case():
     h = build_constrained_hop(cpl, basis, p)
     assert h.payload.shape == (1, 1)
     # no partner kets to hop to: only the self-interaction diagonal survives
-    assert h.payload[0, 0] == pytest.approx(2 * cpl.hop_scale, rel=1e-12)
+    assert h.payload[0, 0] == pytest.approx(2 * hop_scale_and_length(p)[0], rel=1e-12)
 
 
 def test_constraint_upshift_state_by_state(small_stack):
