@@ -519,8 +519,11 @@ def main(argv=None) -> int:
     try:
         raw = {}
         if args.config:
-            with open(args.config) as fh:
-                raw = json.load(fh)
+            try:
+                with open(args.config, encoding="utf-8") as fh:
+                    raw = json.load(fh)
+            except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+                raise ConfigError(f"{args.config}: {exc}") from exc
             if not isinstance(raw, dict):
                 raise ConfigError(f"{args.config} must hold a JSON object")
         raw["task"] = args.task
@@ -532,15 +535,15 @@ def main(argv=None) -> int:
         cfg = load_config(raw)
         return run(cfg)
     except (
-        ConfigError, json.JSONDecodeError, UnicodeDecodeError,
-        FileNotFoundError, IsADirectoryError, FileExistsError, NotADirectoryError,
+        ConfigError, FileNotFoundError, IsADirectoryError, FileExistsError, NotADirectoryError,
     ) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 4
-    except SimulationError as exc:
+    except (SimulationError, MemoryError) as exc:
+        # an allocation the machine refuses is a size error, like the SizeError caps
         print(f"validity error: {exc}", file=sys.stderr)
         return 3
 

@@ -34,6 +34,7 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 from .bath import BathBands, profile_table
 from .couplings import EffectiveCouplings, bound_bound_couplings, pair_bound_couplings
 from .errors import BasisMismatch, SizeError
+from .oracles import photon_pair_index, single_photon_sector, two_photon_ring
 from .output import atomic_open
 from .params import J, PairBasis, SystemParams
 
@@ -125,21 +126,16 @@ class FullOperator:
         effective couplings.  Needs sigma below every single-photon
         detuning.
         """
-        params, basis = self.params, self.basis
-        n, p, g = params.n_cavities, basis.size, params.g
+        params, positions = self.params, self.positions
+        n, g = params.n_cavities, params.g
         bands = replace(self.bands, single_detunings=self.bands.single_detunings - sigma)
         hop = -(g * g / n) * ((self._phases / bands.single_detunings) @ self._phases.conj().T)
-        s = np.empty((p + n, p + n), dtype=complex)
-        s[:p, :p] = _constrained_hop_payload(hop.real, basis)
         # this operator's pair-bound phases are the complex conjugate of the
         # adiabatic model's, which pair_bound_couplings follows
-        pair_bound = pair_bound_couplings(params, self.positions, basis, bands, self._profiles)
-        s[:p, p:] = (g * g / (J * np.sqrt(n))) * pair_bound.conj()
-        s[p:, :p] = s[:p, p:].conj().T
-        s[p:, p:] = (g * g / (n * J)) * bound_bound_couplings(
-            params, self.positions, bands, self._profiles
-        ) + np.diag(self.bands.pair_detunings)
-        s[np.diag_indices(p + n)] -= sigma
+        pair_bound = pair_bound_couplings(params, positions, self.basis, bands, self._profiles)
+        bound_bound = bound_bound_couplings(params, positions, bands, self._profiles)
+        s = _pairs_plus_bound(hop.real, pair_bound.conj(), bound_bound, self.basis, params, bands)
+        s[np.diag_indices_from(s)] -= sigma
         return s
 
     def lower_bound(self) -> float:
@@ -277,14 +273,6 @@ def _require_pairs(dims: dict, message: str, error=BasisMismatch):
         raise error(message)
 
 
-def _pair_index_table(basis: PairBasis) -> np.ndarray:
-    n_e = basis.n_qubits
-    table = np.zeros((n_e, n_e), dtype=np.intp)
-    table[basis.i_index - 1, basis.j_index - 1] = np.arange(basis.size)
-    table[basis.j_index - 1, basis.i_index - 1] = np.arange(basis.size)
-    return table
-
-
 def _pair_model(payload: np.ndarray, basis: PairBasis, params: SystemParams) -> HamiltonianMatrix:
     """A spin model: the payload on the pair basis alone."""
     return HamiltonianMatrix(
@@ -294,12 +282,12 @@ def _pair_model(payload: np.ndarray, basis: PairBasis, params: SystemParams) -> 
 
 def _constrained_hop_payload(w: np.ndarray, basis: PairBasis) -> np.ndarray:
     """Pair-basis matrix of the constrained hop with strengths w[j, l]."""
-    n_e = basis.n_qubits
-    p = basis.size
-    table = _pair_index_table(basis)
+    n_e, p = basis.n_qubits, basis.size
     i0, j0 = basis.i_index - 1, basis.j_index - 1
-    h = np.zeros((p, p))
     rows = np.arange(p)
+    table = np.zeros((n_e, n_e), dtype=np.intp)  # pair index of qubits {i, j}
+    table[i0, j0] = table[j0, i0] = rows
+    h = np.zeros((p, p))
     for l in range(n_e):
         mask = j0 != l
         np.add.at(h, (rows[mask], table[l, j0[mask]]), w[i0[mask], l])
@@ -324,27 +312,15 @@ def build_unconstrained_hop(
     couplings: EffectiveCouplings, basis: PairBasis, params: SystemParams
 ) -> HamiltonianMatrix:
     """Two-magnon sector of the unconstrained flip-flop model (twice the
-    hop matrix contracted with sigma+ sigma-), kept as an independent
-    construction for comparison with the constrained variant.
+    hop matrix contracted with sigma+ sigma-).
 
-    Its payload is exactly twice the constrained ``single`` payload: the
-    hop matrix is symmetric, so each entry the two index loops add here is
-    twice the one ``_constrained_hop_payload`` adds at the same place,
-    diagonal included.
+    On the pair basis this is exactly twice the constrained ``single``
+    payload: both move one excitation to an unexcited qubit with the
+    symmetric hop strength and put the two onsite hop energies on the
+    diagonal, the flip-flop model with twice the weight.
+    ``oracles.unconstrained_hop_by_strings`` builds it independently.
     """
-    w = couplings.hop
-    n_e = basis.n_qubits
-    p = basis.size
-    table = _pair_index_table(basis)
-    i0, j0 = basis.i_index - 1, basis.j_index - 1
-    h = np.zeros((p, p))
-    rows = np.arange(p)
-    for l in range(n_e):
-        mask = (i0 != l) & (j0 != l)
-        np.add.at(h, (rows[mask], table[l, j0[mask]]), 2 * w[l, i0[mask]])
-        np.add.at(h, (rows[mask], table[i0[mask], l]), 2 * w[l, j0[mask]])
-    h[rows, rows] += 2 * (w[i0, i0] + w[j0, j0])
-    return _pair_model(h, basis, params)
+    return _pair_model(2 * _constrained_hop_payload(couplings.hop, basis), basis, params)
 
 
 def build_pair_hop(
@@ -360,6 +336,28 @@ def build_spin_model(
     return _pair_model(single.payload + couplings.pair_hop, basis, params)
 
 
+def _pairs_plus_bound(
+    hop: np.ndarray,
+    pair_bound: np.ndarray,
+    bound_bound: Optional[np.ndarray],
+    basis: PairBasis,
+    params: SystemParams,
+    bands: BathBands,
+) -> np.ndarray:
+    """[[constrained hop, c pair_bound], [h.c., diag(pair detunings) + c' bound_bound]]
+    on pairs then bound kets, c = g^2 / (J sqrt N) and c' = g^2 / (N J); the
+    bound-bound term is left out when ``bound_bound`` is None."""
+    n, p, g = params.n_cavities, basis.size, params.g
+    h = np.zeros((p + n, p + n), dtype=complex)
+    h[:p, :p] = _constrained_hop_payload(hop, basis)
+    h[:p, p:] = (g * g / (J * np.sqrt(n))) * pair_bound
+    h[p:, :p] = h[:p, p:].conj().T
+    h[p:, p:] = np.diag(bands.pair_detunings)
+    if bound_bound is not None:
+        h[p:, p:] += (g * g / (n * J)) * bound_bound
+    return h
+
+
 def build_adiabatic_model(
     couplings: EffectiveCouplings,
     basis: PairBasis,
@@ -372,19 +370,11 @@ def build_adiabatic_model(
     ``bound_bound`` (from ``couplings.bound_bound_couplings``) adds the
     bound-to-bound block; without it that block is dropped.
     """
-    n, p = params.n_cavities, basis.size
-    g = params.g
-    h = np.zeros((p + n, p + n), dtype=complex)
-    h[:p, :p] = build_constrained_hop(couplings, basis, params).payload
-    h[:p, p:] = (g * g / (J * np.sqrt(n))) * couplings.pair_bound
-    h[p:, :p] = h[:p, p:].conj().T
-    h[p:, p:] = np.diag(bands.pair_detunings).astype(complex)
-    if bound_bound is not None:
-        h[p:, p:] += (g * g / (n * J)) * bound_bound
+    h = _pairs_plus_bound(couplings.hop, couplings.pair_bound, bound_bound, basis, params, bands)
     return HamiltonianMatrix(
         payload=h,
         energy_offset=params.delta,
-        dims={"pairs": p, "bound": n},
+        dims={"pairs": basis.size, "bound": params.n_cavities},
         pair_basis=basis,
     )
 
@@ -409,10 +399,12 @@ def build_full_model(
 def build_complete_sector(params: SystemParams, positions, basis: PairBasis) -> HamiltonianMatrix:
     """Literal two-excitation sector with all photon-pair states.
 
-    Validation reference for the bound-pair truncation; photon pairs are
-    symmetrized real-space kets |n <= m> with the sqrt(2) normalization on
-    doubly occupied sites, so this block reproduces both the scattering
-    continuum and the bound band of the bath.
+    Validation reference for the bound-pair truncation.  Its photon blocks
+    are the bath oracles: each qubit carries the one-photon ring plus the
+    cavity-qubit detuning, and the photon pairs (symmetrized real-space
+    kets |n <= m> with the sqrt(2) normalization on doubly occupied sites)
+    carry the two-photon ring plus twice that detuning, so this block
+    reproduces both the scattering continuum and the bound band of the bath.
     """
     n, n_e, p = params.n_cavities, params.n_qubits, basis.size
     n_pp = n * (n + 1) // 2
@@ -420,69 +412,23 @@ def build_complete_sector(params: SystemParams, positions, basis: PairBasis) -> 
     if dim > COMPLETE_DIM_CAP:
         raise SizeError(f"complete sector dimension {dim} exceeds cap {COMPLETE_DIM_CAP}")
     positions = np.asarray(positions)
-    g, u = params.g, params.u
-    det = params.cavity_qubit_detuning
-
-    def qp(i0, n0):
-        return p + i0 * n + n0
-
-    def pp(n1, m1):
-        # 1-based n1 <= m1, row-major upper triangle
-        return p + n_e * n + (n1 - 1) * n - (n1 - 1) * (n1 - 2) // 2 + (m1 - n1)
-
-    rows, cols, vals = [], [], []
-
-    def add(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    # qubit-photon block: detuning diagonal and periodic photon hopping
-    for i0 in range(n_e):
-        for n0 in range(n):
-            add(qp(i0, n0), qp(i0, n0), det)
-            n2 = (n0 + 1) % n
-            add(qp(i0, n0), qp(i0, n2), -J)
-            add(qp(i0, n2), qp(i0, n0), -J)
-    # photon-pair block
-    hop_acc: dict = {}
-    for n1 in range(1, n + 1):
-        for m1 in range(n1, n + 1):
-            src = pp(n1, m1)
-            add(src, src, 2 * det + (u if n1 == m1 else 0.0))
-            pref = 1 / np.sqrt(2) if n1 == m1 else 1.0
-            moves = [
-                (n1 % n + 1, m1),
-                ((n1 - 2) % n + 1, m1),
-                (n1, m1 % n + 1),
-                (n1, (m1 - 2) % n + 1),
-            ]
-            for u_, v_ in moves:
-                lo, hi = min(u_, v_), max(u_, v_)
-                amp = -J * pref * (np.sqrt(2) if u_ == v_ else 1.0)
-                key = (src, pp(lo, hi))
-                hop_acc[key] = hop_acc.get(key, 0.0) + amp
-    for (r, c), v in hop_acc.items():
-        add(r, c, v)
-    # qubit pairs <-> qubit-photon
-    for q in range(p):
-        i1, j1 = basis.i_index[q], basis.j_index[q]
-        for keep, flip in ((i1, j1), (j1, i1)):
-            other = qp(keep - 1, positions[flip - 1] - 1)
-            add(q, other, g)
-            add(other, q, g)
-    # qubit-photon <-> photon pairs
-    for i0 in range(n_e):
-        ni = positions[i0]
-        for n0 in range(1, n + 1):
-            src = qp(i0, n0 - 1)
-            lo, hi = min(n0, ni), max(n0, ni)
-            amp = g * (np.sqrt(2) if n0 == ni else 1.0)
-            add(src, pp(lo, hi), amp)
-            add(pp(lo, hi), src, amp)
-    h = sp.coo_matrix(
-        (np.asarray(vals, dtype=float), (rows, cols)), shape=(dim, dim)
-    ).tocsr()
+    g, det = params.g, params.cavity_qubit_detuning
+    one_photon = single_photon_sector(params) + det * np.eye(n)
+    photons = sp.kron(sp.identity(n_e), one_photon, format="csr")
+    photon_pairs = two_photon_ring(params) + 2 * det * sp.identity(n_pp)
+    # pair (i, j) -> qubit i excited with a photon in qubit j's cavity, and i <-> j
+    i0, j0 = basis.i_index - 1, basis.j_index - 1
+    cols = np.concatenate([i0 * n + positions[j0], j0 * n + positions[i0]]) - 1
+    emit = sp.coo_matrix((np.full(2 * p, g), (np.tile(np.arange(p), 2), cols)), shape=(p, n_e * n))
+    # qubit at cavity `at` with a photon at `site` -> photon pair |site, at>
+    site, at = np.tile(np.arange(1, n + 1), n_e), np.repeat(positions, n)
+    cols = photon_pair_index(n, np.minimum(site, at), np.maximum(site, at))
+    amps = g * np.where(site == at, np.sqrt(2), 1.0)
+    absorb = sp.coo_matrix((amps, (np.arange(n_e * n), cols)), shape=(n_e * n, n_pp))
+    h = sp.bmat(
+        [[None, emit, None], [emit.T, photons, absorb], [None, absorb.T, photon_pairs]],
+        format="csr",
+    )
     return HamiltonianMatrix(
         payload=h,
         energy_offset=params.delta,

@@ -4,12 +4,15 @@ These deliberately avoid the optimized assembly paths: spin models are
 built from literal operator strings on the 2^N_e qubit space, the bath
 sectors from the raw tight-binding model, and the pair-hop matrix from
 an explicit wavevector loop.  They exist to arbitrate conventions and
-stay independent of the code they check.
+stay independent of the code they check.  The bath sectors are also the
+photon blocks of the complete-sector model, itself a reference for the
+bound-pair truncation.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from .bath import BathBands
 from .errors import SizeError
@@ -98,26 +101,24 @@ def single_photon_sector(params: SystemParams) -> np.ndarray:
     return h
 
 
-def two_photon_bath_sector(params: SystemParams) -> np.ndarray:
-    """Two-photon block of the bath model on the ring.
+def photon_pair_index(n: int, n1, m1):
+    """Row-major upper-triangle index of the photon-pair ket |n1 <= m1>
+    (1-based sites) on an n-cavity ring; works elementwise on arrays."""
+    return (n1 - 1) * n - (n1 - 1) * (n1 - 2) // 2 + (m1 - n1)
 
-    Symmetrized basis |n <= m| with sqrt(2) normalization on n = m; the
+
+def two_photon_ring(params: SystemParams) -> sp.csr_matrix:
+    """Two-photon block of the bath model on the ring, sparse.
+
+    Symmetrized basis |n <= m> with sqrt(2) normalization on n = m; the
     spectrum holds both the scattering continuum and the bound band.
     """
-    n = params.n_cavities
-    if n > BATH_SECTOR_CAP:
-        raise SizeError(f"bath sector oracle limited to {BATH_SECTOR_CAP} cavities")
-    u = params.u
-
-    def idx(n1, m1):
-        return (n1 - 1) * n - (n1 - 1) * (n1 - 2) // 2 + (m1 - n1)
-
-    dim = n * (n + 1) // 2
-    h = np.zeros((dim, dim))
+    n, u = params.n_cavities, params.u
+    entries = {}
     for n1 in range(1, n + 1):
         for m1 in range(n1, n + 1):
-            src = idx(n1, m1)
-            h[src, src] += u if n1 == m1 else 0.0
+            src = photon_pair_index(n, n1, m1)
+            entries[src, src] = u if n1 == m1 else 0.0
             pref = 1 / np.sqrt(2) if n1 == m1 else 1.0
             for u_, v_ in (
                 (n1 % n + 1, m1),
@@ -125,9 +126,19 @@ def two_photon_bath_sector(params: SystemParams) -> np.ndarray:
                 (n1, m1 % n + 1),
                 (n1, (m1 - 2) % n + 1),
             ):
-                lo, hi = min(u_, v_), max(u_, v_)
-                h[src, idx(lo, hi)] += -J * pref * (np.sqrt(2) if u_ == v_ else 1.0)
-    return h
+                key = (src, photon_pair_index(n, min(u_, v_), max(u_, v_)))
+                amp = -J * pref * (np.sqrt(2) if u_ == v_ else 1.0)
+                entries[key] = entries.get(key, 0.0) + amp
+    dim = n * (n + 1) // 2
+    rows, cols = zip(*entries)
+    return sp.csr_matrix((list(entries.values()), (rows, cols)), shape=(dim, dim))
+
+
+def two_photon_bath_sector(params: SystemParams) -> np.ndarray:
+    """Dense ``two_photon_ring``, for exact diagonalization of the bath."""
+    if params.n_cavities > BATH_SECTOR_CAP:
+        raise SizeError(f"bath sector oracle limited to {BATH_SECTOR_CAP} cavities")
+    return two_photon_ring(params).toarray()
 
 
 def pair_hop_reference(

@@ -362,18 +362,41 @@ def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, task, ex
 
 @pytest.mark.parametrize(
     "option, name",
-    [("--config", "."), ("--config", "bom.json"), ("--out", "file"), ("--out", "file/out")],
+    [
+        ("--config", "."),
+        ("--config", "bom.json"),
+        ("--config", "brace.json"),
+        ("--out", "file"),
+        ("--out", "file/out"),
+    ],
 )
 def test_unreadable_config_or_output_path_exits_2(tmp_path, capsys, option, name):
-    """A config path that is a directory or not UTF-8 text, and an output path
-    that is a file or lies under one, end in one config-error line."""
+    """A config path that is a directory, not UTF-8 text or not JSON, and an
+    output path that is a file or lies under one, end in one config-error
+    line that names the path."""
     (tmp_path / "bom.json").write_bytes(b"\xff\xfe{}")
+    (tmp_path / "brace.json").write_text("{")
     (tmp_path / "file").write_text("")
-    code, _ = run_cli(tmp_path, "spectrum", option, str(tmp_path / name))
+    path = str(tmp_path / name)
+    code, _ = run_cli(tmp_path, "spectrum", option, path)
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("config error: ")
+    assert os.path.normpath(path) in err
     assert err.count("\n") == 1
+
+
+def test_refused_allocation_exits_3_with_one_line(tmp_path, capsys):
+    """A time grid of 1e15 samples (7 PiB) is refused by the allocator at
+    once, before any memory is touched, and ends like a size cap."""
+    code, out = run_cli(
+        tmp_path, "dynamics", "--set", "options.t_max=1e15", "--set", "options.dt=1"
+    )
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("validity error: ")
+    assert err.count("\n") == 1
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
 # JSON texts for --set values: wrong types, bools, non-finite numbers and

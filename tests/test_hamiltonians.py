@@ -165,14 +165,22 @@ def test_full_operator_hermiticity_probe(default_stack):
     assert hermiticity_defect(default_stack.model("full")) < 1e-12
 
 
-@pytest.mark.parametrize("n_cavities, n_qubits", [(41, 6), (61, 8)])
-def test_schur_complement_matches_dense_elimination(n_cavities, n_qubits):
+@pytest.mark.parametrize(
+    "n_cavities, n_qubits, spacing",
+    [
+        pytest.param(41, 6, 1, id="41-6"),
+        pytest.param(61, 8, 1, id="61-8"),
+        pytest.param(41, 6, 0, id="41-6-0"),
+        pytest.param(61, 8, 3, id="61-8-3"),
+    ],
+)
+def test_schur_complement_matches_dense_elimination(n_cavities, n_qubits, spacing):
     """The structured Schur complement equals A - B (D - sigma)^-1 B^H taken
     from the sparse form, its shift lies below the spectrum, and the shift
     inverse undoes H - sigma."""
     from droplet_lattice.bath import solve_bath
 
-    p = default_params(n_cavities=n_cavities, n_qubits=n_qubits)
+    p = default_params(n_cavities=n_cavities, n_qubits=n_qubits, spacing=spacing)
     op = build_full_model(p, qubit_positions(p), PairBasis(n_qubits), solve_bath(p)).payload
     h = op.to_sparse().toarray()
     sigma = op.lower_bound()
@@ -219,11 +227,18 @@ def test_full_decoupled_spectrum():
 
 
 def test_complete_sector_bath_block_reproduces_bound_band(tiny_stack):
-    """Pure-photon eigenvalues of the raw model contain the bound band."""
+    """Pure-photon eigenvalues of the raw model contain the bound band, both
+    from the bath oracle and from the photon-pair block of the complete
+    sector less its 2 x cavity-qubit detuning."""
     params = tiny_stack.params
-    bath_spec = np.linalg.eigvalsh(two_photon_bath_sector(params))
-    worst = max(np.abs(bath_spec - e).min() for e in tiny_stack.bands.bound_energies)
-    assert worst < 1e-9
+    h = tiny_stack.model("oracle")
+    start = h.dim - h.dims["photon_pairs"]
+    block = h.payload[start:, start:].toarray()
+    block -= 2 * params.cavity_qubit_detuning * np.eye(len(block))
+    for matrix in (two_photon_bath_sector(params), block):
+        spec = np.linalg.eigvalsh(matrix)
+        worst = max(np.abs(spec - e).min() for e in tiny_stack.bands.bound_energies)
+        assert worst < 1e-9
 
 
 def test_bound_band_bottom_matches_closed_form_at_production_size(default_stack):
