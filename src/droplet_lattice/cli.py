@@ -18,6 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
+import scipy
 
 from . import observables as obs
 from . import pipeline
@@ -30,6 +31,7 @@ from .params import asdict_params, build_params, default_params
 from .pipeline import Pipeline
 from .solver import (
     VARIATIONAL_BRACKET,
+    blas_libraries,
     first_order_perturbation,
     minimize_variational,
     propagate,
@@ -477,7 +479,8 @@ TASKS = {
 
 
 def run(cfg: RunConfig) -> int:
-    started = time.time()
+    started = time.perf_counter()
+    libraries = {"numpy": np.__version__, "scipy": scipy.__version__, "openblas": blas_libraries()}
     pipe = Pipeline(build_params(cfg.params))
     os.makedirs(cfg.out_dir, exist_ok=True)
     decomp, written, extra = TASKS[cfg.task](cfg, pipe, cfg.out_dir)
@@ -493,7 +496,8 @@ def run(cfg: RunConfig) -> int:
         "residual_max": float(decomp.residual_norms.max()) if decomp is not None else None,
         "solver": (decomp.solver or None) if decomp is not None else None,
         "outputs": written,
-        "wall_time_s": round(time.time() - started, 3),
+        "libraries": libraries,
+        "wall_time_s": round(time.perf_counter() - started, 3),
         **extra,
     }
     with atomic_open(os.path.join(cfg.out_dir, "manifest.json")) as fh:

@@ -7,6 +7,10 @@ the two-excitation detuning carried by the Hamiltonian container.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
+import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -28,6 +32,11 @@ from .hamiltonians import FullOperator, HamiltonianMatrix, _require_pairs
 from .observables import WavepacketState
 
 DENSE_FALLBACK_DIM = 4000
+# a dense pair-basis payload from this dimension up, asked for at most this
+# many levels, goes to Lanczos: from dim 300 it beats the LAPACK subset up to
+# k = 8 (at k = 16 only from dim of about 1000)
+LANCZOS_MIN_DIM = 300
+LANCZOS_MAX_K = 8
 DENSE_BYTES_CAP = 2**30
 DEGENERACY_GAP = 1e-10
 # relative lengths searched by the variational optimization, and its tolerance
@@ -85,14 +94,83 @@ def _start_vector(dim: int) -> np.ndarray:
     return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
+#: OpenBLAS entry-point names: the scipy-openblas wheels and plain builds,
+#: with and without the suffix of a 64-bit-integer build
+_OPENBLAS_NAMES = ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}")
+
+
+@functools.cache
+def _blas_pools() -> tuple:
+    """Every OpenBLAS loaded in this process as (file name, get_config,
+    get_num_threads, set_num_threads), a function None where the library
+    lacks it.  numpy and scipy each load their own; both are found through
+    the process's memory map on first use, not at import."""
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and line.split()[-1].startswith("/")})
+    except OSError:
+        return ()
+    pools = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for pattern in _OPENBLAS_NAMES:
+            config, get, set_ = (getattr(lib, pattern.format(verb), None)
+                                 for verb in ("get_config", "get_num_threads", "set_num_threads"))
+            if get is not None:
+                break
+        if config is not None:
+            config.argtypes, config.restype = [], ctypes.c_char_p
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_int
+        if set_ is not None:
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+        pools.append((os.path.basename(path), config, get, set_))
+    return tuple(pools)
+
+
+def blas_libraries() -> list[dict]:
+    """Each loaded OpenBLAS with its build string and current thread count."""
+    return [
+        {
+            "library": name,
+            "config": None if config is None else config().decode(),
+            "threads": None if get is None else get(),
+        }
+        for name, config, get, _ in _blas_pools()
+    ]
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Hold every OpenBLAS pool at one thread inside the block, so the two
+    pools do not hand an iterative solver's small products back and forth;
+    the prior counts come back on exit.  Yields the count held, 1, or
+    ``"unmanaged"`` (and changes nothing) when no pool or some pool's
+    getter or setter is missing."""
+    pools = _blas_pools()
+    if not pools or any(get is None or set_ is None for _, _, get, set_ in pools):
+        yield "unmanaged"
+        return
+    prior = [get() for _, _, get, _ in pools]
+    try:
+        for _, _, _, set_ in pools:
+            set_(1)
+        yield 1
+    finally:
+        for (_, _, _, set_), count in zip(pools, prior):
+            set_(count)
+
+
 class _Counted:
-    """The operator ARPACK applies (a sparse payload or a shift inverse), as
-    a complex linear operator whose products with vectors are counted."""
+    """The operator ARPACK applies (a payload or a shift inverse), as a
+    linear operator of the payload's dtype whose products with vectors are
+    counted."""
 
     def __init__(self, operator):
         self.operator = operator
         self.shape = operator.shape
-        self.dtype = np.dtype(complex)
+        self.dtype = operator.dtype
         self.applications = 0
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
@@ -111,7 +189,11 @@ def _densify(payload) -> np.ndarray:
 
 
 def _arpack(op, k: int, ncv: int, **mode):
-    """Lowest ``k`` eigenpairs of ``op`` from ARPACK, ascending."""
+    """Lowest ``k`` eigenpairs of ``op`` from ARPACK, ascending, and the BLAS
+    thread count they were computed with (see ``_single_blas_thread``).
+
+    A real operator gets the real part of the fixed start vector, so ARPACK
+    runs its real symmetric routine."""
     dim = op.shape[0]
     ncv = min(dim - 1, ncv)
     if k + 1 >= ncv:
@@ -119,25 +201,35 @@ def _arpack(op, k: int, ncv: int, **mode):
             f"k_lowest {k} is above {dim - 3}: ARPACK needs k + 1 < ncv <= {dim - 1} "
             f"on a dim-{dim} operator"
         )
+    v0 = _start_vector(dim)
+    if not np.issubdtype(op.dtype, np.complexfloating):
+        v0 = v0.real
     try:
-        vals, vecs = spla.eigsh(op, k=k, ncv=ncv, v0=_start_vector(dim), maxiter=20000, **mode)
+        with _single_blas_thread() as threads:
+            vals, vecs = spla.eigsh(op, k=k, ncv=ncv, v0=v0, maxiter=20000, **mode)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(f"iterative eigensolver stalled: {exc}") from exc
     order = np.argsort(vals)
-    return vals[order], vecs[:, order]
+    return vals[order], vecs[:, order], threads
 
 
 def eigensolve(h: HamiltonianMatrix, k_lowest: Optional[int] = None) -> SpectralDecomposition:
     """Diagonalize a tagged Hamiltonian.
 
-    Dense payloads get a full (or index-subset) symmetric decomposition;
-    matrix-free and large sparse payloads get an iterative lowest-k solve.
-    The explicit-photon operator is solved in shift-invert mode with the
-    exact inverse of ``FullOperator.shift_invert``, at a shift below its
-    whole spectrum, so the eigenvalues nearest the shift are the lowest;
-    sparse payloads above ``DENSE_FALLBACK_DIM`` use plain Lanczos.
-    ``solver`` on the result records the shift and the operator (or
-    inverse) applications of an iterative solve.
+    A full spectrum, or many levels, comes from a LAPACK symmetric
+    decomposition (full or index subset) of the payload, copied dense if it
+    is sparse.  The lowest ``k_lowest`` levels come from Lanczos (ARPACK)
+    instead for a dense pair-basis payload of dimension ``LANCZOS_MIN_DIM``
+    or more with ``k_lowest <= LANCZOS_MAX_K``, and for a sparse payload
+    above ``DENSE_FALLBACK_DIM``.  (The adiabatic models stay dense: they
+    hold the whole bound band, so their lowest levels are close together
+    against the spectral width and Lanczos needs a thousand or more
+    applications, several times the cost of the subset.)  The explicit-photon
+    operator is solved in shift-invert mode with the exact inverse of
+    ``FullOperator.shift_invert``, at a shift below its whole spectrum, so
+    the eigenvalues nearest the shift are the lowest.  ``solver`` on the
+    result records the method, the shift, the operator (or inverse)
+    applications and the BLAS threads of an iterative solve.
     """
     payload = h.payload
     dim = h.dim
@@ -151,12 +243,19 @@ def eigensolve(h: HamiltonianMatrix, k_lowest: Optional[int] = None) -> Spectral
         inverse = _Counted(payload.shift_invert(payload.lower_bound()))
         sigma = inverse.operator.sigma
         ncv = max(2 * k_lowest + 1, 20)
-        vals, vecs = _arpack(payload, k_lowest, ncv, sigma=sigma, which="LM", OPinv=inverse)
-        stats = {"method": "shift-invert", "sigma": sigma, "applications": inverse.applications}
-    elif sparse and k_lowest is not None and dim > DENSE_FALLBACK_DIM:
+        vals, vecs, threads = _arpack(
+            payload, k_lowest, ncv, sigma=sigma, which="LM", OPinv=inverse
+        )
+        stats = {"method": "shift-invert", "sigma": sigma, "applications": inverse.applications,
+                 "blas_threads": threads}
+    elif k_lowest is not None and (
+        dim > DENSE_FALLBACK_DIM if sparse
+        else list(h.dims) == ["pairs"] and dim >= LANCZOS_MIN_DIM and k_lowest <= LANCZOS_MAX_K
+    ):
         counted = _Counted(payload)
-        vals, vecs = _arpack(counted, k_lowest, max(6 * k_lowest, 80), which="SA")
-        stats = {"method": "lanczos", "applications": counted.applications}
+        vals, vecs, threads = _arpack(counted, k_lowest, max(4 * k_lowest, 40), which="SA")
+        stats = {"method": "lanczos", "applications": counted.applications,
+                 "blas_threads": threads}
     else:
         subset = None if k_lowest is None else [0, min(k_lowest, dim) - 1]
         vals, vecs = eigh(_densify(payload) if sparse else payload, subset_by_index=subset)

@@ -265,7 +265,29 @@ def test_explicit_photon_reruns_are_bit_identical(tmp_path):
     body, _, solver, _ = runs[0]
     ground = float(body.decode().splitlines()[1])
     assert solver["method"] == "shift-invert" and solver["applications"] > 0
+    assert solver["blas_threads"] == 1
     assert solver["sigma"] + manifest["params"]["delta"] < ground
+
+
+def test_rerun_manifests_differ_only_in_wall_time(tmp_path):
+    """A dense Lanczos solve records its method and BLAS threads, the run its
+    libraries and their thread counts; all of it repeats on a rerun."""
+    size = ["--set", "params.n_cavities=201", "--set", "params.n_qubits=30"]
+    manifests = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert main(["spectrum", "--out", str(out), *size, "--set", "options.k_lowest=1"]) == 0
+        manifests.append(json.loads((out / "manifest.json").read_text()))
+    for manifest in manifests:
+        assert manifest.pop("wall_time_s") >= 0
+    assert manifests[0] == manifests[1]
+    manifest = manifests[0]
+    assert manifest["solver"]["method"] == "lanczos"
+    assert manifest["solver"]["blas_threads"] == 1
+    libraries = manifest["libraries"]
+    assert libraries["numpy"] == np.__version__ and libraries["scipy"]
+    assert libraries["openblas"]
+    assert all(lib["threads"] >= 1 for lib in libraries["openblas"])
 
 
 def test_invalid_regime_exit_code(tmp_path):

@@ -3,23 +3,27 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import eigh
 
 from droplet_lattice import (
     BasisMismatch,
     BracketError,
     DegeneracyWarning,
+    Pipeline,
     SizeError,
+    default_params,
     eigensolve,
     first_order_perturbation,
     initial_state,
     minimize_variational,
     propagate,
+    solver,
     variational_energy,
 )
 from droplet_lattice.hamiltonians import FullOperator, HamiltonianMatrix
 from droplet_lattice.observables import WavepacketState
 from droplet_lattice.params import PairBasis
-from droplet_lattice.solver import golden_section, variational_vector
+from droplet_lattice.solver import _canonicalize_signs, golden_section, variational_vector
 
 
 def _toy_spin_matrix(matrix, offset=0.0):
@@ -107,6 +111,96 @@ def test_large_sparse_payloads_take_the_lanczos_path(monkeypatch):
     lanczos = eigensolve(h, k_lowest=5)
     assert lanczos.solver["method"] == "lanczos" and lanczos.solver["applications"] > 0
     np.testing.assert_allclose(lanczos.energies, dense.energies, atol=1e-9, rtol=0)
+
+
+@pytest.fixture(scope="module")
+def mid_stack():
+    """201 cavities, 30 qubits: dense pair-basis models of dim 435, above
+    ``LANCZOS_MIN_DIM``."""
+    return Pipeline(default_params(n_cavities=201, n_qubits=30))
+
+
+@pytest.mark.parametrize("name, k", [("spin", 1), ("single", 4)])
+def test_dense_lanczos_matches_the_lapack_subset(mid_stack, name, k):
+    """Small k on a large dense pair-basis payload goes to Lanczos, which
+    agrees with the LAPACK subset and repeats bit for bit."""
+    h = mid_stack.model(name)
+    assert h.dim == 435
+    lanczos = eigensolve(h, k_lowest=k)
+    assert lanczos.solver["method"] == "lanczos" and lanczos.solver["applications"] > 0
+    vals, vecs = eigh(h.payload, subset_by_index=[0, k - 1])
+    np.testing.assert_allclose(lanczos.energies - h.energy_offset, vals, atol=1e-12, rtol=0)
+    # every level here is non-degenerate (gaps above 2e-4); the reflection
+    # makes mirrored components of an odd state equal in magnitude, so the
+    # canonical pivot can differ between solvers by the state's sign alone
+    expected = _canonicalize_signs(vecs)
+    signs = np.sign(np.sum(expected * lanczos.vectors, axis=0))
+    np.testing.assert_allclose(lanczos.vectors * signs, expected, atol=1e-10, rtol=0)
+    np.testing.assert_array_equal(eigensolve(h, k_lowest=k).vectors, lanczos.vectors)
+
+
+def test_dense_lanczos_is_limited_to_small_k_large_pair_payloads(mid_stack):
+    """Many levels, a small payload, and the adiabatic models (whose low levels
+    crowd against the whole bound band) stay on the LAPACK subset."""
+    small = Pipeline(default_params(n_cavities=81, n_qubits=12))
+    assert small.model("spin").dim == 66
+    cases = [
+        (mid_stack.model("spin"), solver.LANCZOS_MAX_K + 1),
+        (small.model("spin"), 1),
+        (mid_stack.model("adia1"), 4),
+    ]
+    for h, k in cases:
+        d = eigensolve(h, k_lowest=k)
+        assert d.solver == {}
+        vals = eigh(h.payload, eigvals_only=True, subset_by_index=[0, k - 1])
+        np.testing.assert_array_equal(d.energies, vals + h.energy_offset)
+
+
+@pytest.fixture
+def blas_pools():
+    """The loaded OpenBLAS pools, each set to 2 threads so that restoring
+    them is visible on any host; their own counts come back afterwards."""
+    pools = solver._blas_pools()
+    assert pools and all(None not in pool for pool in pools)
+    own = [get() for _, _, get, _ in pools]
+    for _, _, _, set_ in pools:
+        set_(2)
+    yield pools
+    for (_, _, _, set_), count in zip(pools, own):
+        set_(count)
+
+
+def _thread_counts():
+    return [lib["threads"] for lib in solver.blas_libraries()]
+
+
+def test_blas_scope_holds_one_thread_and_restores_the_prior_counts(blas_pools):
+    assert _thread_counts() == [2] * len(blas_pools)
+    with solver._single_blas_thread() as threads:
+        assert threads == 1
+        assert _thread_counts() == [1] * len(blas_pools)
+    assert _thread_counts() == [2] * len(blas_pools)
+
+
+def test_blas_scope_restores_the_prior_counts_after_an_exception(blas_pools):
+    with pytest.raises(RuntimeError, match="inside"):
+        with solver._single_blas_thread():
+            assert _thread_counts() == [1] * len(blas_pools)
+            raise RuntimeError("inside the scope")
+    assert _thread_counts() == [2] * len(blas_pools)
+
+
+@pytest.mark.parametrize("found", ["none", "no setter"])
+def test_blas_scope_without_setters_changes_nothing(blas_pools, mid_stack, monkeypatch, found):
+    """No OpenBLAS found, or one without a setter: the scope leaves every pool
+    alone and the solve records ``"unmanaged"``."""
+    stripped = () if found == "none" else tuple(p[:3] + (None,) for p in blas_pools)
+    monkeypatch.setattr(solver, "_blas_pools", lambda: stripped)
+    with solver._single_blas_thread() as threads:
+        assert threads == "unmanaged"
+        assert [get() for _, _, get, _ in blas_pools] == [2] * len(blas_pools)
+    d = eigensolve(mid_stack.model("spin"), k_lowest=1)
+    assert d.solver["method"] == "lanczos" and d.solver["blas_threads"] == "unmanaged"
 
 
 def test_dense_copy_of_a_huge_sparse_payload_is_refused():
