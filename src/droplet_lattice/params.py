@@ -157,7 +157,10 @@ class PairBasis:
     """Bijection between excited-qubit pairs (i, j), i < j, and linear indices.
 
     Ordering is canonical: blocks of fixed separation r = j - i in ascending
-    r, ascending i within each block.  Indices i, j are 1-based.
+    r, ascending i within each block.  Indices i, j are 1-based.  ``mirror``
+    maps each pair to its image under the reflection of the qubit block,
+    (i, j) -> (N_e + 1 - j, N_e + 1 - i), which keeps r and so reverses each
+    separation block; pairs with i + j = N_e + 1 are their own image.
     """
 
     n_qubits: int
@@ -165,6 +168,7 @@ class PairBasis:
     j_index: np.ndarray = field(init=False, repr=False)
     separations: np.ndarray = field(init=False, repr=False)
     centers: np.ndarray = field(init=False, repr=False)
+    mirror: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         n_e = self.n_qubits
@@ -181,6 +185,10 @@ class PairBasis:
         object.__setattr__(self, "j_index", j_arr)
         object.__setattr__(self, "separations", j_arr - i_arr)
         object.__setattr__(self, "centers", 0.5 * (i_arr + j_arr))
+        # index p = offset_r + i - 1 goes to offset_r + (N_e + 1 - r - i) - 1
+        object.__setattr__(
+            self, "mirror", np.arange(len(i_arr)) + n_e + 1 - (j_arr - i_arr) - 2 * i_arr
+        )
 
     @property
     def size(self) -> int:

@@ -54,6 +54,10 @@ class SpectralDecomposition:
     energy_offset: float
     dims: dict
     solver: dict = field(default_factory=dict)
+    # for a decomposition split by the pair reflection: each level's parity
+    # (+1 even, -1 odd) and the reflection as an index map of the pair basis
+    parity: Optional[np.ndarray] = field(default=None, repr=False)
+    mirror: Optional[np.ndarray] = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -72,7 +76,11 @@ class SpectralDecomposition:
 
 
 def _canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
-    """Fix each eigenvector's global phase: largest component positive real."""
+    """Fix each eigenvector's global phase: largest component positive real.
+
+    Of several components of equal magnitude the first is the pivot, so a
+    state lifted from a parity block, whose mirrored components agree in
+    magnitude bit for bit, is positive at the lower of the two indices."""
     lead = np.argmax(np.abs(vectors), axis=0)
     pivot = vectors[lead, np.arange(vectors.shape[1])]
     if np.iscomplexobj(vectors):
@@ -213,13 +221,63 @@ def _arpack(op, k: int, ncv: int, **mode):
     return vals[order], vecs[:, order], threads
 
 
+def _representatives(mirror: np.ndarray) -> np.ndarray:
+    """One pair per orbit {p, mirror[p]} of the reflection: its lower index."""
+    return np.flatnonzero(np.arange(len(mirror)) <= mirror)
+
+
+def _parity_blocks(payload: np.ndarray, mirror: np.ndarray):
+    """All eigenpairs of a real symmetric pair-basis payload that commutes with
+    the reflection ``mirror``, from its even and odd blocks.
+
+    Each orbit {p, mirror[p]} is represented by its lower index.  An orbit of
+    two gives the even and the odd ket (|p> +- |mirror[p]>) / sqrt(2); a pair
+    that is its own image gives an even ket only.  Each block is decomposed
+    with LAPACK's divide-and-conquer driver and its vectors are lifted back
+    into the pair basis, mirrored components copied (even) or negated (odd),
+    so their magnitudes agree bit for bit.  Returns the energies ascending
+    (stable, so an exact tie puts the even level first), the lifted vectors,
+    each level's parity and the solver record.
+    """
+    reps = _representatives(mirror)
+    partners = mirror[reps]
+    fixed = partners == reps
+    # <e_a|H|e_b> = (H[a, b] + H[a, mirror b]) s_a s_b, s = 1/sqrt(2) on fixed pairs
+    scale = np.where(fixed, np.sqrt(0.5), 1.0)
+    even_rows = payload[reps]
+    even = (even_rows[:, reps] + even_rows[:, partners]) * np.outer(scale, scale)
+    orbits, images = reps[~fixed], partners[~fixed]
+    odd_rows = payload[orbits]
+    odd = odd_rows[:, orbits] - odd_rows[:, images]
+    vals_e, vecs_e = eigh(even, driver="evd")
+    vals_o, vecs_o = eigh(odd, driver="evd")
+    n_even = len(vals_e)
+    vecs = np.zeros((len(mirror), len(mirror)))
+    vecs_e *= np.where(fixed, 1.0, np.sqrt(0.5))[:, None]
+    vecs[partners, :n_even] = vecs_e
+    vecs[reps, :n_even] = vecs_e
+    vecs_o *= np.sqrt(0.5)
+    vecs[orbits, n_even:] = vecs_o
+    vecs[images, n_even:] = -vecs_o
+    vals = np.concatenate([vals_e, vals_o])
+    order = np.argsort(vals, kind="stable")
+    parity = np.where(order < n_even, 1, -1)
+    stats = {"method": "parity-blocks", "blocks": [n_even, len(vals_o)], "driver": "evd"}
+    return vals[order], vecs[:, order], parity, stats
+
+
 def eigensolve(h: HamiltonianMatrix, k_lowest: Optional[int] = None) -> SpectralDecomposition:
     """Diagonalize a tagged Hamiltonian.
 
     A full spectrum, or many levels, comes from a LAPACK symmetric
     decomposition (full or index subset) of the payload, copied dense if it
-    is sparse.  The lowest ``k_lowest`` levels come from Lanczos (ARPACK)
-    instead for a dense pair-basis payload of dimension ``LANCZOS_MIN_DIM``
+    is sparse.  The full spectrum of a real pair-basis model that carries
+    its pair basis comes from its even and odd blocks under the reflection
+    of the qubit block instead (``_parity_blocks``), with each level's
+    parity recorded; the residual check below runs against the whole
+    payload, so a payload without that symmetry fails it.  The lowest
+    ``k_lowest`` levels come from Lanczos (ARPACK) instead for a dense
+    pair-basis payload of dimension ``LANCZOS_MIN_DIM``
     or more with ``k_lowest <= LANCZOS_MAX_K``, and for a sparse payload
     above ``DENSE_FALLBACK_DIM``.  (The adiabatic models stay dense: they
     hold the whole bound band, so their lowest levels are close together
@@ -229,11 +287,13 @@ def eigensolve(h: HamiltonianMatrix, k_lowest: Optional[int] = None) -> Spectral
     ``FullOperator.shift_invert``, at a shift below its whole spectrum, so
     the eigenvalues nearest the shift are the lowest.  ``solver`` on the
     result records the method, the shift, the operator (or inverse)
-    applications and the BLAS threads of an iterative solve.
+    applications and the BLAS threads of an iterative solve, and the block
+    dimensions and LAPACK driver of a parity split.
     """
     payload = h.payload
     dim = h.dim
     sparse = sp.issparse(payload)
+    parity = mirror = None
     if isinstance(payload, FullOperator):
         if k_lowest is None:
             raise ConvergenceError(
@@ -256,6 +316,10 @@ def eigensolve(h: HamiltonianMatrix, k_lowest: Optional[int] = None) -> Spectral
         vals, vecs, threads = _arpack(counted, k_lowest, max(4 * k_lowest, 40), which="SA")
         stats = {"method": "lanczos", "applications": counted.applications,
                  "blas_threads": threads}
+    elif (k_lowest is None and h.pair_basis is not None and list(h.dims) == ["pairs"]
+          and not np.iscomplexobj(payload)):
+        mirror = h.pair_basis.mirror
+        vals, vecs, parity, stats = _parity_blocks(payload, mirror)
     else:
         subset = None if k_lowest is None else [0, min(k_lowest, dim) - 1]
         vals, vecs = eigh(_densify(payload) if sparse else payload, subset_by_index=subset)
@@ -277,6 +341,8 @@ def eigensolve(h: HamiltonianMatrix, k_lowest: Optional[int] = None) -> Spectral
         energy_offset=h.energy_offset,
         dims=dict(h.dims),
         solver=stats,
+        parity=parity,
+        mirror=mirror,
     )
 
 
@@ -289,15 +355,49 @@ def propagate(
     if not decomp.is_full:
         raise BasisMismatch("propagation needs the full decomposition")
     times = np.asarray(times, dtype=float)
-    weights = decomp.vectors.conj().T @ psi0.coefficients
-    phases = np.exp(
-        -1j * np.outer(decomp.rotating_frame_energies(), times)
-    ) * weights[:, None]
-    snapshots = decomp.vectors @ phases
+    energies = decomp.rotating_frame_energies()
+    psi = psi0.coefficients
+    if decomp.parity is None:
+        weights = decomp.vectors.conj().T @ psi
+        phases = np.exp(-1j * np.outer(energies, times)) * weights[:, None]
+        snapshots = decomp.vectors @ phases
+    else:
+        snapshots = _propagate_by_parity(decomp, energies, psi, times)
     return [
         WavepacketState(coefficients=snapshots[:, col], time=float(t), dims=dict(decomp.dims))
         for col, t in enumerate(times)
     ]
+
+
+def _propagate_by_parity(decomp, energies, psi, times) -> np.ndarray:
+    """Snapshots of a decomposition split by the pair reflection.
+
+    psi splits exactly into its even and odd parts (psi +- psi[mirror]) / 2;
+    each part evolves under the levels of its parity alone, and the odd part
+    of a mirror-symmetric state is identically zero and skipped.  The vectors
+    are real, so a part's snapshots are two real products on the rows of one
+    pair per orbit, copied (even) or negated (odd) onto the mirrored rows.
+    """
+    mirror = decomp.mirror
+    reps = _representatives(mirror)
+
+    def evolve(sign):
+        levels = decomp.parity == sign
+        vecs = decomp.vectors[:, levels]
+        weights = vecs.T @ ((psi + sign * psi[mirror]) / 2)
+        phases = np.exp(-1j * np.outer(energies[levels], times)) * weights[:, None]
+        half = vecs[reps]
+        lifted = np.empty((len(psi), len(times)), dtype=complex)
+        for out, component in ((lifted.real, phases.real), (lifted.imag, phases.imag)):
+            rows = half @ np.ascontiguousarray(component)
+            out[mirror[reps]] = rows if sign > 0 else -rows
+            out[reps] = rows
+        return lifted
+
+    snapshots = evolve(1)
+    if not np.array_equal(psi, psi[mirror]):
+        snapshots += evolve(-1)
+    return snapshots
 
 
 def first_order_perturbation(

@@ -30,6 +30,7 @@ def test_spectrum_row_count(tmp_path):
     assert len(lines) == 1 + 15  # 6 qubits -> 15 pair kets
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["basis_dims"] == {"pairs": 15}
+    assert manifest["solver"] == {"method": "parity-blocks", "blocks": [9, 6], "driver": "evd"}
     assert manifest["task"] == "spectrum"
     assert manifest["residual_max"] < 1e-10
 

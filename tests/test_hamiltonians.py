@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from droplet_lattice import (
+    Pipeline,
     SizeError,
     build_adiabatic_model,
     build_complete_sector,
@@ -58,6 +59,19 @@ def test_spin_model_is_sum(tiny_stack):
         tiny_stack.model("single").payload + tiny_stack.couplings.pair_hop,
         atol=0,
     )
+
+
+@pytest.mark.parametrize("n_qubits", [6, 7])
+@pytest.mark.parametrize("spacing", [0, 1, 3])
+def test_pair_models_commute_with_the_reflection(n_qubits, spacing):
+    """The reflection (i, j) -> (N_e+1-j, N_e+1-i) of the regular qubit block
+    is a symmetry of every pair-basis model, the premise of the parity split
+    in ``solver.eigensolve``."""
+    pipe = Pipeline(default_params(n_cavities=41, n_qubits=n_qubits, spacing=spacing))
+    mirror = pipe.basis.mirror
+    for name in ("spin", "single", "tilde-single", "pair"):
+        h = pipe.model(name).payload
+        np.testing.assert_allclose(h[mirror][:, mirror], h, rtol=0, atol=1e-14 * np.abs(h).max())
 
 
 def test_hop_row_connectivity(small_stack):

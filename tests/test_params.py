@@ -94,6 +94,9 @@ def test_pair_roundtrip_and_block_partition(n_qubits):
     for p in range(basis.size):
         i, j = basis.decode(p)
         assert basis.encode(i, j) == p
+        assert basis.decode(basis.mirror[p]) == (n_qubits + 1 - j, n_qubits + 1 - i)
+    # pairs with i + j = N_e + 1, one in every other separation block
+    assert np.count_nonzero(basis.mirror == np.arange(basis.size)) == n_qubits // 2
     # ascending separation blocks, ascending left index inside each block
     seps = basis.separations
     assert np.all(np.diff(seps) >= 0)

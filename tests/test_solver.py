@@ -8,6 +8,7 @@ from scipy.linalg import eigh
 from droplet_lattice import (
     BasisMismatch,
     BracketError,
+    ConvergenceError,
     DegeneracyWarning,
     Pipeline,
     SizeError,
@@ -216,6 +217,108 @@ def test_sign_canonicalization_deterministic(small_stack):
     lead = np.argmax(np.abs(a.vectors), axis=0)
     for col, row in enumerate(lead):
         assert a.vectors[row, col] > 0
+
+
+# ---------------------------------------------------------------------------
+# reflection parity
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def parity_stack():
+    """41-cavity pipelines by qubit count and spacing, built once each."""
+    cache = {}
+
+    def stack(n_qubits, spacing=1):
+        if (n_qubits, spacing) not in cache:
+            params = default_params(n_cavities=41, n_qubits=n_qubits, spacing=spacing)
+            cache[n_qubits, spacing] = Pipeline(params)
+        return cache[n_qubits, spacing]
+
+    return stack
+
+
+@pytest.mark.parametrize(
+    "n_qubits, spacing",
+    # spacing 0 stacks the qubits in one cavity: its multiplets straddle both
+    # parities; N_e = 2 has an empty odd block
+    [(6, 0), (6, 1), (7, 1), (7, 3), (2, 1), (3, 1)],
+)
+def test_parity_blocks_match_the_whole_payload(parity_stack, n_qubits, spacing):
+    """A full decomposition of a pair model comes from its even and odd blocks
+    and agrees with ``eigh`` of the whole payload: energies to 1e-13 of the
+    spectral radius, and the spectral projector of every multiplet (levels
+    closer than 1e-6 of it; measured worst 1.4e-11) to 1e-9."""
+    pipe = parity_stack(n_qubits, spacing)
+    size = pipe.basis.size
+    n_even = np.count_nonzero(np.arange(size) <= pipe.basis.mirror)
+    for name in ("spin", "single", "tilde-single", "pair"):
+        h = pipe.model(name)
+        d = eigensolve(h)
+        assert d.solver == {"method": "parity-blocks", "blocks": [n_even, size - n_even],
+                            "driver": "evd"}
+        assert np.count_nonzero(d.parity == 1) == n_even
+        vals, vecs = eigh(h.payload)
+        scale = np.abs(vals).max()
+        np.testing.assert_allclose(d.energies - h.energy_offset, vals, atol=1e-13 * scale, rtol=0)
+        cuts = np.flatnonzero(np.diff(vals) > 1e-6 * scale) + 1
+        for levels in np.split(np.arange(size), cuts):
+            split, whole = d.vectors[:, levels], vecs[:, levels]
+            np.testing.assert_allclose(split @ split.T, whole @ whole.T, atol=1e-9, rtol=0)
+
+
+def test_a_payload_that_breaks_the_reflection_fails_the_residual_gate(tiny_stack):
+    """The split assumes the symmetry; the residual check against the whole
+    payload catches a payload without it."""
+    from dataclasses import replace
+
+    h = tiny_stack.model("spin")
+    broken = h.payload.copy()
+    broken[0, 0] += 1e-3 * np.abs(broken).max()
+    with pytest.raises(ConvergenceError, match="residual"):
+        eigensolve(replace(h, payload=broken))
+
+
+def test_full_decomposition_signs_are_canonical_per_parity(parity_stack):
+    """Mirrored components of a lifted state are equal (even) or exactly
+    opposite (odd), and the largest component is positive at the lower of
+    its two mirrored indices, so no rounding picks an odd state's sign."""
+    for n_qubits in (6, 7):
+        pipe = parity_stack(n_qubits)
+        mirror = pipe.basis.mirror
+        d = pipe.spectrum("spin")
+        odd = d.parity == -1
+        assert odd.any() and (~odd).any()
+        np.testing.assert_array_equal(d.vectors[mirror][:, odd], -d.vectors[:, odd])
+        np.testing.assert_array_equal(d.vectors[mirror][:, ~odd], d.vectors[:, ~odd])
+        lead = np.argmax(np.abs(d.vectors), axis=0)
+        assert np.all(lead <= mirror[lead]) and np.all(lead[odd] < mirror[lead[odd]])
+        assert np.all(d.vectors[lead, np.arange(d.dim)] > 0)
+
+
+@pytest.mark.parametrize("initial", ["fs", "ps", "random"])
+def test_parity_propagation_matches_the_dense_formula(small_stack, initial):
+    """Propagating the even and odd parts of psi0 on their own levels equals
+    V exp(-iEt) V^T psi0 to 1e-12; a mirror-symmetric psi0 (fs, ps) stays
+    symmetric bit for bit, a random one uses both blocks."""
+    d = small_stack.spectrum("spin")
+    mirror = small_stack.basis.mirror
+    if initial == "random":
+        rng = np.random.default_rng(5)
+        c = rng.standard_normal(d.dim) + 1j * rng.standard_normal(d.dim)
+        psi0 = WavepacketState(coefficients=c / np.linalg.norm(c), time=0.0, dims=d.dims)
+    else:
+        psi0 = initial_state(initial, small_stack.basis)
+        np.testing.assert_array_equal(psi0.coefficients[mirror], psi0.coefficients)
+    times = [0.0, 137.0, 954.0, 4000.0]
+    snapshots = np.stack([s.coefficients for s in propagate(d, psi0, times)], axis=1)
+    energies = d.rotating_frame_energies()
+    dense = d.vectors @ (
+        np.exp(-1j * np.outer(energies, times)) * (d.vectors.T @ psi0.coefficients)[:, None]
+    )
+    np.testing.assert_allclose(snapshots, dense, atol=1e-12, rtol=0)
+    if initial != "random":
+        np.testing.assert_array_equal(snapshots[mirror], snapshots)
 
 
 # ---------------------------------------------------------------------------
