@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -32,9 +33,11 @@ from .pipeline import Pipeline
 from .solver import (
     VARIATIONAL_BRACKET,
     blas_libraries,
+    blas_settable,
     first_order_perturbation,
     minimize_variational,
     propagate,
+    set_blas_threads,
     variational_energy,
 )
 
@@ -283,11 +286,18 @@ def _sweep_point(args):
     return float(Pipeline(build_params(params_dict)).spectrum(model_name, 1).energies[0])
 
 
-def _worker_count() -> int:
-    text = os.environ.get("SIMULATE_WORKERS", str(os.cpu_count() or 1))
-    if not text.isdecimal() or int(text) < 1:
+def _pool_size(jobs: int) -> tuple[int, int]:
+    """Sweep workers and the BLAS threads of each, so that together they use
+    the process's cores and no more: ``SIMULATE_WORKERS`` caps the workers."""
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity on this platform
+        cores = os.cpu_count() or 1
+    text = os.environ.get("SIMULATE_WORKERS")
+    if text is not None and (not text.isdecimal() or int(text) < 1):
         raise ConfigError(f"SIMULATE_WORKERS must be a positive integer, got {text!r}")
-    return int(text)
+    workers = min(int(text) if text else cores, cores, jobs)
+    return workers, max(1, cores // workers)
 
 
 def _task_sweep(cfg, pipe, out):
@@ -296,14 +306,23 @@ def _task_sweep(cfg, pipe, out):
     if not values:
         raise ConfigError("sweep needs options.values")
     jobs = [({**cfg.params, axis: v}, cfg.model) for v in values]
-    workers = min(_worker_count(), len(jobs))
+    workers, threads = _pool_size(len(jobs))
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            energies = list(pool.map(_sweep_point, jobs))
+        # each forked worker would otherwise start both OpenBLAS pools at
+        # their default size, one thread per core, and oversubscribe the cores
+        with ProcessPoolExecutor(workers, initializer=set_blas_threads,
+                                 initargs=(threads,)) as pool:
+            try:
+                energies = list(pool.map(_sweep_point, jobs))
+            except BrokenProcessPool as exc:
+                raise SimulationError(f"a sweep worker died: {exc}") from exc
+        pool_record = {"workers": workers,
+                       "blas_threads": threads if blas_settable() else "unmanaged"}
     else:
         energies = [_sweep_point(j) for j in jobs]
+        pool_record = {"workers": 1, "blas_threads": None}
     write_csv(os.path.join(out, "sweep.csv"), [axis, "E0_minus_E0b"], zip(values, energies))
-    return None, ["sweep.csv"], {}
+    return None, ["sweep.csv"], {"pool": pool_record}
 
 
 def _task_validate(cfg, pipe, out):

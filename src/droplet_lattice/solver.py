@@ -75,13 +75,21 @@ class SpectralDecomposition:
         return WavepacketState(coefficients=self.vectors[:, index], time=0.0, dims=self.dims)
 
 
-def _canonicalize_signs(vectors: np.ndarray) -> np.ndarray:
+def _canonicalize_signs(vectors: np.ndarray, mirror: Optional[np.ndarray] = None) -> np.ndarray:
     """Fix each eigenvector's global phase: largest component positive real.
 
-    Of several components of equal magnitude the first is the pivot, so a
-    state lifted from a parity block, whose mirrored components agree in
-    magnitude bit for bit, is positive at the lower of the two indices."""
-    lead = np.argmax(np.abs(vectors), axis=0)
+    Of several components of equal magnitude the first is the pivot.  With
+    the reflection ``mirror`` of a pair basis the pivot is the largest
+    |v[p]| + |v[mirror[p]]| instead: the two members of an orbit tie bit for
+    bit, so the lower index wins whatever rounding does to either, and
+    solvers whose vectors differ by rounding agree on the sign.  A state
+    lifted from a parity block, whose mirrored components agree in magnitude
+    bit for bit, gets the same pivot either way."""
+    magnitude = np.abs(vectors)
+    if mirror is not None:
+        magnitude += magnitude[mirror]
+    lead = np.argmax(magnitude, axis=0)
+    del magnitude  # an n x n array: free it before the product below
     pivot = vectors[lead, np.arange(vectors.shape[1])]
     if np.iscomplexobj(vectors):
         # hypot, as Python's abs() of a complex scalar; np.abs rounds differently
@@ -149,24 +157,39 @@ def blas_libraries() -> list[dict]:
     ]
 
 
+def blas_settable() -> bool:
+    """Whether OpenBLAS is loaded and each pool has a getter and a setter."""
+    pools = _blas_pools()
+    return bool(pools) and all(get is not None and set_ is not None for _, _, get, set_ in pools)
+
+
+def set_blas_threads(count: int):
+    """Set every OpenBLAS pool to ``count`` threads and return the prior
+    count of each; return ``"unmanaged"`` and change nothing unless
+    ``blas_settable()``."""
+    if not blas_settable():
+        return "unmanaged"
+    pools = _blas_pools()
+    prior = [get() for _, _, get, _ in pools]
+    for _, _, _, set_ in pools:
+        set_(count)
+    return prior
+
+
 @contextlib.contextmanager
 def _single_blas_thread():
     """Hold every OpenBLAS pool at one thread inside the block, so the two
     pools do not hand an iterative solver's small products back and forth;
     the prior counts come back on exit.  Yields the count held, 1, or
-    ``"unmanaged"`` (and changes nothing) when no pool or some pool's
-    getter or setter is missing."""
-    pools = _blas_pools()
-    if not pools or any(get is None or set_ is None for _, _, get, set_ in pools):
-        yield "unmanaged"
+    ``"unmanaged"`` (and changes nothing) as ``set_blas_threads`` does."""
+    prior = set_blas_threads(1)
+    if prior == "unmanaged":
+        yield prior
         return
-    prior = [get() for _, _, get, _ in pools]
     try:
-        for _, _, _, set_ in pools:
-            set_(1)
         yield 1
     finally:
-        for (_, _, _, set_), count in zip(pools, prior):
+        for (_, _, _, set_), count in zip(_blas_pools(), prior):
             set_(count)
 
 
@@ -294,6 +317,7 @@ def eigensolve(h: HamiltonianMatrix, k_lowest: Optional[int] = None) -> Spectral
     dim = h.dim
     sparse = sp.issparse(payload)
     parity = mirror = None
+    pairs_only = h.pair_basis is not None and list(h.dims) == ["pairs"]
     if isinstance(payload, FullOperator):
         if k_lowest is None:
             raise ConvergenceError(
@@ -316,15 +340,14 @@ def eigensolve(h: HamiltonianMatrix, k_lowest: Optional[int] = None) -> Spectral
         vals, vecs, threads = _arpack(counted, k_lowest, max(4 * k_lowest, 40), which="SA")
         stats = {"method": "lanczos", "applications": counted.applications,
                  "blas_threads": threads}
-    elif (k_lowest is None and h.pair_basis is not None and list(h.dims) == ["pairs"]
-          and not np.iscomplexobj(payload)):
+    elif k_lowest is None and pairs_only and not np.iscomplexobj(payload):
         mirror = h.pair_basis.mirror
         vals, vecs, parity, stats = _parity_blocks(payload, mirror)
     else:
         subset = None if k_lowest is None else [0, min(k_lowest, dim) - 1]
         vals, vecs = eigh(_densify(payload) if sparse else payload, subset_by_index=subset)
         stats = {}
-    vecs = _canonicalize_signs(vecs)
+    vecs = _canonicalize_signs(vecs, h.pair_basis.mirror if pairs_only else None)
     h_vecs = payload @ vecs
     h_vecs -= vecs * vals
     residuals = np.linalg.norm(h_vecs, axis=0)

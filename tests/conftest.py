@@ -4,7 +4,7 @@ targeted test run only pays for what it touches."""
 import pytest
 from hypothesis import settings
 
-from droplet_lattice import Pipeline, default_params, eigensolve, minimize_variational
+from droplet_lattice import Pipeline, default_params, eigensolve, minimize_variational, solver
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -71,3 +71,17 @@ def variational_family():
 def full_decomp_default(default_stack):
     """Lowest states of the explicit-photon model at the default point."""
     return eigensolve(default_stack.model("full"), k_lowest=12)
+
+
+@pytest.fixture
+def blas_pools():
+    """The loaded OpenBLAS pools, each set to 2 threads so that restoring
+    them is visible on any host; their own counts come back afterwards."""
+    pools = solver._blas_pools()
+    assert pools and all(None not in pool for pool in pools)
+    own = [get() for _, _, get, _ in pools]
+    for _, _, _, set_ in pools:
+        set_(2)
+    yield pools
+    for (_, _, _, set_), count in zip(pools, own):
+        set_(count)

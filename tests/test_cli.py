@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import os
+from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from droplet_lattice import cli, solver
 from droplet_lattice.cli import _OPTIONS, DEFAULT_PARAMS, FIGURES, main
 
 SMALL = [
@@ -132,6 +134,74 @@ def test_sweep_serial(tmp_path, monkeypatch):
     assert rows.shape == (2, 2)
     # E - E_0b is dominated by the detuning itself
     assert rows[0, 1] > rows[1, 1]
+
+
+_SWEEP = ["--set", "options.axis=delta", "--set", "options.values=[-0.02,-0.05,-0.1]"]
+
+
+def _affinity(monkeypatch, cores):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
+
+
+@pytest.mark.parametrize("settable", [True, False])
+def test_pooled_sweep_matches_the_serial_one(tmp_path, monkeypatch, settable):
+    """Two workers on four cores run two BLAS threads each, set by the pool
+    initializer, and write the serial run's bytes; without OpenBLAS setters
+    the manifest says ``"unmanaged"``."""
+    _affinity(monkeypatch, 4)
+    if not settable:
+        monkeypatch.setattr(solver, "_blas_pools", lambda: ())
+    outputs, manifests = [], []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SIMULATE_WORKERS", workers)
+        with mock.patch.object(cli, "ProcessPoolExecutor", wraps=ProcessPoolExecutor) as spy:
+            code, out = run_cli(tmp_path, "sweep", *_SWEEP, out=str(tmp_path / workers))
+        assert code == 0
+        outputs.append((tmp_path / workers / "sweep.csv").read_bytes())
+        manifests.append(json.loads((tmp_path / workers / "manifest.json").read_text()))
+    assert outputs[0] == outputs[1]
+    assert manifests[0]["pool"] == {"workers": 1, "blas_threads": None}
+    assert manifests[1]["pool"] == {"workers": 2, "blas_threads": 2 if settable else "unmanaged"}
+    spy.assert_called_once_with(2, initializer=solver.set_blas_threads, initargs=(2,))
+
+
+@pytest.mark.parametrize("found", ["affinity", "cpu_count"])
+def test_one_core_sweeps_in_process(tmp_path, monkeypatch, found):
+    """One core, from the affinity mask or, without one, from the CPU count,
+    caps ``SIMULATE_WORKERS=8`` at one: no pool starts."""
+    if found == "affinity":
+        _affinity(monkeypatch, 1)
+    else:
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+    monkeypatch.setenv("SIMULATE_WORKERS", "8")
+    with mock.patch.object(cli, "ProcessPoolExecutor") as spy:
+        code, out = run_cli(tmp_path, "sweep", *_SWEEP)
+    assert code == 0
+    spy.assert_not_called()
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["pool"] == {"workers": 1, "blas_threads": None}
+
+
+def test_dead_sweep_worker_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
+    """A worker that dies (here by ``os._exit``, as an OOM kill would end it)
+    breaks the pool; the run ends in one validity-error line, no traceback."""
+    _affinity(monkeypatch, 2)
+    monkeypatch.setenv("SIMULATE_WORKERS", "2")
+    parent, build = os.getpid(), cli.Pipeline
+
+    def pipeline(params):
+        if os.getpid() != parent:
+            os._exit(1)
+        return build(params)
+
+    monkeypatch.setattr(cli, "Pipeline", pipeline)
+    code, out = run_cli(tmp_path, "sweep", *_SWEEP)
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("validity error: a sweep worker died")
+    assert err.count("\n") == 1
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
 def test_validate_suite_passes(tmp_path):

@@ -140,6 +140,19 @@ def test_dense_lanczos_matches_the_lapack_subset(mid_stack, name, k):
     np.testing.assert_array_equal(eigensolve(h, k_lowest=k).vectors, lanczos.vectors)
 
 
+@pytest.mark.parametrize("name, k", [("single", 4), ("spin", 8)])
+def test_k_lowest_routes_agree_on_the_canonical_signs(mid_stack, monkeypatch, name, k):
+    """Lanczos and the LAPACK subset return the same vectors with no sign
+    alignment: the pivot orbit's two members tie bit for bit, so rounding in
+    either solver cannot move the pivot between them."""
+    h = mid_stack.model(name)
+    lanczos = eigensolve(h, k_lowest=k)
+    monkeypatch.setattr(solver, "LANCZOS_MIN_DIM", h.dim + 1)
+    subset = eigensolve(h, k_lowest=k)
+    assert lanczos.solver["method"] == "lanczos" and subset.solver == {}
+    np.testing.assert_allclose(lanczos.vectors, subset.vectors, atol=1e-10, rtol=0)
+
+
 def test_dense_lanczos_is_limited_to_small_k_large_pair_payloads(mid_stack):
     """Many levels, a small payload, and the adiabatic models (whose low levels
     crowd against the whole bound band) stay on the LAPACK subset."""
@@ -155,20 +168,6 @@ def test_dense_lanczos_is_limited_to_small_k_large_pair_payloads(mid_stack):
         assert d.solver == {}
         vals = eigh(h.payload, eigvals_only=True, subset_by_index=[0, k - 1])
         np.testing.assert_array_equal(d.energies, vals + h.energy_offset)
-
-
-@pytest.fixture
-def blas_pools():
-    """The loaded OpenBLAS pools, each set to 2 threads so that restoring
-    them is visible on any host; their own counts come back afterwards."""
-    pools = solver._blas_pools()
-    assert pools and all(None not in pool for pool in pools)
-    own = [get() for _, _, get, _ in pools]
-    for _, _, _, set_ in pools:
-        set_(2)
-    yield pools
-    for (_, _, _, set_), count in zip(pools, own):
-        set_(count)
 
 
 def _thread_counts():
@@ -191,12 +190,35 @@ def test_blas_scope_restores_the_prior_counts_after_an_exception(blas_pools):
     assert _thread_counts() == [2] * len(blas_pools)
 
 
+def test_pool_initializer_holds_each_worker_at_its_share(blas_pools):
+    """``set_blas_threads`` sets every pool and returns the prior counts; as a
+    pool initializer it holds the worker at that count across jobs, also
+    after an ARPACK scope inside one (the ``full`` model's k = 1 solve), and
+    leaves the parent's pools alone."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    from droplet_lattice.cli import DEFAULT_PARAMS, _sweep_point
+
+    assert solver.set_blas_threads(3) == [2] * len(blas_pools)
+    assert _thread_counts() == [3] * len(blas_pools)
+    solver.set_blas_threads(2)
+    point = ({**DEFAULT_PARAMS, "n_cavities": 41, "n_qubits": 6}, "full")
+    with ProcessPoolExecutor(1, initializer=solver.set_blas_threads, initargs=(3,)) as pool:
+        before = pool.submit(solver.blas_libraries).result()
+        pool.submit(_sweep_point, point).result()
+        after = pool.submit(solver.blas_libraries).result()
+    assert [lib["threads"] for lib in before] == [3] * len(blas_pools)
+    assert [lib["threads"] for lib in after] == [3] * len(blas_pools)
+    assert _thread_counts() == [2] * len(blas_pools)
+
+
 @pytest.mark.parametrize("found", ["none", "no setter"])
 def test_blas_scope_without_setters_changes_nothing(blas_pools, mid_stack, monkeypatch, found):
     """No OpenBLAS found, or one without a setter: the scope leaves every pool
     alone and the solve records ``"unmanaged"``."""
     stripped = () if found == "none" else tuple(p[:3] + (None,) for p in blas_pools)
     monkeypatch.setattr(solver, "_blas_pools", lambda: stripped)
+    assert not solver.blas_settable() and solver.set_blas_threads(3) == "unmanaged"
     with solver._single_blas_thread() as threads:
         assert threads == "unmanaged"
         assert [get() for _, _, get, _ in blas_pools] == [2] * len(blas_pools)
@@ -214,9 +236,15 @@ def test_sign_canonicalization_deterministic(small_stack):
     a = eigensolve(small_stack.model("spin"), k_lowest=4)
     b = eigensolve(small_stack.model("spin"), k_lowest=4)
     np.testing.assert_array_equal(a.vectors, b.vectors)
-    lead = np.argmax(np.abs(a.vectors), axis=0)
-    for col, row in enumerate(lead):
-        assert a.vectors[row, col] > 0
+    # the pivot is the lower member of the mirrored orbit of largest weight,
+    # a largest component up to the rounding between the two members
+    mirror = small_stack.basis.mirror
+    magnitude = np.abs(a.vectors)
+    lead = np.argmax(magnitude + magnitude[mirror], axis=0)
+    cols = np.arange(a.vectors.shape[1])
+    assert np.all(lead <= mirror[lead])
+    assert np.all(a.vectors[lead, cols] > 0)
+    np.testing.assert_allclose(magnitude[lead, cols], magnitude.max(axis=0), atol=1e-14, rtol=0)
 
 
 # ---------------------------------------------------------------------------
