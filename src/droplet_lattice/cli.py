@@ -236,14 +236,15 @@ def _task_correlations(cfg, pipe, out):
 def _task_dynamics(cfg, pipe, out):
     dims = pipe.model(cfg.model).dims
     _require_pairs(dims, "dynamics needs a dense pair-basis model", ConfigError)
-    decomp = pipe.spectrum(cfg.model)
     t_max = float(cfg.options.get("t_max", 1e4))
     dt = float(cfg.options.get("dt", 2.0))
     times = np.arange(0.0, t_max + dt / 2, dt)
     alphas = cfg.options.get("alphas", [1, 6, 21])
     if any(not 1 <= a <= pipe.params.n_qubits - 1 for a in alphas):
         raise ConfigError(f"alphas must lie in [1, {pipe.params.n_qubits - 1}], got {alphas}")
-    states, series = pipe.quench(cfg.model, cfg.options.get("initial", "fs"), times, alphas)
+    decomp, states, series = pipe.quench(
+        cfg.model, cfg.options.get("initial", "fs"), times, alphas
+    )
     obs.write_dynamics_csv(times, series, os.path.join(out, "dynamics.csv"))
     snaps = [states[np.argmin(np.abs(times - t))] for t in cfg.options.get("snapshot_times", [])]
     written = _write_snapshots("corr_snapshot_t", snaps, pipe.basis, out)
@@ -463,7 +464,7 @@ def _fig9(fig, cfg, pipe, out):
     if pipe.params.n_qubits < 22:
         raise ConfigError("figure 9 plots separations 1, 6, 21; needs >= 22 qubits")
     times = np.arange(0.0, 1e4 + 1, 2.0)
-    _, series = pipe.quench("spin", "ps" if fig == "9a" else "fs", times, (1, 6, 21))
+    *_, series = pipe.quench("spin", "ps" if fig == "9a" else "fs", times, (1, 6, 21))
     obs.write_dynamics_csv(times, series, os.path.join(out, f"fig{fig}.csv"))
     return [f"fig{fig}.csv"]
 

@@ -71,20 +71,35 @@ class Pipeline:
             self._models[name] = MODELS[name](self)
         return self._models[name]
 
-    def spectrum(self, name: str, k: Optional[int] = None) -> solver.SpectralDecomposition:
-        """Eigenpairs of ``model(name)``: all of them, or the lowest ``k``."""
-        if (name, k) not in self._spectra:
-            self._spectra[name, k] = solver.eigensolve(self.model(name), k_lowest=k)
-        return self._spectra[name, k]
+    def spectrum(
+        self, name: str, k: Optional[int] = None, parity: Optional[int] = None
+    ) -> solver.SpectralDecomposition:
+        """Eigenpairs of ``model(name)``: all of them, the lowest ``k``, or all
+        of one reflection block, ``parity`` +1 (even) or -1 (odd)."""
+        key = (name, k, parity)
+        if key not in self._spectra:
+            self._spectra[key] = solver.eigensolve(self.model(name), k_lowest=k, parity=parity)
+        return self._spectra[key]
 
     def quench(self, name: str, initial: str, times, alphas: Sequence[int]):
-        """Propagate ``initial`` under ``model(name)``; return the states at
-        ``times`` and the pair correlation P_alpha(t) for each alpha."""
+        """Propagate ``initial`` under ``model(name)``; return the
+        decomposition used, the states at ``times`` and the pair correlation
+        P_alpha(t) for each alpha.
+
+        A full decomposition already at hand is used as it is.  Otherwise a
+        model split by the pair reflection is solved on the parity blocks the
+        state occupies alone: ``fs`` and ``ps`` are even."""
         psi0 = observables.initial_state(initial, self.basis)
-        states = solver.propagate(self.spectrum(name), psi0, times)
+        occupied = solver.occupied_parities(psi0.coefficients, self.basis.mirror)
+        parity = None
+        if ((name, None, None) not in self._spectra and len(occupied) == 1
+                and solver.splits_by_parity(self.model(name))):
+            parity = occupied[0]
+        decomp = self.spectrum(name, parity=parity)
+        states = solver.propagate(decomp, psi0, times)
         series = {a: np.empty(len(times)) for a in alphas}
         for row, state in enumerate(states):
             record = observables.pair_correlation(state, self.basis)
             for a in alphas:
                 series[a][row] = record.probabilities[a - 1]
-        return states, series
+        return decomp, states, series

@@ -249,56 +249,112 @@ def _representatives(mirror: np.ndarray) -> np.ndarray:
     return np.flatnonzero(np.arange(len(mirror)) <= mirror)
 
 
-def _parity_blocks(payload: np.ndarray, mirror: np.ndarray):
-    """All eigenpairs of a real symmetric pair-basis payload that commutes with
-    the reflection ``mirror``, from its even and odd blocks.
+#: a reflection block by its parity
+PARITY_NAMES = {1: "even", -1: "odd"}
+
+
+def splits_by_parity(h: HamiltonianMatrix) -> bool:
+    """Whether the full spectrum of ``h`` comes from its two reflection
+    blocks: a real payload on the pair basis alone that carries its pair
+    basis (``spin``, ``single``, ``tilde-single``, ``pair``)."""
+    return (h.pair_basis is not None and list(h.dims) == ["pairs"]
+            and not np.iscomplexobj(h.payload))
+
+
+def occupied_parities(psi: np.ndarray, mirror: np.ndarray) -> tuple:
+    """The parities (+1 even, -1 odd) of the reflection blocks in which psi
+    has weight: those of its parts (psi +- psi[mirror]) / 2 that are not
+    identically zero.  ``fs`` and ``ps`` are even."""
+    image = psi[mirror]
+    return tuple(sign for sign in (1, -1) if np.any(psi + sign * image))
+
+
+def _block_dim(mirror: np.ndarray, sign: int) -> int:
+    """Dimension of the even (+1) or odd (-1) block: one ket per orbit, less
+    the pairs that are their own image in the odd block."""
+    index = np.arange(len(mirror))
+    return int(np.count_nonzero(index <= mirror if sign > 0 else index < mirror))
+
+
+def _reflection_defect(payload: np.ndarray, mirror: np.ndarray) -> float:
+    """max |H - H[mirror][:, mirror]|: zero for a payload that commutes with
+    the reflection."""
+    mirrored = payload[np.ix_(mirror, mirror)]
+    mirrored -= payload
+    return float(np.abs(mirrored, out=mirrored).max(initial=0.0))
+
+
+def _parity_blocks(payload: np.ndarray, mirror: np.ndarray, parity: Optional[int] = None):
+    """Eigenpairs of a real symmetric pair-basis payload that commutes with
+    the reflection ``mirror``, from its even and odd blocks, or from the one
+    block of ``parity`` (+1 even, -1 odd).
 
     Each orbit {p, mirror[p]} is represented by its lower index.  An orbit of
     two gives the even and the odd ket (|p> +- |mirror[p]>) / sqrt(2); a pair
     that is its own image gives an even ket only.  Each block is decomposed
-    with LAPACK's divide-and-conquer driver and its vectors are lifted back
-    into the pair basis, mirrored components copied (even) or negated (odd),
-    so their magnitudes agree bit for bit.  Returns the energies ascending
+    with LAPACK's divide-and-conquer driver at one BLAS thread, and each
+    level's residual is taken on its block.  The vectors are lifted back into
+    the pair basis, mirrored components copied (even) or negated (odd), so
+    their magnitudes agree bit for bit.  Returns the energies ascending
     (stable, so an exact tie puts the even level first), the lifted vectors,
-    each level's parity and the solver record.
+    the residuals, each level's parity and the solver record.
     """
     reps = _representatives(mirror)
     partners = mirror[reps]
     fixed = partners == reps
-    # <e_a|H|e_b> = (H[a, b] + H[a, mirror b]) s_a s_b, s = 1/sqrt(2) on fixed pairs
-    scale = np.where(fixed, np.sqrt(0.5), 1.0)
-    even_rows = payload[reps]
-    even = (even_rows[:, reps] + even_rows[:, partners]) * np.outer(scale, scale)
     orbits, images = reps[~fixed], partners[~fixed]
-    odd_rows = payload[orbits]
-    odd = odd_rows[:, orbits] - odd_rows[:, images]
-    vals_e, vecs_e = eigh(even, driver="evd")
-    vals_o, vecs_o = eigh(odd, driver="evd")
-    n_even = len(vals_e)
-    vecs = np.zeros((len(mirror), len(mirror)))
-    vecs_e *= np.where(fixed, 1.0, np.sqrt(0.5))[:, None]
-    vecs[partners, :n_even] = vecs_e
-    vecs[reps, :n_even] = vecs_e
-    vecs_o *= np.sqrt(0.5)
-    vecs[orbits, n_even:] = vecs_o
-    vecs[images, n_even:] = -vecs_o
-    vals = np.concatenate([vals_e, vals_o])
+    blocks = {}
+    if parity in (None, 1):
+        # <e_a|H|e_b> = (H[a, b] + H[a, mirror b]) s_a s_b, s = 1/sqrt(2) on fixed pairs
+        scale = np.where(fixed, np.sqrt(0.5), 1.0)
+        even_rows = payload[reps]
+        blocks[1] = (even_rows[:, reps] + even_rows[:, partners]) * np.outer(scale, scale)
+    if parity in (None, -1):
+        odd_rows = payload[orbits]
+        blocks[-1] = odd_rows[:, orbits] - odd_rows[:, images]
+    with _single_blas_thread() as threads:
+        solved = {sign: eigh(block, driver="evd") for sign, block in blocks.items()}
+    vals = np.concatenate([block_vals for block_vals, _ in solved.values()])
+    vecs = np.zeros((len(mirror), len(vals)))
+    residuals, start = [], 0
+    for sign, (block_vals, block_vecs) in solved.items():
+        h_vecs = blocks[sign] @ block_vecs
+        h_vecs -= block_vecs * block_vals
+        residuals.append(np.linalg.norm(h_vecs, axis=0))
+        cols = slice(start, start + len(block_vals))
+        start += len(block_vals)
+        if sign > 0:
+            block_vecs *= np.where(fixed, 1.0, np.sqrt(0.5))[:, None]
+            vecs[partners, cols] = block_vecs
+            vecs[reps, cols] = block_vecs
+        else:
+            block_vecs *= np.sqrt(0.5)
+            vecs[orbits, cols] = block_vecs
+            vecs[images, cols] = -block_vecs
     order = np.argsort(vals, kind="stable")
-    parity = np.where(order < n_even, 1, -1)
-    stats = {"method": "parity-blocks", "blocks": [n_even, len(vals_o)], "driver": "evd"}
-    return vals[order], vecs[:, order], parity, stats
+    parities = np.concatenate([np.full(len(v), sign) for sign, (v, _) in solved.items()])
+    stats = {"method": "parity-blocks", "blocks": [len(reps), len(orbits)], "driver": "evd",
+             "blas_threads": threads}
+    if parity is not None:
+        stats["solved"] = [PARITY_NAMES[parity]]
+    return vals[order], vecs[:, order], np.concatenate(residuals)[order], parities[order], stats
 
 
-def eigensolve(h: HamiltonianMatrix, k_lowest: Optional[int] = None) -> SpectralDecomposition:
+def eigensolve(
+    h: HamiltonianMatrix, k_lowest: Optional[int] = None, parity: Optional[int] = None
+) -> SpectralDecomposition:
     """Diagonalize a tagged Hamiltonian.
 
     A full spectrum, or many levels, comes from a LAPACK symmetric
     decomposition (full or index subset) of the payload, copied dense if it
-    is sparse.  The full spectrum of a real pair-basis model that carries
-    its pair basis comes from its even and odd blocks under the reflection
-    of the qubit block instead (``_parity_blocks``), with each level's
-    parity recorded; the residual check below runs against the whole
-    payload, so a payload without that symmetry fails it.  The lowest
+    is sparse.  The full spectrum of a model that ``splits_by_parity`` comes
+    from its even and odd blocks under the reflection of the qubit block
+    instead (``_parity_blocks``), with each level's parity recorded; with
+    ``parity`` (+1 even, -1 odd) only that block is solved and the result
+    holds its levels alone.  A parity split is checked by each level's
+    residual on its block and by the reflection defect of the whole
+    payload, max |H - H[mirror][:, mirror]|, both held to the residual gate,
+    so a payload without the symmetry fails.  The lowest
     ``k_lowest`` levels come from Lanczos (ARPACK) instead for a dense
     pair-basis payload of dimension ``LANCZOS_MIN_DIM``
     or more with ``k_lowest <= LANCZOS_MAX_K``, and for a sparse payload
@@ -311,13 +367,21 @@ def eigensolve(h: HamiltonianMatrix, k_lowest: Optional[int] = None) -> Spectral
     the eigenvalues nearest the shift are the lowest.  ``solver`` on the
     result records the method, the shift, the operator (or inverse)
     applications and the BLAS threads of an iterative solve, and the block
-    dimensions and LAPACK driver of a parity split.
+    dimensions, LAPACK driver and BLAS threads of a parity split, with the
+    block solved when it is one.
     """
     payload = h.payload
     dim = h.dim
     sparse = sp.issparse(payload)
-    parity = mirror = None
+    split = k_lowest is None and splits_by_parity(h)
+    if parity is not None and (parity not in PARITY_NAMES or not split):
+        raise ConfigError(
+            f"parity {parity!r} is +1 or -1 and needs the full spectrum of a real "
+            "pair-basis model"
+        )
     pairs_only = h.pair_basis is not None and list(h.dims) == ["pairs"]
+    mirror = residuals = level_parity = None
+    defect = 0.0
     if isinstance(payload, FullOperator):
         if k_lowest is None:
             raise ConvergenceError(
@@ -340,19 +404,27 @@ def eigensolve(h: HamiltonianMatrix, k_lowest: Optional[int] = None) -> Spectral
         vals, vecs, threads = _arpack(counted, k_lowest, max(4 * k_lowest, 40), which="SA")
         stats = {"method": "lanczos", "applications": counted.applications,
                  "blas_threads": threads}
-    elif k_lowest is None and pairs_only and not np.iscomplexobj(payload):
+    elif split:
         mirror = h.pair_basis.mirror
-        vals, vecs, parity, stats = _parity_blocks(payload, mirror)
+        defect = _reflection_defect(payload, mirror)
+        vals, vecs, residuals, level_parity, stats = _parity_blocks(payload, mirror, parity)
     else:
         subset = None if k_lowest is None else [0, min(k_lowest, dim) - 1]
         vals, vecs = eigh(_densify(payload) if sparse else payload, subset_by_index=subset)
         stats = {}
     vecs = _canonicalize_signs(vecs, h.pair_basis.mirror if pairs_only else None)
-    h_vecs = payload @ vecs
-    h_vecs -= vecs * vals
-    residuals = np.linalg.norm(h_vecs, axis=0)
+    if residuals is None:
+        h_vecs = payload @ vecs
+        h_vecs -= vecs * vals
+        residuals = np.linalg.norm(h_vecs, axis=0)
     scale = max(np.abs(vals).max() if len(vals) else 1.0, 1e-30)
-    if residuals.max() > 1e-8 * max(scale, 1.0):
+    gate = 1e-8 * max(scale, 1.0)
+    if defect > gate:
+        raise ConvergenceError(
+            f"reflection residual max|H - H[mirror][:, mirror]| {defect:g} too large for "
+            f"spectrum scale {scale:g}: the payload breaks the pair reflection"
+        )
+    if residuals.max(initial=0.0) > gate:
         raise ConvergenceError(
             f"residual {residuals.max():g} too large for spectrum scale {scale:g}",
             residuals=residuals,
@@ -364,7 +436,7 @@ def eigensolve(h: HamiltonianMatrix, k_lowest: Optional[int] = None) -> Spectral
         energy_offset=h.energy_offset,
         dims=dict(h.dims),
         solver=stats,
-        parity=parity,
+        parity=level_parity,
         mirror=mirror,
     )
 
@@ -372,15 +444,18 @@ def eigensolve(h: HamiltonianMatrix, k_lowest: Optional[int] = None) -> Spectral
 def propagate(
     decomp: SpectralDecomposition, psi0: WavepacketState, times: Sequence[float]
 ) -> list[WavepacketState]:
-    """Evolve psi0 through the spectral representation at the given times."""
+    """Evolve psi0 through the spectral representation at the given times.
+
+    The decomposition must hold every level: all of them, or for a split by
+    the pair reflection every level of each parity block psi0 occupies."""
     if psi0.dims != decomp.dims:
         raise BasisMismatch(f"state on {psi0.dims}, decomposition on {decomp.dims}")
-    if not decomp.is_full:
-        raise BasisMismatch("propagation needs the full decomposition")
     times = np.asarray(times, dtype=float)
     energies = decomp.rotating_frame_energies()
     psi = psi0.coefficients
     if decomp.parity is None:
+        if not decomp.is_full:
+            raise BasisMismatch("propagation needs the full decomposition")
         weights = decomp.vectors.conj().T @ psi
         phases = np.exp(-1j * np.outer(energies, times)) * weights[:, None]
         snapshots = decomp.vectors @ phases
@@ -396,13 +471,22 @@ def _propagate_by_parity(decomp, energies, psi, times) -> np.ndarray:
     """Snapshots of a decomposition split by the pair reflection.
 
     psi splits exactly into its even and odd parts (psi +- psi[mirror]) / 2;
-    each part evolves under the levels of its parity alone, and the odd part
-    of a mirror-symmetric state is identically zero and skipped.  The vectors
-    are real, so a part's snapshots are two real products on the rows of one
-    pair per orbit, copied (even) or negated (odd) onto the mirrored rows.
+    each part evolves under the levels of its parity alone, and a part that
+    is identically zero (the odd part of a mirror-symmetric state) is
+    skipped.  A part whose parity block the decomposition does not hold in
+    full raises ``BasisMismatch``.  The vectors are real, so a part's
+    snapshots are two real products on the rows of one pair per orbit,
+    copied (even) or negated (odd) onto the mirrored rows.
     """
     mirror = decomp.mirror
     reps = _representatives(mirror)
+    occupied = occupied_parities(psi, mirror)
+    for sign in occupied:
+        if np.count_nonzero(decomp.parity == sign) != _block_dim(mirror, sign):
+            raise BasisMismatch(
+                f"the state has weight in the {PARITY_NAMES[sign]} block, "
+                "which the decomposition does not hold in full"
+            )
 
     def evolve(sign):
         levels = decomp.parity == sign
@@ -417,9 +501,11 @@ def _propagate_by_parity(decomp, energies, psi, times) -> np.ndarray:
             out[reps] = rows
         return lifted
 
-    snapshots = evolve(1)
-    if not np.array_equal(psi, psi[mirror]):
-        snapshots += evolve(-1)
+    if not occupied:
+        return np.zeros((len(psi), len(times)), dtype=complex)
+    snapshots = evolve(occupied[0])
+    for sign in occupied[1:]:
+        snapshots += evolve(sign)
     return snapshots
 
 

@@ -32,7 +32,8 @@ def test_spectrum_row_count(tmp_path):
     assert len(lines) == 1 + 15  # 6 qubits -> 15 pair kets
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["basis_dims"] == {"pairs": 15}
-    assert manifest["solver"] == {"method": "parity-blocks", "blocks": [9, 6], "driver": "evd"}
+    assert manifest["solver"] == {"method": "parity-blocks", "blocks": [9, 6], "driver": "evd",
+                                  "blas_threads": 1}
     assert manifest["task"] == "spectrum"
     assert manifest["residual_max"] < 1e-10
 
@@ -76,6 +77,10 @@ def test_dynamics_columns_and_determinism(tmp_path):
     assert (tmp_path / "out" / "dynamics.csv").read_bytes() == first
     header = first.decode().splitlines()[0]
     assert header == "t,P_alpha1,P_alpha2"
+    # ps is even under the reflection, so only the even block is solved
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["solver"] == {"method": "parity-blocks", "blocks": [9, 6], "driver": "evd",
+                                  "blas_threads": 1, "solved": ["even"]}
 
 
 _PAIR_BASIS_MODELS = ("spin", "single", "tilde-single", "pair")
@@ -102,6 +107,17 @@ def test_pair_basis_tasks_refuse_photon_models(tmp_path, capsys, task, model):
 def test_dynamics_rejects_out_of_range_alpha(tmp_path):
     code, _ = run_cli(tmp_path, "dynamics", "--set", "options.alphas=[21]")
     assert code == 2
+
+
+def test_dynamics_checks_alphas_before_any_eigensolve(tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("eigensolve called before the alphas were checked")
+
+    monkeypatch.setattr(solver, "eigensolve", no_solve)
+    code, _ = run_cli(tmp_path, "dynamics", "--set", "options.alphas=[1,21]")
+    assert (code, capsys.readouterr().err) == (
+        2, "config error: alphas must lie in [1, 5], got [1, 21]\n"
+    )
 
 
 def test_variational_and_droplets(tmp_path):

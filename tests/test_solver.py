@@ -8,6 +8,7 @@ from scipy.linalg import eigh
 from droplet_lattice import (
     BasisMismatch,
     BracketError,
+    ConfigError,
     ConvergenceError,
     DegeneracyWarning,
     Pipeline,
@@ -22,7 +23,7 @@ from droplet_lattice import (
     variational_energy,
 )
 from droplet_lattice.hamiltonians import FullOperator, HamiltonianMatrix
-from droplet_lattice.observables import WavepacketState
+from droplet_lattice.observables import WavepacketState, pair_correlation
 from droplet_lattice.params import PairBasis
 from droplet_lattice.solver import _canonicalize_signs, golden_section, variational_vector
 
@@ -284,7 +285,7 @@ def test_parity_blocks_match_the_whole_payload(parity_stack, n_qubits, spacing):
         h = pipe.model(name)
         d = eigensolve(h)
         assert d.solver == {"method": "parity-blocks", "blocks": [n_even, size - n_even],
-                            "driver": "evd"}
+                            "driver": "evd", "blas_threads": 1}
         assert np.count_nonzero(d.parity == 1) == n_even
         vals, vecs = eigh(h.payload)
         scale = np.abs(vals).max()
@@ -305,6 +306,49 @@ def test_a_payload_that_breaks_the_reflection_fails_the_residual_gate(tiny_stack
     broken[0, 0] += 1e-3 * np.abs(broken).max()
     with pytest.raises(ConvergenceError, match="residual"):
         eigensolve(replace(h, payload=broken))
+
+
+@pytest.mark.parametrize("parity", [1, -1])
+@pytest.mark.parametrize("row", ["representative", "image"])
+def test_a_payload_that_breaks_the_reflection_fails_on_one_block(tiny_stack, parity, row):
+    """One block read from the representative rows alone has exact block
+    residuals whatever the other rows hold; the reflection check of the whole
+    payload still catches a payload without the symmetry, wherever it breaks."""
+    from dataclasses import replace
+
+    h = tiny_stack.model("spin")
+    p = 0 if row == "representative" else tiny_stack.basis.mirror[0]
+    broken = h.payload.copy()
+    broken[p, p] += 1e-3 * np.abs(broken).max()
+    with pytest.raises(ConvergenceError, match="reflection"):
+        eigensolve(replace(h, payload=broken), parity=parity)
+
+
+@pytest.mark.parametrize("n_qubits, spacing", [(6, 0), (7, 1), (2, 1)])
+def test_one_block_is_the_full_decomposition_restricted(parity_stack, n_qubits, spacing):
+    """Solving one reflection block gives, bit for bit, the levels of that
+    parity of the full decomposition: energies, lifted vectors, residuals."""
+    pipe = parity_stack(n_qubits, spacing)
+    size = pipe.basis.size
+    n_even = np.count_nonzero(np.arange(size) <= pipe.basis.mirror)
+    h = pipe.model("spin")
+    full = eigensolve(h)
+    for parity, name in ((1, "even"), (-1, "odd")):
+        block = eigensolve(h, parity=parity)
+        assert block.solver == {"method": "parity-blocks", "blocks": [n_even, size - n_even],
+                                "driver": "evd", "blas_threads": 1, "solved": [name]}
+        levels = full.parity == parity
+        np.testing.assert_array_equal(block.parity, full.parity[levels])
+        np.testing.assert_array_equal(block.energies, full.energies[levels])
+        np.testing.assert_array_equal(block.vectors, full.vectors[:, levels])
+        np.testing.assert_array_equal(block.residual_norms, full.residual_norms[levels])
+        np.testing.assert_array_equal(block.mirror, full.mirror)
+
+
+def test_parity_needs_a_split_full_spectrum(tiny_stack):
+    for model, k, parity in (("spin", 4, 1), ("adia0", None, 1), ("spin", None, 0)):
+        with pytest.raises(ConfigError, match="parity"):
+            eigensolve(tiny_stack.model(model), k_lowest=k, parity=parity)
 
 
 def test_full_decomposition_signs_are_canonical_per_parity(parity_stack):
@@ -347,6 +391,58 @@ def test_parity_propagation_matches_the_dense_formula(small_stack, initial):
     np.testing.assert_allclose(snapshots, dense, atol=1e-12, rtol=0)
     if initial != "random":
         np.testing.assert_array_equal(snapshots[mirror], snapshots)
+
+
+def test_propagate_refuses_a_state_outside_the_blocks_solved(small_stack):
+    """A state with weight in a parity block the decomposition lacks raises
+    instead of losing that part; one with weight only in the block held
+    evolves as under the full decomposition."""
+    h = small_stack.model("spin")
+    even, odd = eigensolve(h, parity=1), eigensolve(h, parity=-1)
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal(even.dim) + 1j * rng.standard_normal(even.dim)
+    random = WavepacketState(coefficients=c / np.linalg.norm(c), time=0.0, dims=even.dims)
+    fs = initial_state("fs", small_stack.basis)
+    for decomp, psi0, lacking in ((even, random, "odd"), (odd, random, "even"),
+                                  (odd, fs, "even")):
+        with pytest.raises(BasisMismatch, match=lacking):
+            propagate(decomp, psi0, [0.0, 10.0])
+    times = [0.0, 137.0, 954.0]
+    np.testing.assert_array_equal(
+        [s.coefficients for s in propagate(even, fs, times)],
+        [s.coefficients for s in propagate(small_stack.spectrum("spin"), fs, times)],
+    )
+
+
+@pytest.mark.parametrize("initial", ["fs", "ps"])
+@pytest.mark.parametrize("n_qubits, spacing", [(6, 0), (6, 1), (7, 1)])
+def test_quench_on_the_occupied_block_is_bitwise_the_full_series(n_qubits, spacing, initial):
+    """``Pipeline.quench`` solves only the even block for the even ``fs`` and
+    ``ps`` states, and its states and series equal, bit for bit, those
+    propagated over the full decomposition."""
+    params = default_params(n_cavities=41, n_qubits=n_qubits, spacing=spacing)
+    pipe = Pipeline(params)
+    times = np.arange(0.0, 2001.0, 2.0)
+    alphas = range(1, n_qubits)
+    decomp, states, series = pipe.quench("spin", initial, times, alphas)
+    assert decomp.solver["solved"] == ["even"] and np.all(decomp.parity == 1)
+    assert list(pipe._spectra) == [("spin", None, 1)]
+
+    reference = Pipeline(params)
+    full = eigensolve(reference.model("spin"))
+    expected = propagate(full, initial_state(initial, reference.basis), times)
+    np.testing.assert_array_equal([s.coefficients for s in states],
+                                  [s.coefficients for s in expected])
+    for row, state in enumerate(expected):
+        probabilities = pair_correlation(state, reference.basis).probabilities
+        for a in alphas:
+            assert series[a][row] == probabilities[a - 1]
+
+
+def test_quench_reuses_a_full_decomposition_at_hand(tiny_stack):
+    full = tiny_stack.spectrum("spin")
+    decomp, _, _ = tiny_stack.quench("spin", "fs", [0.0, 5.0], [1])
+    assert decomp is full
 
 
 # ---------------------------------------------------------------------------
