@@ -86,14 +86,13 @@ class Pipeline:
         decomposition used, the states at ``times`` and the pair correlation
         P_alpha(t) for each alpha.
 
-        A full decomposition already at hand is used as it is.  Otherwise a
-        model split by the pair reflection is solved on the parity blocks the
-        state occupies alone: ``fs`` and ``ps`` are even."""
+        A model split by the pair reflection is solved on the one parity
+        block the state occupies, when it occupies one: ``fs`` and ``ps``
+        are even."""
         psi0 = observables.initial_state(initial, self.basis)
         occupied = solver.occupied_parities(psi0.coefficients, self.basis.mirror)
         parity = None
-        if ((name, None, None) not in self._spectra and len(occupied) == 1
-                and solver.splits_by_parity(self.model(name))):
+        if len(occupied) == 1 and solver.splits_by_parity(self.model(name)):
             parity = occupied[0]
         decomp = self.spectrum(name, parity=parity)
         states = solver.propagate(decomp, psi0, times)

@@ -269,19 +269,14 @@ def occupied_parities(psi: np.ndarray, mirror: np.ndarray) -> tuple:
     return tuple(sign for sign in (1, -1) if np.any(psi + sign * image))
 
 
-def _block_dim(mirror: np.ndarray, sign: int) -> int:
-    """Dimension of the even (+1) or odd (-1) block: one ket per orbit, less
-    the pairs that are their own image in the odd block."""
-    index = np.arange(len(mirror))
-    return int(np.count_nonzero(index <= mirror if sign > 0 else index < mirror))
-
-
 def _reflection_defect(payload: np.ndarray, mirror: np.ndarray) -> float:
-    """max |H - H[mirror][:, mirror]|: zero for a payload that commutes with
-    the reflection."""
+    """||H - H[mirror][:, mirror]||_F: zero for a payload that commutes with
+    the reflection.  The Frobenius norm bounds the spectral norm of the
+    defect, so it bounds what the defect adds to any level's residual
+    against the whole payload."""
     mirrored = payload[np.ix_(mirror, mirror)]
     mirrored -= payload
-    return float(np.abs(mirrored, out=mirrored).max(initial=0.0))
+    return float(np.linalg.norm(mirrored))
 
 
 def _parity_blocks(payload: np.ndarray, mirror: np.ndarray, parity: Optional[int] = None):
@@ -353,7 +348,7 @@ def eigensolve(
     ``parity`` (+1 even, -1 odd) only that block is solved and the result
     holds its levels alone.  A parity split is checked by each level's
     residual on its block and by the reflection defect of the whole
-    payload, max |H - H[mirror][:, mirror]|, both held to the residual gate,
+    payload, ||H - H[mirror][:, mirror]||_F, both held to the residual gate,
     so a payload without the symmetry fails.  The lowest
     ``k_lowest`` levels come from Lanczos (ARPACK) instead for a dense
     pair-basis payload of dimension ``LANCZOS_MIN_DIM``
@@ -421,7 +416,7 @@ def eigensolve(
     gate = 1e-8 * max(scale, 1.0)
     if defect > gate:
         raise ConvergenceError(
-            f"reflection residual max|H - H[mirror][:, mirror]| {defect:g} too large for "
+            f"reflection residual ||H - H[mirror][:, mirror]||_F {defect:g} too large for "
             f"spectrum scale {scale:g}: the payload breaks the pair reflection"
         )
     if residuals.max(initial=0.0) > gate:
@@ -471,18 +466,19 @@ def _propagate_by_parity(decomp, energies, psi, times) -> np.ndarray:
     """Snapshots of a decomposition split by the pair reflection.
 
     psi splits exactly into its even and odd parts (psi +- psi[mirror]) / 2;
-    each part evolves under the levels of its parity alone, and a part that
-    is identically zero (the odd part of a mirror-symmetric state) is
-    skipped.  A part whose parity block the decomposition does not hold in
-    full raises ``BasisMismatch``.  The vectors are real, so a part's
-    snapshots are two real products on the rows of one pair per orbit,
-    copied (even) or negated (odd) onto the mirrored rows.
+    each part evolves under the levels of its parity alone, and the odd part
+    is skipped when it is identically zero (a mirror-symmetric state).  A
+    part whose parity block the decomposition does not hold in full raises
+    ``BasisMismatch``.  The vectors are real, so a part's snapshots are two
+    real products on the rows of one pair per orbit, copied (even) or
+    negated (odd) onto the mirrored rows.
     """
     mirror = decomp.mirror
     reps = _representatives(mirror)
     occupied = occupied_parities(psi, mirror)
+    block_dims = dict(zip((1, -1), decomp.solver["blocks"]))
     for sign in occupied:
-        if np.count_nonzero(decomp.parity == sign) != _block_dim(mirror, sign):
+        if np.count_nonzero(decomp.parity == sign) != block_dims[sign]:
             raise BasisMismatch(
                 f"the state has weight in the {PARITY_NAMES[sign]} block, "
                 "which the decomposition does not hold in full"
@@ -501,11 +497,9 @@ def _propagate_by_parity(decomp, energies, psi, times) -> np.ndarray:
             out[reps] = rows
         return lifted
 
-    if not occupied:
-        return np.zeros((len(psi), len(times)), dtype=complex)
-    snapshots = evolve(occupied[0])
-    for sign in occupied[1:]:
-        snapshots += evolve(sign)
+    snapshots = evolve(1)
+    if -1 in occupied:
+        snapshots += evolve(-1)
     return snapshots
 
 

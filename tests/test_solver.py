@@ -324,6 +324,27 @@ def test_a_payload_that_breaks_the_reflection_fails_on_one_block(tiny_stack, par
         eigensolve(replace(h, payload=broken), parity=parity)
 
 
+@pytest.mark.parametrize("parity", [None, 1, -1])
+def test_a_small_defect_spread_over_every_entry_fails_the_reflection_check(small_stack, parity):
+    """Each entry of H - H[mirror][:, mirror] stays under the residual gate,
+    but together they shift a level's residual against the whole payload by
+    up to the norm of the defect, so the check fails on every route."""
+    from dataclasses import replace
+
+    h = small_stack.model("spin")
+    mirror = small_stack.basis.mirror
+    gate = 1e-8 * max(np.abs(eigh(h.payload, eigvals_only=True)).max(), 1.0)
+    r = np.random.default_rng(3).uniform(-1.0, 1.0, h.payload.shape)
+    r += r.T
+    odd = r - r[np.ix_(mirror, mirror)]  # symmetric, odd under the reflection
+    odd *= 0.25 * gate / np.abs(odd).max()
+    broken = h.payload + odd
+    defect = broken[np.ix_(mirror, mirror)] - broken
+    assert np.abs(defect).max() < gate < np.linalg.norm(defect)
+    with pytest.raises(ConvergenceError, match="reflection"):
+        eigensolve(replace(h, payload=broken), parity=parity)
+
+
 @pytest.mark.parametrize("n_qubits, spacing", [(6, 0), (7, 1), (2, 1)])
 def test_one_block_is_the_full_decomposition_restricted(parity_stack, n_qubits, spacing):
     """Solving one reflection block gives, bit for bit, the levels of that
@@ -437,12 +458,6 @@ def test_quench_on_the_occupied_block_is_bitwise_the_full_series(n_qubits, spaci
         probabilities = pair_correlation(state, reference.basis).probabilities
         for a in alphas:
             assert series[a][row] == probabilities[a - 1]
-
-
-def test_quench_reuses_a_full_decomposition_at_hand(tiny_stack):
-    full = tiny_stack.spectrum("spin")
-    decomp, _, _ = tiny_stack.quench("spin", "fs", [0.0, 5.0], [1])
-    assert decomp is full
 
 
 # ---------------------------------------------------------------------------
