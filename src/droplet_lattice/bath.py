@@ -10,12 +10,15 @@ tridiagonal operator with effective hopping -2J cos(K/2), onsite u at
 m = 0, and a sqrt(2) bosonic symmetrization factor on the hop out of
 m = 0.  When the adaptive cutoff m_max reaches the half ring, the exact
 periodic wrap term (with parity (-1)^kappa of the momentum index) is
-included so that finite arrays are solved exactly.
+included so that finite arrays are solved exactly.  Both depend on K only
+through cos(K/2) and the parity of the index, which are even in K, so the
+bath solves K >= 0 only and mirrors each state to -K by negating its
+momentum, bit for bit the state a direct solve at -K gives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
@@ -134,9 +137,12 @@ class BathBands:
 
 
 def solve_bath(params: SystemParams) -> BathBands:
-    """Bound band and detunings for every wavevector on the grid."""
+    """Bound band and detunings for every wavevector on the grid; the states
+    at K < 0 are those at -K with the momentum negated (see the module)."""
     grid = MomentumGrid(params.n_cavities)
-    states = tuple(solve_bound_state(params, grid, idx) for idx in grid.indices)
+    upper = [solve_bound_state(params, grid, idx) for idx in grid.indices[grid.zero_index:]]
+    lower = [replace(s, momentum=-s.momentum) for s in upper[:0:-1]]
+    states = tuple(lower + upper)
     e_k = single_photon_energy(params, grid.wavevectors)
     e_b = np.array([s.energy for s in states])
     return BathBands(

@@ -36,7 +36,6 @@ from .solver import (
     blas_settable,
     first_order_perturbation,
     minimize_variational,
-    propagate,
     set_blas_threads,
     variational_energy,
 )
@@ -470,10 +469,9 @@ def _fig9(fig, cfg, pipe, out):
 
 
 def _fig10(fig, cfg, pipe, out):
-    decomp = pipe.spectrum("spin")
-    psi0 = obs.initial_state("fs", pipe.basis)
     snaps = cfg.options.get("snapshot_times", [0, 960, 2220, 3080, 4440, 5220, 6540, 7500])
-    return _write_snapshots("fig10_t", propagate(decomp, psi0, snaps), pipe.basis, out)
+    _, states, _ = pipe.quench("spin", "fs", snaps, ())
+    return _write_snapshots("fig10_t", states, pipe.basis, out)
 
 
 FIGURES = {

@@ -21,8 +21,6 @@ from .errors import DomainError
 from .output import write_csv
 from .params import J, PairBasis, SystemParams
 
-# rows of the pair basis per block of the pair-hop imaginary-part check
-_ROW_BLOCK = 256
 # largest pair separation written by the pair-hop block dump
 BLOCK_DUMP_MAX_SEPARATION = 9
 
@@ -125,40 +123,54 @@ def bound_bound_couplings(
     return -(2 * J / n) * geometry * cross
 
 
+def _largest_row_norm(m: np.ndarray) -> float:
+    return float(np.sqrt((m.real**2 + m.imag**2).sum(axis=1).max()))
+
+
 def pair_hop_matrix(
     params: SystemParams, pair_bound: np.ndarray, bands: BathBands
 ) -> np.ndarray:
     """Second-elimination pair-hop matrix on the pair basis.
 
-    Assembled as -(g^4 / (N J^2)) Re(A A^H) with A = pair_bound / sqrt(pair
-    detuning).  With the real bound-state phase convention A A^H is real,
-    so only the real part is formed, in real arithmetic: Re(A A^H) =
-    X X^T with X = [A_r A_i], a Gram product and therefore exactly
-    symmetric and negative semidefinite.  The imaginary part Im(A A^H) =
-    M - M^T with M = A_i A_r^T is not kept: it is evaluated here in row
-    blocks, as [A_i, -A_r] X^T on and above the diagonal, and a
-    DomainError is raised if its largest entry exceeds 1e-10 times the
-    largest real entry.  No P x P complex array is formed.
+    Equals -(g^4 / (N J^2)) Re(A A^H) with A = pair_bound / sqrt(pair
+    detuning).  With the real bound-state phase convention column -K of A is
+    column K conjugated, up to one phase, so A A^H is real and the pairs
+    (K, -K) add up to twice Re(A_K A_K^H).  The matrix is therefore formed
+    over K >= 0 alone, in real arithmetic, as the Gram product X X^T with
+    X = [Re A_+ W, Im A_+ W], A_+ the columns K >= 0 and W weight 1 at K = 0
+    and sqrt(2) above: exactly symmetric, negative semidefinite, N + 1 real
+    columns.
+
+    The pairing is checked in O(P N) instead of forming Im(A A^H).  Each
+    column -K (K = 0 included) is aligned with column K conjugated by one
+    phase, which keeps the check gauge invariant; D is what is left.  With
+    delta the largest row norm of D and alpha that of A, every entry of
+    Im(A A^H), and every entry of the Gram product's distance from
+    Re(A A^H), is at most 2 alpha delta + delta^2.  A DomainError is raised
+    unless that is at most 1e-10 alpha^2, 1e-10 times the largest entry of
+    Re(A A^H), which sits on its diagonal.  No P x P complex array is formed.
     """
     if np.any(bands.pair_detunings <= 0):
         raise DomainError("pair detuning not positive for every K; not in the band gap")
     a = pair_bound / np.sqrt(bands.pair_detunings)[None, :]
-    x = np.concatenate((a.real, a.imag), axis=1)
-    del a
     prefactor = params.g**4 / (params.n_cavities * J * J)
+    zero = bands.grid.zero_index
+    plus, minus = a[:, zero:], a[:, zero::-1]  # columns K >= 0 and -K
+    phase = np.exp(1j * np.angle(np.einsum("pk,pk->k", plus, minus)))
+    delta = _largest_row_norm(minus - plus.conj() * phase)
+    alpha = _largest_row_norm(a)
+    bound = 2 * alpha * delta + delta * delta
+    if bound > 1e-10 * alpha * alpha:
+        raise DomainError(
+            f"pair-hop matrix unexpectedly complex (max imag up to {prefactor * bound:g}, "
+            "columns K and -K not conjugate)"
+        )
+    weight = np.full(plus.shape[1], np.sqrt(2))
+    weight[0] = 1.0
+    x = np.concatenate((plus.real * weight, plus.imag * weight), axis=1)
+    del a, plus, minus
     y = x @ x.T  # numpy takes x @ x.T to syrk, which mirrors one triangle
     y *= -prefactor
-    # the largest entry of a Gram matrix sits on its diagonal
-    scale = np.abs(np.diagonal(y)).max() or 1.0
-    n = pair_bound.shape[1]
-    imag_max = 0.0
-    for start in range(0, len(x), _ROW_BLOCK):
-        rows = x[start : start + _ROW_BLOCK]
-        rotated = np.concatenate((rows[:, n:], -rows[:, :n]), axis=1)
-        imag_max = max(imag_max, np.abs(rotated @ x[start:].T).max())
-    imag_max *= prefactor
-    if imag_max > 1e-10 * scale:
-        raise DomainError(f"pair-hop matrix unexpectedly complex (max imag {imag_max:g})")
     return y
 
 

@@ -288,11 +288,13 @@ def _constrained_hop_payload(w: np.ndarray, basis: PairBasis) -> np.ndarray:
     table = np.zeros((n_e, n_e), dtype=np.intp)  # pair index of qubits {i, j}
     table[i0, j0] = table[j0, i0] = rows
     h = np.zeros((p, p))
+    h[rows, rows] = w[i0, i0] + w[j0, j0]
+    # moving one excitation to an unexcited qubit l reaches each other pair once
     for l in range(n_e):
-        mask = j0 != l
-        np.add.at(h, (rows[mask], table[l, j0[mask]]), w[i0[mask], l])
-        mask = i0 != l
-        np.add.at(h, (rows[mask], table[i0[mask], l]), w[l, j0[mask]])
+        keep = (i0 != l) & (j0 != l)
+        r, i, j = rows[keep], i0[keep], j0[keep]
+        h[r, table[l, j]] = w[i, l]
+        h[r, table[i, l]] = w[l, j]
     return h
 
 

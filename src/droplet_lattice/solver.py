@@ -19,6 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
+from scipy.linalg.blas import dsymv
 
 from .errors import (
     BasisMismatch,
@@ -195,18 +196,19 @@ def _single_blas_thread():
 
 class _Counted:
     """The operator ARPACK applies (a payload or a shift inverse), as a
-    linear operator of the payload's dtype whose products with vectors are
-    counted."""
+    linear operator of its shape and dtype whose products with vectors are
+    counted; ``product(v)`` computes them, ``operator @ v`` by default."""
 
-    def __init__(self, operator):
+    def __init__(self, operator, product=None):
         self.operator = operator
         self.shape = operator.shape
         self.dtype = operator.dtype
+        self.product = product or operator.__matmul__
         self.applications = 0
 
     def matvec(self, v: np.ndarray) -> np.ndarray:
         self.applications += 1
-        return self.operator @ v
+        return self.product(v)
 
 
 def _densify(payload) -> np.ndarray:
@@ -350,20 +352,22 @@ def eigensolve(
     residual on its block and by the reflection defect of the whole
     payload, ||H - H[mirror][:, mirror]||_F, both held to the residual gate,
     so a payload without the symmetry fails.  The lowest
-    ``k_lowest`` levels come from Lanczos (ARPACK) instead for a dense
+    ``k_lowest`` levels come from Lanczos (ARPACK) instead for a real dense
     pair-basis payload of dimension ``LANCZOS_MIN_DIM``
     or more with ``k_lowest <= LANCZOS_MAX_K``, and for a sparse payload
-    above ``DENSE_FALLBACK_DIM``.  (The adiabatic models stay dense: they
-    hold the whole bound band, so their lowest levels are close together
-    against the spectral width and Lanczos needs a thousand or more
-    applications, several times the cost of the subset.)  The explicit-photon
-    operator is solved in shift-invert mode with the exact inverse of
-    ``FullOperator.shift_invert``, at a shift below its whole spectrum, so
-    the eigenvalues nearest the shift are the lowest.  ``solver`` on the
-    result records the method, the shift, the operator (or inverse)
-    applications and the BLAS threads of an iterative solve, and the block
-    dimensions, LAPACK driver and BLAS threads of a parity split, with the
-    block solved when it is one.
+    above ``DENSE_FALLBACK_DIM``.  A dense payload is applied by BLAS
+    ``dsymv``, which reads one triangle; the residuals against the whole
+    payload catch one whose two triangles differ.  (The adiabatic models
+    stay dense: they hold the whole bound band, so their lowest levels are
+    close together against the spectral width and Lanczos needs a thousand
+    or more applications, several times the cost of the subset.)  The
+    explicit-photon operator is solved in shift-invert mode with the exact
+    inverse of ``FullOperator.shift_invert``, at a shift below its whole
+    spectrum, so the eigenvalues nearest the shift are the lowest.
+    ``solver`` on the result records the method, the shift, the operator
+    (or inverse) applications and the BLAS threads of an iterative solve,
+    and the block dimensions, LAPACK driver and BLAS threads of a parity
+    split, with the block solved when it is one.
     """
     payload = h.payload
     dim = h.dim
@@ -393,9 +397,15 @@ def eigensolve(
                  "blas_threads": threads}
     elif k_lowest is not None and (
         dim > DENSE_FALLBACK_DIM if sparse
-        else list(h.dims) == ["pairs"] and dim >= LANCZOS_MIN_DIM and k_lowest <= LANCZOS_MAX_K
+        else list(h.dims) == ["pairs"] and np.isrealobj(payload)
+        and dim >= LANCZOS_MIN_DIM and k_lowest <= LANCZOS_MAX_K
     ):
-        counted = _Counted(payload)
+        product = None
+        if not sparse:
+            # dsymv reads one triangle; it gets the transpose, F-ordered for a
+            # C-ordered payload, which f2py would otherwise copy on every call
+            product = functools.partial(dsymv, 1.0, np.ascontiguousarray(payload, float).T)
+        counted = _Counted(payload, product)
         vals, vecs, threads = _arpack(counted, k_lowest, max(4 * k_lowest, 40), which="SA")
         stats = {"method": "lanczos", "applications": counted.applications,
                  "blas_threads": threads}

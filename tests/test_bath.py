@@ -210,3 +210,18 @@ def test_profile_table_matches_per_state_transform(n_cavities, n_qubits, u, wrap
     )
     assert table.shape == reference.shape == (n_cavities, n_cavities)
     np.testing.assert_allclose(table, reference, rtol=0, atol=1e-13 * np.abs(reference).max())
+
+
+@pytest.mark.parametrize("n_cavities, n_qubits, spacing", [(41, 6, 1), (81, 12, 3)])
+def test_negative_wavevectors_are_the_mirrored_states(n_cavities, n_qubits, spacing):
+    """solve_bath solves K >= 0 only; each state at -K, energy, amplitudes,
+    ring wrap and negated momentum, is bit for bit a direct solve at -K."""
+    p = default_params(n_cavities=n_cavities, n_qubits=n_qubits, spacing=spacing)
+    bands = solve_bath(p)
+    grid = bands.grid
+    for col, idx in enumerate(grid.indices[: grid.zero_index]):
+        state, direct = bands.bound_states[col], solve_bound_state(p, grid, idx)
+        assert state.momentum == direct.momentum == -bands.bound_states[-1 - col].momentum
+        assert state.energy == direct.energy == bands.bound_energies[col]
+        assert state.ring_wrapped == direct.ring_wrapped
+        np.testing.assert_array_equal(state.amplitudes, direct.amplitudes)

@@ -142,14 +142,10 @@ def test_pair_hop_equals_real_part_of_complex_product(small_stack):
     assert np.linalg.eigvalsh(y).max() <= 1e-14 * scale
 
 
-@pytest.mark.parametrize("row_block", [None, 7])
-def test_pair_hop_refuses_unpaired_wavevectors(small_stack, monkeypatch, row_block):
+def test_pair_hop_refuses_unpaired_wavevectors(small_stack):
     """Column -K of pair_bound is the conjugate of column K, which makes A A^H
     real.  A phase on one column leaves A A^H unchanged; a changed magnitude
-    breaks the pairing and leaves an imaginary part, also when it is checked
-    in several row blocks."""
-    if row_block:
-        monkeypatch.setattr(couplings, "_ROW_BLOCK", row_block)
+    breaks the pairing and leaves an imaginary part."""
     params, bands = small_stack.params, small_stack.bands
     pair_bound = small_stack.couplings.pair_bound
     col = bands.grid.zero_index + 1
@@ -167,6 +163,34 @@ def test_pair_hop_refuses_unpaired_wavevectors(small_stack, monkeypatch, row_blo
     broken[:, col] *= 2
     with pytest.raises(DomainError, match="unexpectedly complex"):
         pair_hop_matrix(params, broken, bands)
+
+
+@pytest.mark.parametrize("factor", [0.99, 1.01])
+def test_pair_hop_certificate_bounds_the_imaginary_part(tiny_stack, factor):
+    """Scaling column -K by 1 + t leaves a pairing residual of about t times
+    that column, and the certificate 2 alpha delta + delta^2 <= 1e-10 alpha^2
+    refuses it just over the bound.  Just under it, the complete O(P^2 N)
+    product confirms what the certificate promises: Im(A A^H) and the
+    distance of the result from -c Re(A A^H) both lie within the bound."""
+    params, bands = tiny_stack.params, tiny_stack.bands
+    pair_bound = tiny_stack.couplings.pair_bound
+    col = bands.grid.zero_index - 1
+    a = pair_bound / np.sqrt(bands.pair_detunings)[None, :]
+    alpha = np.linalg.norm(a, axis=1).max()
+    delta = alpha * (np.sqrt(1 + 1e-10) - 1)  # 2 alpha delta + delta^2 = 1e-10 alpha^2
+    scaled = pair_bound.copy()
+    scaled[:, col] *= 1 + factor * delta / np.abs(a[:, col]).max()
+    if factor > 1:
+        with pytest.raises(DomainError, match="unexpectedly complex"):
+            pair_hop_matrix(params, scaled, bands)
+        return
+    y = pair_hop_matrix(params, scaled, bands)
+    a = scaled / np.sqrt(bands.pair_detunings)[None, :]
+    product = a @ a.conj().T
+    scale = np.linalg.norm(a, axis=1).max() ** 2
+    prefactor = params.g**4 / (params.n_cavities * J * J)
+    assert 0 < np.abs(product.imag).max() <= 1e-10 * scale
+    assert np.abs(y + prefactor * product.real).max() <= 1e-10 * prefactor * scale
 
 
 def test_pair_hop_off_diagonal_bounded_by_diagonals(small_stack):

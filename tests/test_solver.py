@@ -154,6 +154,33 @@ def test_k_lowest_routes_agree_on_the_canonical_signs(mid_stack, monkeypatch, na
     np.testing.assert_allclose(lanczos.vectors, subset.vectors, atol=1e-10, rtol=0)
 
 
+@pytest.mark.parametrize("triangle", ["upper", "lower"])
+def test_dense_lanczos_refuses_a_payload_whose_triangles_differ(
+    mid_stack, monkeypatch, capsys, tmp_path, triangle
+):
+    """Lanczos applies the payload through dsymv, which reads one triangle;
+    the residual against the whole payload catches an entry moved in either
+    triangle, and the run exits 4 with one line."""
+    from dataclasses import replace
+
+    from droplet_lattice import cli, pipeline
+
+    h = mid_stack.model("spin")
+    ground = eigensolve(h, k_lowest=1)
+    assert ground.solver["method"] == "lanczos"
+    col = 1 + np.argmax(np.abs(ground.vectors[1:, 0]))
+    broken = h.payload.copy()
+    broken[(0, col) if triangle == "upper" else (col, 0)] += 1e-3 * np.abs(broken).max()
+    with pytest.raises(ConvergenceError, match="residual"):
+        eigensolve(replace(h, payload=broken), k_lowest=1)
+    monkeypatch.setitem(pipeline.MODELS, "spin", lambda p: replace(h, payload=broken))
+    size = ["--set", "params.n_cavities=201", "--set", "params.n_qubits=30"]
+    argv = ["spectrum", "--out", str(tmp_path / "o"), *size, "--set", "options.k_lowest=1"]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("solver error: residual") and err.count("\n") == 1
+
+
 def test_dense_lanczos_is_limited_to_small_k_large_pair_payloads(mid_stack):
     """Many levels, a small payload, and the adiabatic models (whose low levels
     crowd against the whole bound band) stay on the LAPACK subset."""
