@@ -9,6 +9,7 @@ bit-identical files.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -24,21 +25,17 @@ import scipy
 from . import observables as obs
 from . import pipeline
 from .bath import write_band_csv
+from .blas import blas_libraries, blas_threads
 from .couplings import hop_scale_and_length, write_hop_csv, write_pair_hop_blocks_csv
 from .errors import BracketError, ConfigError, ConvergenceError, SimulationError
 from .hamiltonians import _require_pairs, export_triplets
 from .output import atomic_open, write_csv
 from .params import asdict_params, build_params, default_params
 from .pipeline import Pipeline
-from .solver import (
-    VARIATIONAL_BRACKET,
-    blas_libraries,
-    blas_settable,
-    first_order_perturbation,
-    minimize_variational,
-    set_blas_threads,
-    variational_energy,
-)
+from .solver import VARIATIONAL_BRACKET, first_order_perturbation, minimize_variational, variational_energy
+
+# the import heap lives until exit: no collection, nor shutdown, walks it again
+gc.freeze()
 
 SCHEMA_VERSION = 1
 
@@ -308,16 +305,14 @@ def _task_sweep(cfg, pipe, out):
     jobs = [({**cfg.params, axis: v}, cfg.model) for v in values]
     workers, threads = _pool_size(len(jobs))
     if workers > 1:
-        # each forked worker would otherwise start both OpenBLAS pools at
-        # their default size, one thread per core, and oversubscribe the cores
-        with ProcessPoolExecutor(workers, initializer=set_blas_threads,
-                                 initargs=(threads,)) as pool:
+        # the forked workers inherit the parent's pool sizes; set in a fresh
+        # fork instead, OpenBLAS would rebuild each pool's (spinning) threads
+        with blas_threads(threads) as held, ProcessPoolExecutor(workers) as pool:
             try:
                 energies = list(pool.map(_sweep_point, jobs))
             except BrokenProcessPool as exc:
                 raise SimulationError(f"a sweep worker died: {exc}") from exc
-        pool_record = {"workers": workers,
-                       "blas_threads": threads if blas_settable() else "unmanaged"}
+        pool_record = {"workers": workers, "blas_threads": held}
     else:
         energies = [_sweep_point(j) for j in jobs]
         pool_record = {"workers": 1, "blas_threads": None}

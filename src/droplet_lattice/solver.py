@@ -7,10 +7,7 @@ the two-excitation detuning carried by the Hamiltonian container.
 
 from __future__ import annotations
 
-import contextlib
-import ctypes
 import functools
-import os
 import warnings
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
@@ -21,6 +18,7 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 from scipy.linalg.blas import dsymv
 
+from .blas import blas_threads
 from .errors import (
     BasisMismatch,
     BracketError,
@@ -111,89 +109,6 @@ def _start_vector(dim: int) -> np.ndarray:
     return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
 
 
-#: OpenBLAS entry-point names: the scipy-openblas wheels and plain builds,
-#: with and without the suffix of a 64-bit-integer build
-_OPENBLAS_NAMES = ("scipy_openblas_{}64_", "scipy_openblas_{}", "openblas_{}64_", "openblas_{}")
-
-
-@functools.cache
-def _blas_pools() -> tuple:
-    """Every OpenBLAS loaded in this process as (file name, get_config,
-    get_num_threads, set_num_threads), a function None where the library
-    lacks it.  numpy and scipy each load their own; both are found through
-    the process's memory map on first use, not at import."""
-    try:
-        with open("/proc/self/maps") as fh:
-            paths = sorted({line.split()[-1] for line in fh
-                            if "openblas" in line.lower() and line.split()[-1].startswith("/")})
-    except OSError:
-        return ()
-    pools = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for pattern in _OPENBLAS_NAMES:
-            config, get, set_ = (getattr(lib, pattern.format(verb), None)
-                                 for verb in ("get_config", "get_num_threads", "set_num_threads"))
-            if get is not None:
-                break
-        if config is not None:
-            config.argtypes, config.restype = [], ctypes.c_char_p
-        if get is not None:
-            get.argtypes, get.restype = [], ctypes.c_int
-        if set_ is not None:
-            set_.argtypes, set_.restype = [ctypes.c_int], None
-        pools.append((os.path.basename(path), config, get, set_))
-    return tuple(pools)
-
-
-def blas_libraries() -> list[dict]:
-    """Each loaded OpenBLAS with its build string and current thread count."""
-    return [
-        {
-            "library": name,
-            "config": None if config is None else config().decode(),
-            "threads": None if get is None else get(),
-        }
-        for name, config, get, _ in _blas_pools()
-    ]
-
-
-def blas_settable() -> bool:
-    """Whether OpenBLAS is loaded and each pool has a getter and a setter."""
-    pools = _blas_pools()
-    return bool(pools) and all(get is not None and set_ is not None for _, _, get, set_ in pools)
-
-
-def set_blas_threads(count: int):
-    """Set every OpenBLAS pool to ``count`` threads and return the prior
-    count of each; return ``"unmanaged"`` and change nothing unless
-    ``blas_settable()``."""
-    if not blas_settable():
-        return "unmanaged"
-    pools = _blas_pools()
-    prior = [get() for _, _, get, _ in pools]
-    for _, _, _, set_ in pools:
-        set_(count)
-    return prior
-
-
-@contextlib.contextmanager
-def _single_blas_thread():
-    """Hold every OpenBLAS pool at one thread inside the block, so the two
-    pools do not hand an iterative solver's small products back and forth;
-    the prior counts come back on exit.  Yields the count held, 1, or
-    ``"unmanaged"`` (and changes nothing) as ``set_blas_threads`` does."""
-    prior = set_blas_threads(1)
-    if prior == "unmanaged":
-        yield prior
-        return
-    try:
-        yield 1
-    finally:
-        for (_, _, _, set_), count in zip(_blas_pools(), prior):
-            set_(count)
-
-
 class _Counted:
     """The operator ARPACK applies (a payload or a shift inverse), as a
     linear operator of its shape and dtype whose products with vectors are
@@ -223,7 +138,8 @@ def _densify(payload) -> np.ndarray:
 
 def _arpack(op, k: int, ncv: int, **mode):
     """Lowest ``k`` eigenpairs of ``op`` from ARPACK, ascending, and the BLAS
-    thread count they were computed with (see ``_single_blas_thread``).
+    thread count they were computed with: one, so that the two OpenBLAS
+    pools do not hand the small products back and forth.
 
     A real operator gets the real part of the fixed start vector, so ARPACK
     runs its real symmetric routine."""
@@ -238,7 +154,7 @@ def _arpack(op, k: int, ncv: int, **mode):
     if not np.issubdtype(op.dtype, np.complexfloating):
         v0 = v0.real
     try:
-        with _single_blas_thread() as threads:
+        with blas_threads(1) as threads:
             vals, vecs = spla.eigsh(op, k=k, ncv=ncv, v0=v0, maxiter=20000, **mode)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(f"iterative eigensolver stalled: {exc}") from exc
@@ -309,7 +225,7 @@ def _parity_blocks(payload: np.ndarray, mirror: np.ndarray, parity: Optional[int
     if parity in (None, -1):
         odd_rows = payload[orbits]
         blocks[-1] = odd_rows[:, orbits] - odd_rows[:, images]
-    with _single_blas_thread() as threads:
+    with blas_threads(1) as threads:
         solved = {sign: eigh(block, driver="evd") for sign, block in blocks.items()}
     vals = np.concatenate([block_vals for block_vals, _ in solved.values()])
     vecs = np.zeros((len(mirror), len(vals)))

@@ -4,7 +4,7 @@ targeted test run only pays for what it touches."""
 import pytest
 from hypothesis import settings
 
-from droplet_lattice import Pipeline, default_params, eigensolve, minimize_variational, solver
+from droplet_lattice import Pipeline, blas, default_params, eigensolve, minimize_variational
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
@@ -77,7 +77,7 @@ def full_decomp_default(default_stack):
 def blas_pools():
     """The loaded OpenBLAS pools, each set to 2 threads so that restoring
     them is visible on any host; their own counts come back afterwards."""
-    pools = solver._blas_pools()
+    pools = blas._blas_pools()
     assert pools and all(None not in pool for pool in pools)
     own = [get() for _, _, get, _ in pools]
     for _, _, _, set_ in pools:

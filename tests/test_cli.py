@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import os
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droplet_lattice import cli, solver
+from droplet_lattice import blas, cli, solver
 from droplet_lattice.cli import _OPTIONS, DEFAULT_PARAMS, FIGURES, main
 
 SMALL = [
@@ -153,20 +154,51 @@ def test_sweep_serial(tmp_path, monkeypatch):
 
 
 _SWEEP = ["--set", "options.axis=delta", "--set", "options.values=[-0.02,-0.05,-0.1]"]
+_sweep_job = cli._sweep_point
 
 
 def _affinity(monkeypatch, cores):
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)))
 
 
+def _reporting_sweep_point(args):
+    """The sweep job, then one line in the file ``SWEEP_REPORT`` names: the
+    process, the job's qubit count, and after it the BLAS pools' thread
+    counts and the process's OS threads."""
+    energy = _sweep_job(args)
+    tasks = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+    report = {"pid": os.getpid(), "n_qubits": args[0]["n_qubits"], "tasks": tasks,
+              "threads": [lib["threads"] for lib in blas.blas_libraries()]}
+    with open(os.environ["SWEEP_REPORT"], "a") as fh:
+        fh.write(json.dumps(report) + "\n")
+    return energy
+
+
+@pytest.fixture
+def worker_reports(tmp_path, monkeypatch):
+    """Every sweep job reports as ``_reporting_sweep_point`` does; returns a
+    reader of the reports that pool workers (not this process) wrote."""
+    path = tmp_path / "reports.jsonl"
+    monkeypatch.setenv("SWEEP_REPORT", str(path))
+    monkeypatch.setattr(cli, "_sweep_point", _reporting_sweep_point)
+
+    def read():
+        lines = path.read_text().splitlines() if path.exists() else []
+        return [r for r in map(json.loads, lines) if r["pid"] != os.getpid()]
+
+    return read
+
+
 @pytest.mark.parametrize("settable", [True, False])
-def test_pooled_sweep_matches_the_serial_one(tmp_path, monkeypatch, settable):
-    """Two workers on four cores run two BLAS threads each, set by the pool
-    initializer, and write the serial run's bytes; without OpenBLAS setters
-    the manifest says ``"unmanaged"``."""
+def test_pooled_sweep_matches_the_serial_one(tmp_path, monkeypatch, blas_pools, worker_reports,
+                                             settable):
+    """Two workers on four cores run two BLAS threads each, held by the parent
+    across the fork, and write the serial run's bytes; without OpenBLAS
+    setters the manifest says ``"unmanaged"``."""
     _affinity(monkeypatch, 4)
+    blas.set_blas_threads(3)
     if not settable:
-        monkeypatch.setattr(solver, "_blas_pools", lambda: ())
+        monkeypatch.setattr(blas, "_blas_pools", lambda: ())
     outputs, manifests = [], []
     for workers in ("1", "2"):
         monkeypatch.setenv("SIMULATE_WORKERS", workers)
@@ -178,7 +210,34 @@ def test_pooled_sweep_matches_the_serial_one(tmp_path, monkeypatch, settable):
     assert outputs[0] == outputs[1]
     assert manifests[0]["pool"] == {"workers": 1, "blas_threads": None}
     assert manifests[1]["pool"] == {"workers": 2, "blas_threads": 2 if settable else "unmanaged"}
-    spy.assert_called_once_with(2, initializer=solver.set_blas_threads, initargs=(2,))
+    spy.assert_called_once_with(2)
+    reports = worker_reports()
+    assert len(reports) == 3
+    if settable:
+        assert all(r["threads"] == [2] * len(blas_pools) for r in reports)
+        assert [get() for _, _, get, _ in blas_pools] == [3] * len(blas_pools)
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+@pytest.mark.parametrize("cores, share", [(2, 1), (4, 2)])
+def test_sweep_workers_keep_the_share_they_inherit(tmp_path, monkeypatch, blas_pools,
+                                                   worker_reports, cores, share):
+    """Two workers fork while the parent holds its pools at the share; each
+    keeps it after a LAPACK-subset job (6 qubits) and after a Lanczos job
+    inside an ARPACK scope (30 qubits, dim 435).  At a share of one the
+    worker runs on one OS thread: no OpenBLAS pool was rebuilt in it."""
+    _affinity(monkeypatch, cores)
+    monkeypatch.setenv("SIMULATE_WORKERS", "2")
+    blas.set_blas_threads(3)
+    code, out = run_cli(tmp_path, "sweep", "--set", "params.n_cavities=101",
+                        "--set", "options.axis=n_qubits", "--set", "options.values=[30,6,30,6]")
+    assert code == 0
+    reports = worker_reports()
+    assert sorted(r["n_qubits"] for r in reports) == [6, 6, 30, 30]
+    assert all(r["threads"] == [share] * len(blas_pools) for r in reports)
+    if share == 1:
+        assert all(r["tasks"] == 1 for r in reports)
+    assert [get() for _, _, get, _ in blas_pools] == [3] * len(blas_pools)
 
 
 @pytest.mark.parametrize("found", ["affinity", "cpu_count"])
@@ -199,9 +258,10 @@ def test_one_core_sweeps_in_process(tmp_path, monkeypatch, found):
     assert manifest["pool"] == {"workers": 1, "blas_threads": None}
 
 
-def test_dead_sweep_worker_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
+def test_dead_sweep_worker_exits_3_with_one_line(tmp_path, monkeypatch, capsys, blas_pools):
     """A worker that dies (here by ``os._exit``, as an OOM kill would end it)
-    breaks the pool; the run ends in one validity-error line, no traceback."""
+    breaks the pool; the run ends in one validity-error line, no traceback,
+    and the parent's pools get back the counts they had before the pool."""
     _affinity(monkeypatch, 2)
     monkeypatch.setenv("SIMULATE_WORKERS", "2")
     parent, build = os.getpid(), cli.Pipeline
@@ -218,6 +278,11 @@ def test_dead_sweep_worker_exits_3_with_one_line(tmp_path, monkeypatch, capsys):
     assert err.startswith("validity error: a sweep worker died")
     assert err.count("\n") == 1
     assert not os.path.exists(os.path.join(out, "manifest.json"))
+    assert [get() for _, _, get, _ in blas_pools] == [2] * len(blas_pools)
+
+
+def test_cli_import_freezes_the_import_heap():
+    assert gc.get_freeze_count() > 0
 
 
 def test_validate_suite_passes(tmp_path):

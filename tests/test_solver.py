@@ -1,3 +1,5 @@
+import contextlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -13,6 +15,7 @@ from droplet_lattice import (
     DegeneracyWarning,
     Pipeline,
     SizeError,
+    blas,
     default_params,
     eigensolve,
     first_order_perturbation,
@@ -199,12 +202,12 @@ def test_dense_lanczos_is_limited_to_small_k_large_pair_payloads(mid_stack):
 
 
 def _thread_counts():
-    return [lib["threads"] for lib in solver.blas_libraries()]
+    return [lib["threads"] for lib in blas.blas_libraries()]
 
 
 def test_blas_scope_holds_one_thread_and_restores_the_prior_counts(blas_pools):
     assert _thread_counts() == [2] * len(blas_pools)
-    with solver._single_blas_thread() as threads:
+    with blas.blas_threads(1) as threads:
         assert threads == 1
         assert _thread_counts() == [1] * len(blas_pools)
     assert _thread_counts() == [2] * len(blas_pools)
@@ -212,29 +215,25 @@ def test_blas_scope_holds_one_thread_and_restores_the_prior_counts(blas_pools):
 
 def test_blas_scope_restores_the_prior_counts_after_an_exception(blas_pools):
     with pytest.raises(RuntimeError, match="inside"):
-        with solver._single_blas_thread():
+        with blas.blas_threads(1):
             assert _thread_counts() == [1] * len(blas_pools)
             raise RuntimeError("inside the scope")
     assert _thread_counts() == [2] * len(blas_pools)
 
 
-def test_pool_initializer_holds_each_worker_at_its_share(blas_pools):
-    """``set_blas_threads`` sets every pool and returns the prior counts; as a
-    pool initializer it holds the worker at that count across jobs, also
-    after an ARPACK scope inside one (the ``full`` model's k = 1 solve), and
-    leaves the parent's pools alone."""
+def test_forked_worker_keeps_the_share_its_parent_held(blas_pools):
+    """A pool worker forked inside ``blas_threads(3)`` starts at 3 threads
+    in each pool and keeps them across jobs, also after an ARPACK scope inside
+    one (the ``full`` model's k = 1 solve); the parent's counts come back."""
     from concurrent.futures import ProcessPoolExecutor
 
     from droplet_lattice.cli import DEFAULT_PARAMS, _sweep_point
 
-    assert solver.set_blas_threads(3) == [2] * len(blas_pools)
-    assert _thread_counts() == [3] * len(blas_pools)
-    solver.set_blas_threads(2)
     point = ({**DEFAULT_PARAMS, "n_cavities": 41, "n_qubits": 6}, "full")
-    with ProcessPoolExecutor(1, initializer=solver.set_blas_threads, initargs=(3,)) as pool:
-        before = pool.submit(solver.blas_libraries).result()
+    with blas.blas_threads(3), ProcessPoolExecutor(1) as pool:
+        before = pool.submit(blas.blas_libraries).result()
         pool.submit(_sweep_point, point).result()
-        after = pool.submit(solver.blas_libraries).result()
+        after = pool.submit(blas.blas_libraries).result()
     assert [lib["threads"] for lib in before] == [3] * len(blas_pools)
     assert [lib["threads"] for lib in after] == [3] * len(blas_pools)
     assert _thread_counts() == [2] * len(blas_pools)
@@ -245,13 +244,56 @@ def test_blas_scope_without_setters_changes_nothing(blas_pools, mid_stack, monke
     """No OpenBLAS found, or one without a setter: the scope leaves every pool
     alone and the solve records ``"unmanaged"``."""
     stripped = () if found == "none" else tuple(p[:3] + (None,) for p in blas_pools)
-    monkeypatch.setattr(solver, "_blas_pools", lambda: stripped)
-    assert not solver.blas_settable() and solver.set_blas_threads(3) == "unmanaged"
-    with solver._single_blas_thread() as threads:
+    monkeypatch.setattr(blas, "_blas_pools", lambda: stripped)
+    assert not blas.blas_settable() and blas.set_blas_threads(3) == "unmanaged"
+    with blas.blas_threads(1) as threads:
         assert threads == "unmanaged"
         assert [get() for _, _, get, _ in blas_pools] == [2] * len(blas_pools)
     d = eigensolve(mid_stack.model("spin"), k_lowest=1)
     assert d.solver["method"] == "lanczos" and d.solver["blas_threads"] == "unmanaged"
+
+
+class _FakePool:
+    """An OpenBLAS pool's (name, config, getter, setter) entry, whose setter
+    records each count it is called with."""
+
+    def __init__(self, threads, settable=True):
+        self.threads, self.calls = threads, []
+        self.entry = ("fake", None, lambda: self.threads, self._set if settable else None)
+
+    def _set(self, count):
+        self.calls.append(count)
+        self.threads = count
+
+
+def _fake_pools(monkeypatch, *pools):
+    monkeypatch.setattr(blas, "_blas_pools", lambda: tuple(pool.entry for pool in pools))
+    return pools
+
+
+def test_a_pool_already_at_the_count_is_not_set(monkeypatch):
+    at, off = _fake_pools(monkeypatch, _FakePool(1), _FakePool(4))
+    assert blas.set_blas_threads(1) == [1, 4]
+    assert at.calls == [] and off.calls == [1]
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_blas_scope_restores_only_the_pools_it_changed(monkeypatch, raises):
+    at, off = _fake_pools(monkeypatch, _FakePool(2), _FakePool(4))
+    with contextlib.suppress(RuntimeError):
+        with blas.blas_threads(2) as threads:
+            assert threads == 2 and [at.threads, off.threads] == [2, 2]
+            if raises:
+                raise RuntimeError("inside the scope")
+    assert at.calls == [] and off.calls == [2, 4]
+
+
+def test_unmanaged_blas_scope_calls_no_setter(monkeypatch):
+    pool, bare = _fake_pools(monkeypatch, _FakePool(4), _FakePool(4, settable=False))
+    assert not blas.blas_settable()
+    with blas.blas_threads(1) as threads:
+        assert threads == "unmanaged"
+    assert pool.calls == [] and [pool.threads, bare.threads] == [4, 4]
 
 
 def test_dense_copy_of_a_huge_sparse_payload_is_refused():
