@@ -27,7 +27,7 @@ from . import pipeline
 from .bath import write_band_csv
 from .blas import blas_libraries, blas_threads
 from .couplings import hop_scale_and_length, write_hop_csv, write_pair_hop_blocks_csv
-from .errors import BracketError, ConfigError, ConvergenceError, SimulationError
+from .errors import BracketError, ConfigError, ConvergenceError, SimulationError, SizeError
 from .hamiltonians import _require_pairs, export_triplets
 from .output import atomic_open, write_csv
 from .params import asdict_params, build_params, default_params
@@ -234,7 +234,10 @@ def _task_dynamics(cfg, pipe, out):
     _require_pairs(dims, "dynamics needs a dense pair-basis model", ConfigError)
     t_max = float(cfg.options.get("t_max", 1e4))
     dt = float(cfg.options.get("dt", 2.0))
-    times = np.arange(0.0, t_max + dt / 2, dt)
+    try:
+        times = np.arange(0.0, t_max + dt / 2, dt)
+    except ValueError as exc:  # numpy refuses a length it cannot index
+        raise SizeError(f"time grid to t_max {t_max:g} in steps of dt {dt:g}: {exc}") from exc
     alphas = cfg.options.get("alphas", [1, 6, 21])
     if any(not 1 <= a <= pipe.params.n_qubits - 1 for a in alphas):
         raise ConfigError(f"alphas must lie in [1, {pipe.params.n_qubits - 1}], got {alphas}")
@@ -507,7 +510,7 @@ def run(cfg: RunConfig) -> int:
         "deterministic": True,
         "basis_dims": dict(decomp.dims) if decomp is not None else None,
         "residual_max": float(decomp.residual_norms.max()) if decomp is not None else None,
-        "solver": (decomp.solver or None) if decomp is not None else None,
+        "solver": decomp.solver if decomp is not None else None,
         "outputs": written,
         "libraries": libraries,
         "wall_time_s": round(time.perf_counter() - started, 3),

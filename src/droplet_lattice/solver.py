@@ -52,7 +52,7 @@ class SpectralDecomposition:
     residual_norms: np.ndarray = field(repr=False)
     energy_offset: float
     dims: dict
-    solver: dict = field(default_factory=dict)
+    solver: dict
     # for a decomposition split by the pair reflection: each level's parity
     # (+1 even, -1 odd) and the reflection as an index map of the pair basis
     parity: Optional[np.ndarray] = field(default=None, repr=False)
@@ -61,10 +61,6 @@ class SpectralDecomposition:
     @property
     def dim(self) -> int:
         return self.vectors.shape[0]
-
-    @property
-    def is_full(self) -> bool:
-        return len(self.energies) == self.dim
 
     def rotating_frame_energies(self) -> np.ndarray:
         return self.energies - self.energy_offset
@@ -126,16 +122,6 @@ class _Counted:
         return self.product(v)
 
 
-def _densify(payload) -> np.ndarray:
-    """Dense copy of a sparse payload, refused above ``DENSE_BYTES_CAP``."""
-    nbytes = payload.shape[0] * payload.shape[1] * payload.dtype.itemsize
-    if nbytes > DENSE_BYTES_CAP:
-        raise SizeError(
-            f"dense copy of a {payload.shape[0]}-dim sparse matrix needs {nbytes / 2**30:.1f} GiB"
-        )
-    return payload.toarray()
-
-
 def _arpack(op, k: int, ncv: int, **mode):
     """Lowest ``k`` eigenpairs of ``op`` from ARPACK, ascending, and the BLAS
     thread count they were computed with: one, so that the two OpenBLAS
@@ -187,6 +173,12 @@ def occupied_parities(psi: np.ndarray, mirror: np.ndarray) -> tuple:
     return tuple(sign for sign in (1, -1) if np.any(psi + sign * image))
 
 
+def _gate(vals: np.ndarray) -> tuple:
+    """The spectral scale of ``vals`` and the residual gate 1e-8 * max(scale, 1)."""
+    scale = max(np.abs(vals).max() if len(vals) else 1.0, 1e-30)
+    return scale, 1e-8 * max(scale, 1.0)
+
+
 def _reflection_defect(payload: np.ndarray, mirror: np.ndarray) -> float:
     """||H - H[mirror][:, mirror]||_F: zero for a payload that commutes with
     the reflection.  The Frobenius norm bounds the spectral norm of the
@@ -197,10 +189,44 @@ def _reflection_defect(payload: np.ndarray, mirror: np.ndarray) -> float:
     return float(np.linalg.norm(mirrored))
 
 
-def _parity_blocks(payload: np.ndarray, mirror: np.ndarray, parity: Optional[int] = None):
-    """Eigenpairs of a real symmetric pair-basis payload that commutes with
-    the reflection ``mirror``, from its even and odd blocks, or from the one
-    block of ``parity`` (+1 even, -1 odd).
+def _shift_invert(h: HamiltonianMatrix, k_lowest, parity):
+    """The lowest ``k_lowest`` levels of the matrix-free explicit-photon
+    operator, in shift-invert mode with the exact inverse of
+    ``FullOperator.shift_invert`` at a shift below the whole spectrum, so the
+    eigenvalues nearest the shift are the lowest."""
+    if k_lowest is None:
+        raise ConfigError(
+            f"full decomposition of a dim-{h.dim} matrix-free operator is not supported; "
+            "pass k_lowest"
+        )
+    inverse = _Counted(h.payload.shift_invert(h.payload.lower_bound()))
+    sigma = inverse.operator.sigma
+    vals, vecs, threads = _arpack(h.payload, k_lowest, max(2 * k_lowest + 1, 20),
+                                  sigma=sigma, which="LM", OPinv=inverse)
+    return vals, vecs, None, None, {"method": "shift-invert", "sigma": sigma,
+                                    "applications": inverse.applications, "blas_threads": threads}
+
+
+def _lanczos(h: HamiltonianMatrix, k_lowest, parity):
+    """The lowest ``k_lowest`` levels from Lanczos (ARPACK, lowest algebraic).
+    A dense payload is applied by BLAS ``dsymv``, which reads one triangle;
+    the residuals against the whole payload catch one whose two triangles
+    differ."""
+    product = None
+    if not sp.issparse(h.payload):
+        # dsymv gets the transpose, F-ordered for a C-ordered payload, which
+        # f2py would otherwise copy on every call
+        product = functools.partial(dsymv, 1.0, np.ascontiguousarray(h.payload, float).T)
+    counted = _Counted(h.payload, product)
+    vals, vecs, threads = _arpack(counted, k_lowest, max(4 * k_lowest, 40), which="SA")
+    return vals, vecs, None, None, {"method": "lanczos", "applications": counted.applications,
+                                    "blas_threads": threads}
+
+
+def _parity_blocks(h: HamiltonianMatrix, k_lowest, parity):
+    """Every level of a model that ``splits_by_parity``, from the even and odd
+    blocks of its payload under the reflection ``h.pair_basis.mirror``, or
+    from the one block of ``parity`` (+1 even, -1 odd).
 
     Each orbit {p, mirror[p]} is represented by its lower index.  An orbit of
     two gives the even and the odd ket (|p> +- |mirror[p]>) / sqrt(2); a pair
@@ -208,10 +234,13 @@ def _parity_blocks(payload: np.ndarray, mirror: np.ndarray, parity: Optional[int
     with LAPACK's divide-and-conquer driver at one BLAS thread, and each
     level's residual is taken on its block.  The vectors are lifted back into
     the pair basis, mirrored components copied (even) or negated (odd), so
-    their magnitudes agree bit for bit.  Returns the energies ascending
-    (stable, so an exact tie puts the even level first), the lifted vectors,
-    the residuals, each level's parity and the solver record.
+    their magnitudes agree bit for bit.  The energies are sorted stably, so
+    an exact tie puts the even level first.  The reflection defect of the
+    whole payload is held to the residual gate, so a payload without the
+    symmetry fails even where the block solved looks exact.
     """
+    payload, mirror = h.payload, h.pair_basis.mirror
+    defect = _reflection_defect(payload, mirror)
     reps = _representatives(mirror)
     partners = mirror[reps]
     fixed = partners == reps
@@ -228,6 +257,12 @@ def _parity_blocks(payload: np.ndarray, mirror: np.ndarray, parity: Optional[int
     with blas_threads(1) as threads:
         solved = {sign: eigh(block, driver="evd") for sign, block in blocks.items()}
     vals = np.concatenate([block_vals for block_vals, _ in solved.values()])
+    spectral_scale, gate = _gate(vals)
+    if defect > gate:
+        raise ConvergenceError(
+            f"reflection residual ||H - H[mirror][:, mirror]||_F {defect:g} too large for "
+            f"spectrum scale {spectral_scale:g}: the payload breaks the pair reflection"
+        )
     vecs = np.zeros((len(mirror), len(vals)))
     residuals, start = [], 0
     for sign, (block_vals, block_vecs) in solved.items():
@@ -253,98 +288,74 @@ def _parity_blocks(payload: np.ndarray, mirror: np.ndarray, parity: Optional[int
     return vals[order], vecs[:, order], np.concatenate(residuals)[order], parities[order], stats
 
 
+def _lapack(h: HamiltonianMatrix, k_lowest, parity):
+    """A LAPACK symmetric decomposition, full or the index subset of the
+    lowest ``k_lowest`` levels.  A sparse payload is copied dense first, and
+    refused above ``DENSE_BYTES_CAP``."""
+    payload = h.payload
+    if sp.issparse(payload):
+        nbytes = payload.shape[0] * payload.shape[1] * payload.dtype.itemsize
+        if nbytes > DENSE_BYTES_CAP:
+            raise SizeError(
+                f"dense copy of a {h.dim}-dim sparse matrix needs {nbytes / 2**30:.1f} GiB"
+            )
+        payload = payload.toarray()
+    subset = None if k_lowest is None else [0, min(k_lowest, h.dim) - 1]
+    vals, vecs = eigh(payload, subset_by_index=subset, driver="evr")
+    return vals, vecs, None, None, {"method": "lapack", "driver": "evr"}
+
+
+#: (takes(h, k_lowest), solve) rows; ``eigensolve`` runs the first that takes
+#: the request.  solve(h, k_lowest, parity) returns the energies ascending,
+#: the vectors, the residuals or None, each level's parity or None, and the
+#: solver record, which starts with "method".  The adiabatic models stay on
+#: LAPACK for every k: their lowest levels crowd against the whole bound
+#: band, so Lanczos needs a thousand or more applications.
+_ROUTES = (
+    (lambda h, k: isinstance(h.payload, FullOperator), _shift_invert),
+    (lambda h, k: k is not None and (
+        h.dim > DENSE_FALLBACK_DIM if sp.issparse(h.payload)
+        else splits_by_parity(h) and h.dim >= LANCZOS_MIN_DIM and k <= LANCZOS_MAX_K
+    ), _lanczos),
+    (lambda h, k: k is None and splits_by_parity(h), _parity_blocks),
+    (lambda h, k: True, _lapack),
+)
+
+
 def eigensolve(
     h: HamiltonianMatrix, k_lowest: Optional[int] = None, parity: Optional[int] = None
 ) -> SpectralDecomposition:
-    """Diagonalize a tagged Hamiltonian.
+    """Diagonalize a tagged Hamiltonian: every level, the lowest
+    ``k_lowest``, or with ``parity`` (+1 even, -1 odd) every level of that
+    reflection block of a model that ``splits_by_parity``.
 
-    A full spectrum, or many levels, comes from a LAPACK symmetric
-    decomposition (full or index subset) of the payload, copied dense if it
-    is sparse.  The full spectrum of a model that ``splits_by_parity`` comes
-    from its even and odd blocks under the reflection of the qubit block
-    instead (``_parity_blocks``), with each level's parity recorded; with
-    ``parity`` (+1 even, -1 odd) only that block is solved and the result
-    holds its levels alone.  A parity split is checked by each level's
-    residual on its block and by the reflection defect of the whole
-    payload, ||H - H[mirror][:, mirror]||_F, both held to the residual gate,
-    so a payload without the symmetry fails.  The lowest
-    ``k_lowest`` levels come from Lanczos (ARPACK) instead for a real dense
-    pair-basis payload of dimension ``LANCZOS_MIN_DIM``
-    or more with ``k_lowest <= LANCZOS_MAX_K``, and for a sparse payload
-    above ``DENSE_FALLBACK_DIM``.  A dense payload is applied by BLAS
-    ``dsymv``, which reads one triangle; the residuals against the whole
-    payload catch one whose two triangles differ.  (The adiabatic models
-    stay dense: they hold the whole bound band, so their lowest levels are
-    close together against the spectral width and Lanczos needs a thousand
-    or more applications, several times the cost of the subset.)  The
-    explicit-photon operator is solved in shift-invert mode with the exact
-    inverse of ``FullOperator.shift_invert``, at a shift below its whole
-    spectrum, so the eigenvalues nearest the shift are the lowest.
-    ``solver`` on the result records the method, the shift, the operator
-    (or inverse) applications and the BLAS threads of an iterative solve,
-    and the block dimensions, LAPACK driver and BLAS threads of a parity
-    split, with the block solved when it is one.
+    The first row of ``_ROUTES`` that takes the request solves it:
+    ``_shift_invert`` for the matrix-free explicit-photon operator;
+    ``_lanczos`` for ``k_lowest`` levels of a sparse payload above
+    ``DENSE_FALLBACK_DIM``, or of a real pair-basis payload of dimension
+    ``LANCZOS_MIN_DIM`` or more with ``k_lowest <= LANCZOS_MAX_K``;
+    ``_parity_blocks`` for every level of a model that ``splits_by_parity``;
+    ``_lapack`` for the rest.  Every eigenvector then gets its canonical
+    sign, and each level's residual (against the whole payload unless the
+    route took it on its block) is held to the gate 1e-8 * max(scale, 1).
+    ``solver`` on the result is the route's record.
     """
-    payload = h.payload
-    dim = h.dim
-    sparse = sp.issparse(payload)
-    split = k_lowest is None and splits_by_parity(h)
-    if parity is not None and (parity not in PARITY_NAMES or not split):
+    if parity is not None and (
+        parity not in PARITY_NAMES or k_lowest is not None or not splits_by_parity(h)
+    ):
         raise ConfigError(
             f"parity {parity!r} is +1 or -1 and needs the full spectrum of a real "
             "pair-basis model"
         )
-    pairs_only = h.pair_basis is not None and list(h.dims) == ["pairs"]
-    mirror = residuals = level_parity = None
-    defect = 0.0
-    if isinstance(payload, FullOperator):
-        if k_lowest is None:
-            raise ConvergenceError(
-                f"full decomposition of a dim-{dim} matrix-free operator is not supported; "
-                "pass k_lowest"
-            )
-        inverse = _Counted(payload.shift_invert(payload.lower_bound()))
-        sigma = inverse.operator.sigma
-        ncv = max(2 * k_lowest + 1, 20)
-        vals, vecs, threads = _arpack(
-            payload, k_lowest, ncv, sigma=sigma, which="LM", OPinv=inverse
-        )
-        stats = {"method": "shift-invert", "sigma": sigma, "applications": inverse.applications,
-                 "blas_threads": threads}
-    elif k_lowest is not None and (
-        dim > DENSE_FALLBACK_DIM if sparse
-        else list(h.dims) == ["pairs"] and np.isrealobj(payload)
-        and dim >= LANCZOS_MIN_DIM and k_lowest <= LANCZOS_MAX_K
-    ):
-        product = None
-        if not sparse:
-            # dsymv reads one triangle; it gets the transpose, F-ordered for a
-            # C-ordered payload, which f2py would otherwise copy on every call
-            product = functools.partial(dsymv, 1.0, np.ascontiguousarray(payload, float).T)
-        counted = _Counted(payload, product)
-        vals, vecs, threads = _arpack(counted, k_lowest, max(4 * k_lowest, 40), which="SA")
-        stats = {"method": "lanczos", "applications": counted.applications,
-                 "blas_threads": threads}
-    elif split:
-        mirror = h.pair_basis.mirror
-        defect = _reflection_defect(payload, mirror)
-        vals, vecs, residuals, level_parity, stats = _parity_blocks(payload, mirror, parity)
-    else:
-        subset = None if k_lowest is None else [0, min(k_lowest, dim) - 1]
-        vals, vecs = eigh(_densify(payload) if sparse else payload, subset_by_index=subset)
-        stats = {}
-    vecs = _canonicalize_signs(vecs, h.pair_basis.mirror if pairs_only else None)
+    solve = next(solve for takes, solve in _ROUTES if takes(h, k_lowest))
+    vals, vecs, residuals, parities, stats = solve(h, k_lowest, parity)
+    mirror = h.pair_basis.mirror if splits_by_parity(h) else None
+    vecs = _canonicalize_signs(vecs, mirror)
     if residuals is None:
-        h_vecs = payload @ vecs
+        h_vecs = h.payload @ vecs
         h_vecs -= vecs * vals
         residuals = np.linalg.norm(h_vecs, axis=0)
-    scale = max(np.abs(vals).max() if len(vals) else 1.0, 1e-30)
-    gate = 1e-8 * max(scale, 1.0)
-    if defect > gate:
-        raise ConvergenceError(
-            f"reflection residual ||H - H[mirror][:, mirror]||_F {defect:g} too large for "
-            f"spectrum scale {scale:g}: the payload breaks the pair reflection"
-        )
+    scale, gate = _gate(vals)
     if residuals.max(initial=0.0) > gate:
         raise ConvergenceError(
             f"residual {residuals.max():g} too large for spectrum scale {scale:g}",
@@ -357,52 +368,35 @@ def eigensolve(
         energy_offset=h.energy_offset,
         dims=dict(h.dims),
         solver=stats,
-        parity=level_parity,
-        mirror=mirror,
+        parity=parities,
+        mirror=None if parities is None else mirror,
     )
 
 
 def propagate(
     decomp: SpectralDecomposition, psi0: WavepacketState, times: Sequence[float]
 ) -> list[WavepacketState]:
-    """Evolve psi0 through the spectral representation at the given times.
+    """Evolve psi0 through a decomposition split by the pair reflection.
 
-    The decomposition must hold every level: all of them, or for a split by
-    the pair reflection every level of each parity block psi0 occupies."""
-    if psi0.dims != decomp.dims:
-        raise BasisMismatch(f"state on {psi0.dims}, decomposition on {decomp.dims}")
-    times = np.asarray(times, dtype=float)
-    energies = decomp.rotating_frame_energies()
-    psi = psi0.coefficients
-    if decomp.parity is None:
-        if not decomp.is_full:
-            raise BasisMismatch("propagation needs the full decomposition")
-        weights = decomp.vectors.conj().T @ psi
-        phases = np.exp(-1j * np.outer(energies, times)) * weights[:, None]
-        snapshots = decomp.vectors @ phases
-    else:
-        snapshots = _propagate_by_parity(decomp, energies, psi, times)
-    return [
-        WavepacketState(coefficients=snapshots[:, col], time=float(t), dims=dict(decomp.dims))
-        for col, t in enumerate(times)
-    ]
-
-
-def _propagate_by_parity(decomp, energies, psi, times) -> np.ndarray:
-    """Snapshots of a decomposition split by the pair reflection.
-
-    psi splits exactly into its even and odd parts (psi +- psi[mirror]) / 2;
+    psi0 splits exactly into its even and odd parts (psi0 +- psi0[mirror]) / 2;
     each part evolves under the levels of its parity alone, and the odd part
     is skipped when it is identically zero (a mirror-symmetric state).  A
-    part whose parity block the decomposition does not hold in full raises
-    ``BasisMismatch``.  The vectors are real, so a part's snapshots are two
-    real products on the rows of one pair per orbit, copied (even) or
-    negated (odd) onto the mirrored rows.
+    decomposition not split, or lacking a level of a part's block (one even
+    ket per orbit, one odd ket per orbit of two), raises ``BasisMismatch``.
+    The vectors are real, so a part's snapshots are two real products on the
+    rows of one pair per orbit, copied (even) or negated (odd) onto the
+    mirrored rows.
     """
-    mirror = decomp.mirror
+    if psi0.dims != decomp.dims:
+        raise BasisMismatch(f"state on {psi0.dims}, decomposition on {decomp.dims}")
+    if decomp.parity is None:
+        raise BasisMismatch("propagation needs a decomposition split by the pair reflection")
+    times = np.asarray(times, dtype=float)
+    energies = decomp.rotating_frame_energies()
+    psi, mirror = psi0.coefficients, decomp.mirror
     reps = _representatives(mirror)
     occupied = occupied_parities(psi, mirror)
-    block_dims = dict(zip((1, -1), decomp.solver["blocks"]))
+    block_dims = {1: len(reps), -1: len(mirror) - len(reps)}
     for sign in occupied:
         if np.count_nonzero(decomp.parity == sign) != block_dims[sign]:
             raise BasisMismatch(
@@ -426,7 +420,10 @@ def _propagate_by_parity(decomp, energies, psi, times) -> np.ndarray:
     snapshots = evolve(1)
     if -1 in occupied:
         snapshots += evolve(-1)
-    return snapshots
+    return [
+        WavepacketState(coefficients=snapshots[:, col], time=float(t), dims=dict(decomp.dims))
+        for col, t in enumerate(times)
+    ]
 
 
 def first_order_perturbation(

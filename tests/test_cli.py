@@ -55,6 +55,7 @@ def test_spectrum_adiabatic_models_differ_by_bound_bound_block(tmp_path):
         assert code == 0
         manifest = json.loads((tmp_path / model / "manifest.json").read_text())
         assert manifest["basis_dims"] == {"pairs": 15, "bound": 41}
+        assert manifest["solver"] == {"method": "lapack", "driver": "evr"}
         spectra[model] = np.loadtxt(tmp_path / model / "spectrum.csv", skiprows=1)
     assert spectra["adia0"].shape == (15 + 41,)
     assert np.abs(spectra["adia0"] - spectra["adia1"]).max() > 0
@@ -560,11 +561,14 @@ def test_unreadable_config_or_output_path_exits_2(tmp_path, capsys, option, name
     assert err.count("\n") == 1
 
 
-def test_refused_allocation_exits_3_with_one_line(tmp_path, capsys):
+@pytest.mark.parametrize("t_max, dt", [("1e15", "1"), ("1e4", "1e-300"), ("1e300", "2")],
+                         ids=["7PiB", "tiny-dt", "huge-t_max"])
+def test_refused_allocation_exits_3_with_one_line(tmp_path, capsys, t_max, dt):
     """A time grid of 1e15 samples (7 PiB) is refused by the allocator at
-    once, before any memory is touched, and ends like a size cap."""
+    once, before any memory is touched, and ends like a size cap; so does a
+    grid too long for numpy to index at all."""
     code, out = run_cli(
-        tmp_path, "dynamics", "--set", "options.t_max=1e15", "--set", "options.dt=1"
+        tmp_path, "dynamics", "--set", f"options.t_max={t_max}", "--set", f"options.dt={dt}"
     )
     err = capsys.readouterr().err
     assert code == 3
@@ -592,7 +596,8 @@ _KEYS = st.sampled_from(
 
 def _check_bad_settings(tmp_path_factory, task, assignments):
     """Any mix of bad --set values either runs or exits 2, 3 or 4 with one
-    line on stderr; only a run that succeeds leaves a manifest."""
+    line on stderr; only a run that succeeds leaves a manifest, whose solver
+    record is null or starts with the method."""
     out = str(tmp_path_factory.mktemp("fuzz") / "out")
     args = [item for key, value in assignments for item in ("--set", f"{key}={value}")]
     err = io.StringIO()
@@ -602,7 +607,9 @@ def _check_bad_settings(tmp_path_factory, task, assignments):
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
     if code == 0:
-        assert os.path.isfile(manifest)
+        with open(manifest) as fh:
+            record = json.load(fh)["solver"]
+        assert record is None or next(iter(record)) == "method"
     else:
         assert err.getvalue().count("\n") == 1 and err.getvalue().endswith("\n")
         assert not os.path.exists(manifest)

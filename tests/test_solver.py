@@ -31,6 +31,9 @@ from droplet_lattice.params import PairBasis
 from droplet_lattice.solver import _canonicalize_signs, golden_section, variational_vector
 
 
+LAPACK_RECORD = {"method": "lapack", "driver": "evr"}
+
+
 def _toy_spin_matrix(matrix, offset=0.0):
     n = matrix.shape[0]
     # smallest pair basis with size >= n is irrelevant here; tests using this
@@ -97,10 +100,17 @@ def test_shift_invert_steps_sigma_down_from_inside_the_spectrum(tiny_stack, monk
     )
 
 
+def test_full_decomposition_of_the_matrix_free_operator_is_a_config_error(tiny_stack):
+    """The shift-invert route solves the lowest ``k_lowest`` levels only; a
+    request for all of them is a bad request, not a stalled solve."""
+    with pytest.raises(ConfigError, match="pass k_lowest"):
+        eigensolve(tiny_stack.model("full"))
+
+
 def test_sparse_array_payloads_take_the_dense_path():
     d = eigensolve(_toy_spin_matrix(sp.csr_array(np.diag([3.0, 1.0, 2.0]))), k_lowest=2)
     np.testing.assert_allclose(d.energies, [1.0, 2.0], atol=1e-14)
-    assert d.solver == {}
+    assert d.solver == LAPACK_RECORD
 
 
 def test_large_sparse_payloads_take_the_lanczos_path(monkeypatch):
@@ -153,7 +163,7 @@ def test_k_lowest_routes_agree_on_the_canonical_signs(mid_stack, monkeypatch, na
     lanczos = eigensolve(h, k_lowest=k)
     monkeypatch.setattr(solver, "LANCZOS_MIN_DIM", h.dim + 1)
     subset = eigensolve(h, k_lowest=k)
-    assert lanczos.solver["method"] == "lanczos" and subset.solver == {}
+    assert lanczos.solver["method"] == "lanczos" and subset.solver == LAPACK_RECORD
     np.testing.assert_allclose(lanczos.vectors, subset.vectors, atol=1e-10, rtol=0)
 
 
@@ -196,7 +206,7 @@ def test_dense_lanczos_is_limited_to_small_k_large_pair_payloads(mid_stack):
     ]
     for h, k in cases:
         d = eigensolve(h, k_lowest=k)
-        assert d.solver == {}
+        assert d.solver == LAPACK_RECORD
         vals = eigh(h.payload, eigvals_only=True, subset_by_index=[0, k - 1])
         np.testing.assert_array_equal(d.energies, vals + h.energy_offset)
 
@@ -485,16 +495,18 @@ def test_parity_propagation_matches_the_dense_formula(small_stack, initial):
 
 def test_propagate_refuses_a_state_outside_the_blocks_solved(small_stack):
     """A state with weight in a parity block the decomposition lacks raises
-    instead of losing that part; one with weight only in the block held
-    evolves as under the full decomposition."""
+    instead of losing that part, and so does a decomposition not split by
+    the reflection (a ``k_lowest`` subset); a state with weight only in the
+    block held evolves as under the full decomposition."""
     h = small_stack.model("spin")
     even, odd = eigensolve(h, parity=1), eigensolve(h, parity=-1)
+    lowest = eigensolve(h, k_lowest=4)
     rng = np.random.default_rng(7)
     c = rng.standard_normal(even.dim) + 1j * rng.standard_normal(even.dim)
     random = WavepacketState(coefficients=c / np.linalg.norm(c), time=0.0, dims=even.dims)
     fs = initial_state("fs", small_stack.basis)
     for decomp, psi0, lacking in ((even, random, "odd"), (odd, random, "even"),
-                                  (odd, fs, "even")):
+                                  (odd, fs, "even"), (lowest, fs, "split")):
         with pytest.raises(BasisMismatch, match=lacking):
             propagate(decomp, psi0, [0.0, 10.0])
     times = [0.0, 137.0, 954.0]
