@@ -13,6 +13,7 @@ import gc
 import json
 import math
 import os
+import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -241,11 +242,11 @@ def _task_dynamics(cfg, pipe, out):
     alphas = cfg.options.get("alphas", [1, 6, 21])
     if any(not 1 <= a <= pipe.params.n_qubits - 1 for a in alphas):
         raise ConfigError(f"alphas must lie in [1, {pipe.params.n_qubits - 1}], got {alphas}")
-    decomp, states, series = pipe.quench(
-        cfg.model, cfg.options.get("initial", "fs"), times, alphas
+    keep = [np.argmin(np.abs(times - t)) for t in cfg.options.get("snapshot_times", [])]
+    decomp, snaps, series = pipe.quench(
+        cfg.model, cfg.options.get("initial", "fs"), times, alphas, keep
     )
     obs.write_dynamics_csv(times, series, os.path.join(out, "dynamics.csv"))
-    snaps = [states[np.argmin(np.abs(times - t))] for t in cfg.options.get("snapshot_times", [])]
     written = _write_snapshots("corr_snapshot_t", snaps, pipe.basis, out)
     return decomp, ["dynamics.csv", *written], {}
 
@@ -468,7 +469,7 @@ def _fig9(fig, cfg, pipe, out):
 
 def _fig10(fig, cfg, pipe, out):
     snaps = cfg.options.get("snapshot_times", [0, 960, 2220, 3080, 4440, 5220, 6540, 7500])
-    _, states, _ = pipe.quench("spin", "fs", snaps, ())
+    _, states, _ = pipe.quench("spin", "fs", snaps, (), range(len(snaps)))
     return _write_snapshots("fig10_t", states, pipe.basis, out)
 
 
@@ -495,11 +496,13 @@ TASKS = {
 
 
 def run(cfg: RunConfig) -> int:
-    started = time.perf_counter()
+    started, cpu_started = time.perf_counter(), time.process_time()
     libraries = {"numpy": np.__version__, "scipy": scipy.__version__, "openblas": blas_libraries()}
     pipe = Pipeline(build_params(cfg.params))
     os.makedirs(cfg.out_dir, exist_ok=True)
     decomp, written, extra = TASKS[cfg.task](cfg, pipe, cfg.out_dir)
+    wall, cpu = time.perf_counter() - started, time.process_time() - cpu_started
+    peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "task": cfg.task,
@@ -513,7 +516,9 @@ def run(cfg: RunConfig) -> int:
         "solver": decomp.solver if decomp is not None else None,
         "outputs": written,
         "libraries": libraries,
-        "wall_time_s": round(time.perf_counter() - started, 3),
+        "wall_time_s": round(wall, 3),
+        "cpu_time_s": round(cpu, 3),
+        "peak_rss_mb": round(peak_kib / 1024, 1),
         **extra,
     }
     with atomic_open(os.path.join(cfg.out_dir, "manifest.json")) as fh:

@@ -13,6 +13,7 @@ tracer, sees every call.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from functools import cached_property
 from typing import Optional, Sequence
 
@@ -22,6 +23,9 @@ from . import bath, couplings, hamiltonians, observables, solver
 from . import params as parameters
 from .errors import ConfigError
 from .params import PairBasis, SystemParams
+
+#: least samples per ``solver.propagate`` call of ``Pipeline.quench``
+QUENCH_MIN_CHUNK = 64
 
 #: Model name -> builder of its Hamiltonian from a pipeline.
 MODELS = {
@@ -81,24 +85,37 @@ class Pipeline:
             self._spectra[key] = solver.eigensolve(self.model(name), k_lowest=k, parity=parity)
         return self._spectra[key]
 
-    def quench(self, name: str, initial: str, times, alphas: Sequence[int]):
+    def quench(self, name: str, initial: str, times, alphas: Sequence[int], keep=()):
         """Propagate ``initial`` under ``model(name)``; return the
-        decomposition used, the states at ``times`` and the pair correlation
-        P_alpha(t) for each alpha.
+        decomposition used, the states at the indices ``keep`` of ``times``
+        (in the order of ``keep``) and the pair correlation P_alpha(t) for
+        each alpha.
 
         A model split by the pair reflection is solved on the one parity
         block the state occupies, when it occupies one: ``fs`` and ``ps``
-        are even."""
+        are even.  The grid is propagated in consecutive chunks of
+        max(QUENCH_MIN_CHUNK, levels // 2) samples rounded down to a multiple
+        of 8, so that from 128 levels up a chunk's complex snapshots take no
+        more bytes than the decomposition's real vectors, whatever the length
+        of the grid.  Each state is reduced to its pair correlation as it
+        arrives; only the kept states outlive their chunk."""
         psi0 = observables.initial_state(initial, self.basis)
         occupied = solver.occupied_parities(psi0.coefficients, self.basis.mirror)
         parity = None
         if len(occupied) == 1 and solver.splits_by_parity(self.model(name)):
             parity = occupied[0]
         decomp = self.spectrum(name, parity=parity)
-        states = solver.propagate(decomp, psi0, times)
+        times = np.asarray(times, dtype=float)
+        chunk = max(QUENCH_MIN_CHUNK, len(decomp.energies) // 16 * 8)
+        wanted, kept = set(keep), {}
         series = {a: np.empty(len(times)) for a in alphas}
-        for row, state in enumerate(states):
-            record = observables.pair_correlation(state, self.basis)
-            for a in alphas:
-                series[a][row] = record.probabilities[a - 1]
-        return decomp, states, series
+        for start in range(0, len(times), chunk):
+            for row, state in enumerate(solver.propagate(decomp, psi0, times[start:start + chunk]),
+                                        start):
+                record = observables.pair_correlation(state, self.basis)
+                for a in alphas:
+                    series[a][row] = record.probabilities[a - 1]
+                if row in wanted:
+                    kept[row] = replace(state, coefficients=state.coefficients.copy())
+            del state  # a view of the whole chunk: free it before the next
+        return decomp, [kept[index] for index in keep], series

@@ -37,6 +37,8 @@ DENSE_FALLBACK_DIM = 4000
 LANCZOS_MIN_DIM = 300
 LANCZOS_MAX_K = 8
 DENSE_BYTES_CAP = 2**30
+# payload rows per block of the reflection defect's sum
+DEFECT_ROWS = 128
 DEGENERACY_GAP = 1e-10
 # relative lengths searched by the variational optimization, and its tolerance
 VARIATIONAL_BRACKET = (1.0, 30.0)
@@ -183,10 +185,15 @@ def _reflection_defect(payload: np.ndarray, mirror: np.ndarray) -> float:
     """||H - H[mirror][:, mirror]||_F: zero for a payload that commutes with
     the reflection.  The Frobenius norm bounds the spectral norm of the
     defect, so it bounds what the defect adds to any level's residual
-    against the whole payload."""
-    mirrored = payload[np.ix_(mirror, mirror)]
-    mirrored -= payload
-    return float(np.linalg.norm(mirrored))
+    against the whole payload.  It is summed over ``DEFECT_ROWS`` rows at a
+    time, so no mirrored copy of the whole payload is held."""
+    squares = 0.0
+    for start in range(0, len(mirror), DEFECT_ROWS):
+        rows = slice(start, start + DEFECT_ROWS)
+        block = payload[np.ix_(mirror[rows], mirror)]
+        block -= payload[rows]
+        squares += float(np.vdot(block, block))
+    return float(np.sqrt(squares))
 
 
 def _shift_invert(h: HamiltonianMatrix, k_lowest, parity):
@@ -249,11 +256,12 @@ def _parity_blocks(h: HamiltonianMatrix, k_lowest, parity):
     if parity in (None, 1):
         # <e_a|H|e_b> = (H[a, b] + H[a, mirror b]) s_a s_b, s = 1/sqrt(2) on fixed pairs
         scale = np.where(fixed, np.sqrt(0.5), 1.0)
-        even_rows = payload[reps]
-        blocks[1] = (even_rows[:, reps] + even_rows[:, partners]) * np.outer(scale, scale)
+        blocks[1] = payload[np.ix_(reps, reps)]
+        blocks[1] += payload[np.ix_(reps, partners)]
+        blocks[1] *= np.outer(scale, scale)
     if parity in (None, -1):
-        odd_rows = payload[orbits]
-        blocks[-1] = odd_rows[:, orbits] - odd_rows[:, images]
+        blocks[-1] = payload[np.ix_(orbits, orbits)]
+        blocks[-1] -= payload[np.ix_(orbits, images)]
     with blas_threads(1) as threads:
         solved = {sign: eigh(block, driver="evd") for sign, block in blocks.items()}
     vals = np.concatenate([block_vals for block_vals, _ in solved.values()])
@@ -385,7 +393,8 @@ def propagate(
     ket per orbit, one odd ket per orbit of two), raises ``BasisMismatch``.
     The vectors are real, so a part's snapshots are two real products on the
     rows of one pair per orbit, copied (even) or negated (odd) onto the
-    mirrored rows.
+    mirrored rows.  A decomposition of one block lends its vectors as they
+    are; only a part of a split one copies its levels' columns.
     """
     if psi0.dims != decomp.dims:
         raise BasisMismatch(f"state on {psi0.dims}, decomposition on {decomp.dims}")
@@ -406,9 +415,11 @@ def propagate(
 
     def evolve(sign):
         levels = decomp.parity == sign
-        vecs = decomp.vectors[:, levels]
+        vecs, block_energies = decomp.vectors, energies
+        if not levels.all():
+            vecs, block_energies = vecs[:, levels], energies[levels]
         weights = vecs.T @ ((psi + sign * psi[mirror]) / 2)
-        phases = np.exp(-1j * np.outer(energies[levels], times)) * weights[:, None]
+        phases = np.exp(-1j * np.outer(block_energies, times)) * weights[:, None]
         half = vecs[reps]
         lifted = np.empty((len(psi), len(times)), dtype=complex)
         for out, component in ((lifted.real, phases.real), (lifted.imag, phases.imag)):

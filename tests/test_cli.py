@@ -424,7 +424,9 @@ def test_explicit_photon_reruns_are_bit_identical(tmp_path):
 
 def test_rerun_manifests_differ_only_in_wall_time(tmp_path):
     """A dense Lanczos solve records its method and BLAS threads, the run its
-    libraries and their thread counts; all of it repeats on a rerun."""
+    libraries and their thread counts; all of it repeats on a rerun.  The
+    timing keys (wall and CPU time, peak RSS) are the only ones that may
+    differ."""
     size = ["--set", "params.n_cavities=201", "--set", "params.n_qubits=30"]
     manifests = []
     for run in ("a", "b"):
@@ -433,6 +435,8 @@ def test_rerun_manifests_differ_only_in_wall_time(tmp_path):
         manifests.append(json.loads((out / "manifest.json").read_text()))
     for manifest in manifests:
         assert manifest.pop("wall_time_s") >= 0
+        assert manifest.pop("cpu_time_s") >= 0
+        assert manifest.pop("peak_rss_mb") > 0
     assert manifests[0] == manifests[1]
     manifest = manifests[0]
     assert manifest["solver"]["method"] == "lanczos"

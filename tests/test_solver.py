@@ -516,29 +516,104 @@ def test_propagate_refuses_a_state_outside_the_blocks_solved(small_stack):
     )
 
 
+def _spy_propagate(monkeypatch):
+    """Record the states of every ``solver.propagate`` call, one list per call."""
+    calls, real = [], solver.propagate
+
+    def spy(decomp, psi0, times):
+        calls.append(real(decomp, psi0, times))
+        return calls[-1]
+
+    monkeypatch.setattr(solver, "propagate", spy)
+    return calls
+
+
+def _boundary_rows(chunks) -> list:
+    """The first and last row of a grid streamed in ``chunks`` and the rows
+    on each side of every boundary between two chunks."""
+    ends = np.cumsum([len(chunk) for chunk in chunks])
+    return sorted({0, int(ends[-1]) - 1, *(int(e) - 1 for e in ends[:-1]),
+                   *(int(e) for e in ends[:-1])})
+
+
 @pytest.mark.parametrize("initial", ["fs", "ps"])
 @pytest.mark.parametrize("n_qubits, spacing", [(6, 0), (6, 1), (7, 1)])
-def test_quench_on_the_occupied_block_is_bitwise_the_full_series(n_qubits, spacing, initial):
+def test_quench_on_the_occupied_block_is_bitwise_the_full_series(
+    n_qubits, spacing, initial, monkeypatch
+):
     """``Pipeline.quench`` solves only the even block for the even ``fs`` and
-    ``ps`` states, and its states and series equal, bit for bit, those
-    propagated over the full decomposition."""
+    ``ps`` states, and its series equal, bit for bit, those of the states
+    propagated over the full decomposition in one call.  So do the states of
+    its chunks, concatenated, and the states it keeps at the first and last
+    sample and on each side of every chunk boundary."""
     params = default_params(n_cavities=41, n_qubits=n_qubits, spacing=spacing)
     pipe = Pipeline(params)
     times = np.arange(0.0, 2001.0, 2.0)
     alphas = range(1, n_qubits)
-    decomp, states, series = pipe.quench("spin", initial, times, alphas)
+    chunks = _spy_propagate(monkeypatch)
+    decomp, none_kept, series = pipe.quench("spin", initial, times, alphas)
     assert decomp.solver["solved"] == ["even"] and np.all(decomp.parity == 1)
     assert list(pipe._spectra) == [("spin", None, 1)]
+    assert none_kept == [] and len(chunks) > 1
 
     reference = Pipeline(params)
     full = eigensolve(reference.model("spin"))
     expected = propagate(full, initial_state(initial, reference.basis), times)
-    np.testing.assert_array_equal([s.coefficients for s in states],
+    np.testing.assert_array_equal([s.coefficients for chunk in chunks for s in chunk],
                                   [s.coefficients for s in expected])
     for row, state in enumerate(expected):
         probabilities = pair_correlation(state, reference.basis).probabilities
         for a in alphas:
             assert series[a][row] == probabilities[a - 1]
+
+    rows = _boundary_rows(chunks)
+    _, kept, _ = pipe.quench("spin", initial, times, alphas, keep=rows)
+    assert [s.time for s in kept] == [times[row] for row in rows]
+    np.testing.assert_array_equal([s.coefficients for s in kept],
+                                  [expected[row].coefficients for row in rows])
+
+
+@pytest.mark.parametrize("initial", ["fs", "ps"])
+def test_quench_streams_its_grid_in_chunks_set_by_the_decomposition(initial, monkeypatch):
+    """At 41x6 the chunked series equal, bit for bit, those of one
+    ``propagate`` over all 1001 samples on the same decomposition, and so do
+    the states kept around every chunk boundary; the longest chunk is the
+    same for a grid ten times longer, and each sample's pair correlation is
+    taken exactly once."""
+    from droplet_lattice import observables
+
+    pipe = Pipeline(default_params(n_cavities=41, n_qubits=6))
+    alphas = range(1, 6)
+    longest, correlations = {}, []
+    real_correlation = observables.pair_correlation
+
+    def counted(state, basis):
+        correlations.append(state.time)
+        return real_correlation(state, basis)
+
+    monkeypatch.setattr(observables, "pair_correlation", counted)
+    for t_max in (2000.0, 20000.0):
+        times = np.arange(0.0, t_max + 1, 2.0)
+        chunks = _spy_propagate(monkeypatch)
+        correlations.clear()
+        decomp, _, _ = pipe.quench("spin", initial, times, alphas)
+        longest[t_max] = max(len(chunk) for chunk in chunks)
+        assert sum(map(len, chunks)) == len(times) and len(chunks) > 1
+        assert correlations == list(times)
+    assert longest[2000.0] == longest[20000.0] < 1001
+
+    times = np.arange(0.0, 2001.0, 2.0)
+    chunks = _spy_propagate(monkeypatch)
+    _, _, series = pipe.quench("spin", initial, times, alphas)
+    rows = _boundary_rows(chunks)
+    _, kept, _ = pipe.quench("spin", initial, times, (), keep=rows)
+    whole = propagate(decomp, initial_state(initial, pipe.basis), times)
+    for row, state in enumerate(whole):
+        probabilities = pair_correlation(state, pipe.basis).probabilities
+        for a in alphas:
+            assert series[a][row] == probabilities[a - 1]
+    np.testing.assert_array_equal([s.coefficients for s in kept],
+                                  [whole[row].coefficients for row in rows])
 
 
 # ---------------------------------------------------------------------------
