@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
-from .errors import DomainError, NoBoundState
+from .errors import ConvergenceError, DomainError, NoBoundState
 from .output import write_csv
 from .params import J, MomentumGrid, SystemParams
 
@@ -97,7 +97,16 @@ def solve_bound_state(params: SystemParams, grid: MomentumGrid, kappa_index: int
         # psi(m + N) = (-1)^kappa psi(m) closes the ring through the far boundary
         diag[-1] += -2 * J * hop * (-1) ** (kappa_index % 2)
 
-    vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+    if not (np.isfinite(diag).all() and np.isfinite(off).all()):
+        raise DomainError(f"relative-motion operator not finite at K index {kappa_index}")
+    # the lowest eigenpair by bisection (index range 1..1, block order) and
+    # inverse iteration: the two LAPACK calls of eigh_tridiagonal(select="i")
+    count, vals, block, split, info = dstebz(diag, off, 2, 0.0, 1.0, 1, 1, 0.0, "B")
+    if info == 0:
+        vecs, info = dstein(diag, off, vals[:count], block, split)
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal bound-state solve failed at K index {kappa_index} "
+                               f"(LAPACK info {info})")
     energy = float(vals[0])
     edge = -4 * J * abs(hop)
     if energy >= edge:

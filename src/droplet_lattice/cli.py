@@ -72,7 +72,7 @@ _OPTIONS = {
     "initial": (lambda v: isinstance(v, str) and v.lower() in ("fs", "ps"), "'fs' or 'ps'"),
     "alphas": (lambda v: isinstance(v, list) and all(map(_is_count, v)), "a list of integers"),
     "snapshot_times": (_is_real_list, "a list of finite numbers"),
-    "values": (_is_real_list, "a list of finite numbers"),
+    "values": (lambda v: _is_real_list(v) and len(v) > 0, "a non-empty list of finite numbers"),
     "axis": (lambda v: v in _SWEEP_AXES, f"one of {_SWEEP_AXES}"),
     "fig": (lambda v: isinstance(v, str) or _is_count(v), "a figure id"),
     "classify": _FLAG,
@@ -374,7 +374,7 @@ def _task_figure(cfg, pipe, out):
 
 
 def _fig3(fig, cfg, pipe, out):
-    deltas = cfg.options.get("values") or list(np.linspace(-0.15, -0.005, 30))
+    deltas = cfg.options.get("values", list(np.linspace(-0.15, -0.005, 30)))
     rows = [(d, *hop_scale_and_length(build_params({**cfg.params, "delta": float(d)})))
             for d in deltas]
     write_csv(os.path.join(out, "fig3.csv"), ["delta", "W0", "L0"], rows)
@@ -427,7 +427,7 @@ def _ground_energies(params):
 
 
 def _fig6b(fig, cfg, pipe, out):
-    deltas = cfg.options.get("values") or list(np.linspace(-0.15, -0.01, 8))
+    deltas = cfg.options.get("values", list(np.linspace(-0.15, -0.01, 8)))
     write_csv(
         os.path.join(out, "fig6b.csv"),
         ["delta", "E_exact", "E_variational", "E_perturbation"],

@@ -273,28 +273,43 @@ def _require_pairs(dims: dict, message: str, error=BasisMismatch):
         raise error(message)
 
 
-def _pair_model(payload: np.ndarray, basis: PairBasis, params: SystemParams) -> HamiltonianMatrix:
+def _pair_model(payload: Payload, basis: PairBasis, params: SystemParams) -> HamiltonianMatrix:
     """A spin model: the payload on the pair basis alone."""
     return HamiltonianMatrix(
         payload=payload, energy_offset=params.delta, dims={"pairs": basis.size}, pair_basis=basis
     )
 
 
-def _constrained_hop_payload(w: np.ndarray, basis: PairBasis) -> np.ndarray:
-    """Pair-basis matrix of the constrained hop with strengths w[j, l]."""
+def _constrained_hop_payload(w: np.ndarray, basis: PairBasis) -> sp.csr_array:
+    """Pair-basis matrix of the constrained hop with strengths w[j, l], as CSR.
+
+    Row {i, j} holds its diagonal w[i, i] + w[j, j] and, for each of the
+    N_e - 2 unexcited qubits l, the hops to {l, j} (strength w[i, l]) and to
+    {i, l} (strength w[l, j]): 2 N_e - 3 distinct columns in every row.  So
+    the CSR arrays are filled as (P, 2 N_e - 3) blocks and sorted along their
+    rows, with no P x P array on the way.  Zero strengths are not stored."""
     n_e, p = basis.n_qubits, basis.size
-    i0, j0 = basis.i_index - 1, basis.j_index - 1
-    rows = np.arange(p)
-    table = np.zeros((n_e, n_e), dtype=np.intp)  # pair index of qubits {i, j}
-    table[i0, j0] = table[j0, i0] = rows
-    h = np.zeros((p, p))
-    h[rows, rows] = w[i0, i0] + w[j0, j0]
-    # moving one excitation to an unexcited qubit l reaches each other pair once
-    for l in range(n_e):
-        keep = (i0 != l) & (j0 != l)
-        r, i, j = rows[keep], i0[keep], j0[keep]
-        h[r, table[l, j]] = w[i, l]
-        h[r, table[i, l]] = w[l, j]
+    i, j = basis.i_index - 1, basis.j_index - 1
+    width = 2 * n_e - 3
+    index = sp.get_index_dtype(maxval=p * width)
+    rows = np.arange(p, dtype=index)
+    table = np.zeros((n_e, n_e), dtype=index)  # pair index of qubits {i, j}
+    table[i, j] = table[j, i] = rows
+    data, indices = np.empty((p, width)), np.empty((p, width), dtype=index)
+    data[:, 0], indices[:, 0] = w[i, i] + w[j, j], rows
+    # the unexcited qubits of each row, ascending: skip i, then j (i < j)
+    i, j = i[:, None], j[:, None]
+    others = np.broadcast_to(np.arange(n_e - 2), (p, n_e - 2))
+    others = others + (others >= i)
+    others += others >= j
+    data[:, 1:n_e - 1], indices[:, 1:n_e - 1] = w[i, others], table[others, j]
+    data[:, n_e - 1:], indices[:, n_e - 1:] = w[others, j], table[i, others]
+    del others  # free it before the sort's temporaries
+    data = np.take_along_axis(data, np.argsort(indices, axis=1), axis=1)
+    indices.sort(axis=1)
+    h = sp.csr_array((data.ravel(), indices.ravel(), np.arange(p + 1, dtype=index) * width),
+                     shape=(p, p))
+    h.eliminate_zeros()
     return h
 
 
@@ -305,7 +320,7 @@ def build_constrained_hop(
 
     Each pair ket couples to the 2(N_e - 2) kets sharing one excited
     qubit; the diagonal carries twice the onsite hop energy (the self
-    interaction of each excitation).
+    interaction of each excitation).  The payload is a CSR array.
     """
     return _pair_model(_constrained_hop_payload(couplings.hop, basis), basis, params)
 
@@ -335,6 +350,7 @@ def build_spin_model(
     couplings: EffectiveCouplings, basis: PairBasis, params: SystemParams
 ) -> HamiltonianMatrix:
     single = build_constrained_hop(couplings, basis, params)
+    # CSR plus dense adds the stored entries onto one copy of the pair hop
     return _pair_model(single.payload + couplings.pair_hop, basis, params)
 
 
@@ -351,7 +367,8 @@ def _pairs_plus_bound(
     bound-bound term is left out when ``bound_bound`` is None."""
     n, p, g = params.n_cavities, basis.size, params.g
     h = np.zeros((p + n, p + n), dtype=complex)
-    h[:p, :p] = _constrained_hop_payload(hop, basis)
+    single = _constrained_hop_payload(hop, basis).tocoo()
+    h[single.row, single.col] = single.data
     h[:p, p:] = (g * g / (J * np.sqrt(n))) * pair_bound
     h[p:, :p] = h[:p, p:].conj().T
     h[p:, p:] = np.diag(bands.pair_detunings)

@@ -216,9 +216,9 @@ def _shift_invert(h: HamiltonianMatrix, k_lowest, parity):
 
 def _lanczos(h: HamiltonianMatrix, k_lowest, parity):
     """The lowest ``k_lowest`` levels from Lanczos (ARPACK, lowest algebraic).
-    A dense payload is applied by BLAS ``dsymv``, which reads one triangle;
-    the residuals against the whole payload catch one whose two triangles
-    differ."""
+    A sparse payload is applied by its CSR product, a dense one by BLAS
+    ``dsymv``, which reads one triangle; the residuals against the whole
+    payload catch a dense one whose two triangles differ."""
     product = None
     if not sp.issparse(h.payload):
         # dsymv gets the transpose, F-ordered for a C-ordered payload, which
@@ -228,6 +228,20 @@ def _lanczos(h: HamiltonianMatrix, k_lowest, parity):
     vals, vecs, threads = _arpack(counted, k_lowest, max(4 * k_lowest, 40), which="SA")
     return vals, vecs, None, None, {"method": "lanczos", "applications": counted.applications,
                                     "blas_threads": threads}
+
+
+def _dense(h: HamiltonianMatrix) -> np.ndarray:
+    """The payload as an ndarray: a sparse one is copied dense, and refused
+    above ``DENSE_BYTES_CAP``."""
+    payload = h.payload
+    if not sp.issparse(payload):
+        return payload
+    nbytes = payload.shape[0] * payload.shape[1] * payload.dtype.itemsize
+    if nbytes > DENSE_BYTES_CAP:
+        raise SizeError(
+            f"dense copy of a {h.dim}-dim sparse matrix needs {nbytes / 2**30:.1f} GiB"
+        )
+    return payload.toarray()
 
 
 def _parity_blocks(h: HamiltonianMatrix, k_lowest, parity):
@@ -244,9 +258,10 @@ def _parity_blocks(h: HamiltonianMatrix, k_lowest, parity):
     their magnitudes agree bit for bit.  The energies are sorted stably, so
     an exact tie puts the even level first.  The reflection defect of the
     whole payload is held to the residual gate, so a payload without the
-    symmetry fails even where the block solved looks exact.
+    symmetry fails even where the block solved looks exact.  A sparse payload
+    is copied dense once.
     """
-    payload, mirror = h.payload, h.pair_basis.mirror
+    payload, mirror = _dense(h), h.pair_basis.mirror
     defect = _reflection_defect(payload, mirror)
     reps = _representatives(mirror)
     partners = mirror[reps]
@@ -298,18 +313,9 @@ def _parity_blocks(h: HamiltonianMatrix, k_lowest, parity):
 
 def _lapack(h: HamiltonianMatrix, k_lowest, parity):
     """A LAPACK symmetric decomposition, full or the index subset of the
-    lowest ``k_lowest`` levels.  A sparse payload is copied dense first, and
-    refused above ``DENSE_BYTES_CAP``."""
-    payload = h.payload
-    if sp.issparse(payload):
-        nbytes = payload.shape[0] * payload.shape[1] * payload.dtype.itemsize
-        if nbytes > DENSE_BYTES_CAP:
-            raise SizeError(
-                f"dense copy of a {h.dim}-dim sparse matrix needs {nbytes / 2**30:.1f} GiB"
-            )
-        payload = payload.toarray()
+    lowest ``k_lowest`` levels, of the payload copied dense (``_dense``)."""
     subset = None if k_lowest is None else [0, min(k_lowest, h.dim) - 1]
-    vals, vecs = eigh(payload, subset_by_index=subset, driver="evr")
+    vals, vecs = eigh(_dense(h), subset_by_index=subset, driver="evr")
     return vals, vecs, None, None, {"method": "lapack", "driver": "evr"}
 
 
@@ -322,8 +328,8 @@ def _lapack(h: HamiltonianMatrix, k_lowest, parity):
 _ROUTES = (
     (lambda h, k: isinstance(h.payload, FullOperator), _shift_invert),
     (lambda h, k: k is not None and (
-        h.dim > DENSE_FALLBACK_DIM if sp.issparse(h.payload)
-        else splits_by_parity(h) and h.dim >= LANCZOS_MIN_DIM and k <= LANCZOS_MAX_K
+        h.dim >= LANCZOS_MIN_DIM and k <= LANCZOS_MAX_K if splits_by_parity(h)
+        else sp.issparse(h.payload) and h.dim > DENSE_FALLBACK_DIM
     ), _lanczos),
     (lambda h, k: k is None and splits_by_parity(h), _parity_blocks),
     (lambda h, k: True, _lapack),
@@ -339,9 +345,10 @@ def eigensolve(
 
     The first row of ``_ROUTES`` that takes the request solves it:
     ``_shift_invert`` for the matrix-free explicit-photon operator;
-    ``_lanczos`` for ``k_lowest`` levels of a sparse payload above
-    ``DENSE_FALLBACK_DIM``, or of a real pair-basis payload of dimension
-    ``LANCZOS_MIN_DIM`` or more with ``k_lowest <= LANCZOS_MAX_K``;
+    ``_lanczos`` for ``k_lowest`` levels of a real pair-basis payload, dense
+    or sparse, of dimension ``LANCZOS_MIN_DIM`` or more with
+    ``k_lowest <= LANCZOS_MAX_K``, or of any other sparse payload above
+    ``DENSE_FALLBACK_DIM``;
     ``_parity_blocks`` for every level of a model that ``splits_by_parity``;
     ``_lapack`` for the rest.  Every eigenvector then gets its canonical
     sign, and each level's residual (against the whole payload unless the

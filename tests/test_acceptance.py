@@ -394,8 +394,8 @@ def test_criterion_7e_structural_invariants(default_stack, variational_family):
         a = y[basis.encode(i, j), basis.encode(l, h)]
         b = y[basis.encode(i + s, j + s), basis.encode(l + s, h + s)]
         shift_dev = max(shift_dev, abs(a - b) / scale)
-    single = np.linalg.eigvalsh(stack.model("single").payload)
-    tilde = np.linalg.eigvalsh(stack.model("tilde-single").payload)
+    single = np.linalg.eigvalsh(stack.model("single").payload.toarray())
+    tilde = np.linalg.eigvalsh(stack.model("tilde-single").payload.toarray())
     upshift_ok = bool(np.all(single >= tilde - 1e-14))
     exact0 = stack.spectrum("spin").energies[0]
     var0 = variational_energy(stack.model("spin"), variational_family(stack).length, 1)

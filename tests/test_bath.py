@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from scipy.linalg import eigh_tridiagonal
 
-from droplet_lattice import default_params
+from droplet_lattice import ConvergenceError, DomainError, bath, default_params
 from droplet_lattice.bath import (
     bound_energy_closed_form,
     bound_matrix_element,
@@ -129,10 +130,57 @@ def test_grid_convergence_doubling_cutoff():
     diag[0] += p.u
     off = np.full(m2, -2 * hop)
     off[0] *= np.sqrt(2)
-    from scipy.linalg import eigh_tridiagonal
-
     vals, _ = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
     assert abs(vals[0] - state.energy) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "n_cavities, n_qubits, spacing", [(41, 6, 1), (81, 12, 3), (301, 50, 1), (501, 60, 1)]
+)
+def test_bound_states_are_bitwise_those_of_eigh_tridiagonal(
+    monkeypatch, n_cavities, n_qubits, spacing
+):
+    """``solve_bound_state`` calls LAPACK's dstebz and dstein itself; on the
+    relative-motion operator of every K >= 0 its energy and amplitudes are bit
+    for bit those from the lowest pair of scipy's eigh_tridiagonal."""
+    operators, dstebz = [], bath.dstebz
+
+    def spy(diag, off, *args):
+        operators.append((diag.copy(), off.copy()))
+        return dstebz(diag, off, *args)
+
+    monkeypatch.setattr(bath, "dstebz", spy)
+    bands = solve_bath(default_params(n_cavities=n_cavities, n_qubits=n_qubits, spacing=spacing))
+    solved = bands.bound_states[bands.grid.zero_index:]
+    assert len(operators) == len(solved) == (n_cavities + 1) // 2
+    for state, (diag, off) in zip(solved, operators):
+        vals, vecs = eigh_tridiagonal(diag, off, select="i", select_range=(0, 0))
+        phi = -vecs[:, 0] if vecs[0, 0] < 0 else vecs[:, 0]
+        psi = phi.copy()
+        psi[1:] /= np.sqrt(2)
+        assert state.energy == vals[0]
+        np.testing.assert_array_equal(state.amplitudes, psi)
+
+
+@pytest.mark.parametrize("routine", ["dstebz", "dstein"])
+def test_a_failed_lapack_call_is_a_convergence_error(monkeypatch, routine):
+    call = getattr(bath, routine)
+
+    def failing(*args):
+        *results, _ = call(*args)
+        return (*results, 1)
+
+    monkeypatch.setattr(bath, routine, failing)
+    with pytest.raises(ConvergenceError, match="LAPACK info 1"):
+        solve_bath(default_params(n_cavities=41, n_qubits=6))
+
+
+def test_a_non_finite_relative_operator_is_refused(monkeypatch):
+    """The finiteness check that ``eigh_tridiagonal`` made before LAPACK."""
+    monkeypatch.setattr(bath, "J", float("nan"))
+    p = default_params(n_cavities=41, n_qubits=6)
+    with pytest.raises(DomainError, match="not finite"):
+        solve_bound_state(p, MomentumGrid(41), 0)
 
 
 def test_matrix_element_translation_covariance(small_bands):

@@ -527,6 +527,9 @@ def test_stale_temporary_does_not_block_output(tmp_path):
         ("sweep", ["--set", "options.axis=kappa", "--set", "options.values=[1]"], None),
         ("spectrum", ["--set", "params.omega_c=0"], None),
         ("figure", ["--fig", "99"], None),
+        ("figure", ["--set", "options.fig=3", "--set", "options.values=[]"], None),
+        ("figure", ["--set", "options.fig=6b", "--set", "options.values=[]"], None),
+        ("sweep", ["--set", "options.values=[]"], None),
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, task, extra, workers):

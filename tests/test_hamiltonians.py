@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -30,6 +33,8 @@ from droplet_lattice.oracles import (
 )
 from droplet_lattice.params import PairBasis, qubit_positions
 
+MODEL_BUILDERS = {"single": build_constrained_hop, "tilde-single": build_unconstrained_hop}
+
 
 # ---------------------------------------------------------------------------
 # spin-sector assemblies against operator strings
@@ -38,12 +43,14 @@ from droplet_lattice.params import PairBasis, qubit_positions
 
 def test_constrained_hop_matches_operator_strings(tiny_stack):
     oracle = constrained_hop_by_strings(tiny_stack.couplings.hop, tiny_stack.basis)
-    np.testing.assert_allclose(tiny_stack.model("single").payload, oracle, atol=1e-12)
+    np.testing.assert_allclose(tiny_stack.model("single").payload.toarray(), oracle, atol=1e-12)
 
 
 def test_unconstrained_hop_matches_operator_strings(tiny_stack):
     oracle = unconstrained_hop_by_strings(tiny_stack.couplings.hop, tiny_stack.basis)
-    np.testing.assert_allclose(tiny_stack.model("tilde-single").payload, oracle, atol=1e-12)
+    np.testing.assert_allclose(
+        tiny_stack.model("tilde-single").payload.toarray(), oracle, atol=1e-12
+    )
 
 
 def test_pair_hop_matches_operator_strings(tiny_stack):
@@ -71,18 +78,45 @@ def test_pair_models_commute_with_the_reflection(n_qubits, spacing):
     mirror = pipe.basis.mirror
     for name in ("spin", "single", "tilde-single", "pair"):
         h = pipe.model(name).payload
+        h = h.toarray() if sp.issparse(h) else h
         np.testing.assert_allclose(h[mirror][:, mirror], h, rtol=0, atol=1e-14 * np.abs(h).max())
 
 
 def test_hop_row_connectivity(small_stack):
     """Each pair ket couples to 2(N_e - 2) partners plus itself."""
-    h = small_stack.model("single").payload
+    h = small_stack.model("single").payload.toarray()
     n_e = small_stack.params.n_qubits
     scale = hop_scale_and_length(small_stack.params)[0]
     for row in (0, 7, small_stack.basis.size - 1):
         nonzero = np.nonzero(np.abs(h[row]) > 0)[0]
         assert len(nonzero) == 2 * (n_e - 2) + 1
         assert h[row, row] == pytest.approx(2 * scale, rel=1e-12)
+
+
+def test_single_is_stored_sparse_and_spin_holds_one_dense_array():
+    """Building ``single`` allocates O(P N_e) bytes, here at most ten doubles
+    per pair and qubit (its CSR arrays, filled and sorted row by row);
+    building ``spin`` adds one P x P float64 array, the sum.  At 201 x 30 a
+    P x P array holds 14.5 doubles per pair and qubit, so a dense ``single``
+    at any step breaks both bounds.  Each build runs once untraced first, so
+    one-time imports and caches are not counted."""
+    pipe = Pipeline(default_params(n_cavities=201, n_qubits=30))
+    cpl, basis, params = pipe.couplings, pipe.basis, pipe.params
+    square = 8 * basis.size**2
+    linear = 10 * 8 * basis.size * params.n_qubits
+    for build, bound in ((build_constrained_hop, linear), (build_spin_model, square + linear)):
+        build(cpl, basis, params)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            build(cpl, basis, params)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound, (build.__name__, peak, bound)
+    assert sp.issparse(pipe.model("single").payload)
+    assert sp.issparse(pipe.model("tilde-single").payload)
+    assert isinstance(pipe.model("spin").payload, np.ndarray)
 
 
 def test_two_qubit_degenerate_case():
@@ -99,8 +133,8 @@ def test_two_qubit_degenerate_case():
 
 
 def test_constraint_upshift_state_by_state(small_stack):
-    single = np.linalg.eigvalsh(small_stack.model("single").payload)
-    tilde = np.linalg.eigvalsh(small_stack.model("tilde-single").payload)
+    single = np.linalg.eigvalsh(small_stack.model("single").payload.toarray())
+    tilde = np.linalg.eigvalsh(small_stack.model("tilde-single").payload.toarray())
     assert np.all(single >= tilde - 1e-15)
 
 
@@ -127,7 +161,9 @@ def test_adiabatic_model_layout(small_stack):
     n = small_stack.params.n_cavities
     assert h.dim == p + n
     assert hermiticity_defect(h) < 1e-12
-    np.testing.assert_allclose(h.payload[:p, :p], small_stack.model("single").payload, atol=0)
+    np.testing.assert_allclose(
+        h.payload[:p, :p], small_stack.model("single").payload.toarray(), atol=0
+    )
     np.testing.assert_allclose(
         np.diag(h.payload[p:, p:]).real, small_stack.bands.pair_detunings, atol=0
     )
@@ -323,6 +359,26 @@ def test_export_triplets_roundtrip(tmp_path, tiny_stack):
     np.testing.assert_allclose(rebuilt.real, tiny_stack.model("spin").payload, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["single", "tilde-single"])
+@pytest.mark.parametrize("cut", [False, True])
+def test_sparse_hop_payloads_export_and_check_as_their_dense_form(tmp_path, tiny_stack, name,
+                                                                  cut):
+    """A CSR hop payload writes byte for byte the triplets of its dense form
+    (rows in order, columns sorted, no stored zeros, also where qubit 1's hop
+    strengths are cut to zero), and ``hermiticity_defect`` takes it as it is."""
+    cpl = tiny_stack.couplings
+    if cut:
+        hop = cpl.hop.copy()
+        hop[0, :] = hop[:, 0] = 0.0
+        cpl = replace(cpl, hop=hop)
+    h = MODEL_BUILDERS[name](cpl, tiny_stack.basis, tiny_stack.params)
+    dense = replace(h, payload=h.payload.toarray())
+    export_triplets(h, tmp_path / "sparse.txt")
+    export_triplets(dense, tmp_path / "dense.txt")
+    assert (tmp_path / "sparse.txt").read_bytes() == (tmp_path / "dense.txt").read_bytes()
+    assert hermiticity_defect(h) == hermiticity_defect(dense) == 0.0
+
+
 def test_export_size_guard(default_stack):
     with pytest.raises(SizeError):
         export_triplets(default_stack.model("full"), "/dev/null")
@@ -335,7 +391,7 @@ def test_hop_spectrum_flattening_staircase(default_stack):
     n_e = default_stack.params.n_qubits
     for energies in (
         default_stack.spectrum("single").energies,
-        np.linalg.eigvalsh(default_stack.model("tilde-single").payload),
+        np.linalg.eigvalsh(default_stack.model("tilde-single").payload.toarray()),
     ):
         spreads = [
             energies[(g + 1) * n_e - 1] - energies[g * n_e] for g in range(4)

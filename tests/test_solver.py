@@ -130,20 +130,22 @@ def test_large_sparse_payloads_take_the_lanczos_path(monkeypatch):
 
 @pytest.fixture(scope="module")
 def mid_stack():
-    """201 cavities, 30 qubits: dense pair-basis models of dim 435, above
+    """201 cavities, 30 qubits: pair-basis models of dim 435, above
     ``LANCZOS_MIN_DIM``."""
     return Pipeline(default_params(n_cavities=201, n_qubits=30))
 
 
 @pytest.mark.parametrize("name, k", [("spin", 1), ("single", 4)])
 def test_dense_lanczos_matches_the_lapack_subset(mid_stack, name, k):
-    """Small k on a large dense pair-basis payload goes to Lanczos, which
-    agrees with the LAPACK subset and repeats bit for bit."""
+    """Small k on a large pair-basis payload (dense ``spin``, CSR ``single``)
+    goes to Lanczos, which agrees with the LAPACK subset and repeats bit for
+    bit."""
     h = mid_stack.model(name)
     assert h.dim == 435
     lanczos = eigensolve(h, k_lowest=k)
     assert lanczos.solver["method"] == "lanczos" and lanczos.solver["applications"] > 0
-    vals, vecs = eigh(h.payload, subset_by_index=[0, k - 1])
+    dense = h.payload.toarray() if sp.issparse(h.payload) else h.payload
+    vals, vecs = eigh(dense, subset_by_index=[0, k - 1])
     np.testing.assert_allclose(lanczos.energies - h.energy_offset, vals, atol=1e-12, rtol=0)
     # every level here is non-degenerate (gaps above 2e-4); the reflection
     # makes mirrored components of an odd state equal in magnitude, so the
@@ -192,6 +194,35 @@ def test_dense_lanczos_refuses_a_payload_whose_triangles_differ(
     assert cli.main(argv) == 4
     err = capsys.readouterr().err
     assert err.startswith("solver error: residual") and err.count("\n") == 1
+
+
+def test_a_sparse_pair_payload_takes_the_route_of_its_dense_copy(mid_stack):
+    """The CSR ``single`` payload meets the same route conditions as the
+    same matrix stored dense.  LAPACK and the parity blocks copy it dense
+    first, so their energies and vectors are bitwise those of the dense
+    copy; Lanczos applies it by its CSR product and agrees to rounding."""
+    from dataclasses import replace
+
+    small = Pipeline(default_params(n_cavities=81, n_qubits=12))
+    cases = [
+        (mid_stack, 4, "lanczos"),
+        (mid_stack, solver.LANCZOS_MAX_K + 1, "lapack"),
+        (small, 1, "lapack"),
+        (small, None, "parity-blocks"),
+        (mid_stack, None, "parity-blocks"),
+    ]
+    for pipe, k, method in cases:
+        h = pipe.model("single")
+        assert sp.issparse(h.payload)
+        sparse = eigensolve(h, k_lowest=k)
+        dense = eigensolve(replace(h, payload=h.payload.toarray()), k_lowest=k)
+        assert sparse.solver["method"] == dense.solver["method"] == method
+        if method == "lanczos":
+            np.testing.assert_allclose(sparse.energies, dense.energies, atol=1e-13, rtol=0)
+            np.testing.assert_allclose(sparse.vectors, dense.vectors, atol=1e-10, rtol=0)
+        else:
+            np.testing.assert_array_equal(sparse.energies, dense.energies)
+            np.testing.assert_array_equal(sparse.vectors, dense.vectors)
 
 
 def test_dense_lanczos_is_limited_to_small_k_large_pair_payloads(mid_stack):
@@ -366,7 +397,7 @@ def test_parity_blocks_match_the_whole_payload(parity_stack, n_qubits, spacing):
         assert d.solver == {"method": "parity-blocks", "blocks": [n_even, size - n_even],
                             "driver": "evd", "blas_threads": 1}
         assert np.count_nonzero(d.parity == 1) == n_even
-        vals, vecs = eigh(h.payload)
+        vals, vecs = eigh(h.payload.toarray() if sp.issparse(h.payload) else h.payload)
         scale = np.abs(vals).max()
         np.testing.assert_allclose(d.energies - h.energy_offset, vals, atol=1e-13 * scale, rtol=0)
         cuts = np.flatnonzero(np.diff(vals) > 1e-6 * scale) + 1
