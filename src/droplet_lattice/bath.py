@@ -30,7 +30,7 @@ from .params import J, MomentumGrid, SystemParams
 TAIL_TARGET = 1e-14
 
 
-def single_photon_energy(params: SystemParams, k) -> np.ndarray:
+def single_photon_energy(k) -> np.ndarray:
     """Dispersion of one photon on the cavity array."""
     return -2 * J * np.cos(np.asarray(k, dtype=float))
 
@@ -136,7 +136,8 @@ class BathBands:
     bound_energies: np.ndarray
     single_detunings: np.ndarray  # E_k - omega_e, one photon against one excited qubit
     pair_detunings: np.ndarray    # E_{K,b} - 2 omega_e, bound pair against two excited qubits
-    bound_states: tuple = field(repr=False, default=())
+    bound_states: tuple = field(repr=False)
+    profiles: np.ndarray = field(repr=False)  # S[k_idx, K_idx] of profile_table
 
     def require_gap(self):
         if np.any(self.single_detunings <= 0):
@@ -146,13 +147,14 @@ class BathBands:
 
 
 def solve_bath(params: SystemParams) -> BathBands:
-    """Bound band and detunings for every wavevector on the grid; the states
-    at K < 0 are those at -K with the momentum negated (see the module)."""
+    """Bound band, detunings and profile table for every wavevector on the
+    grid; the states at K < 0 are those at -K with the momentum negated (see
+    the module)."""
     grid = MomentumGrid(params.n_cavities)
     upper = [solve_bound_state(params, grid, idx) for idx in grid.indices[grid.zero_index:]]
     lower = [replace(s, momentum=-s.momentum) for s in upper[:0:-1]]
     states = tuple(lower + upper)
-    e_k = single_photon_energy(params, grid.wavevectors)
+    e_k = single_photon_energy(grid.wavevectors)
     e_b = np.array([s.energy for s in states])
     return BathBands(
         grid=grid,
@@ -161,6 +163,7 @@ def solve_bath(params: SystemParams) -> BathBands:
         single_detunings=e_k - params.omega_e,
         pair_detunings=e_b - 2 * params.omega_e,
         bound_states=states,
+        profiles=profile_table(grid, states),
     )
 
 
@@ -181,7 +184,7 @@ def bound_matrix_element(k, cavity: int, state: RelativeBoundState) -> complex:
     return np.sqrt(2) * np.exp(1j * cavity * (state.momentum - k)) * profile
 
 
-def profile_table(bands: BathBands) -> np.ndarray:
+def profile_table(grid: MomentumGrid, states) -> np.ndarray:
     """Matrix S[k_idx, K_idx] of relative-profile transforms for all k, K.
 
     On the grid k = 2 pi n_k / N, K = 2 pi n_K / N the phase of every term
@@ -192,8 +195,7 @@ def profile_table(bands: BathBands) -> np.ndarray:
     one product G = C Psi over m >= 1 holds every sum, and the table is
     the gather S[n_k, n_K] = psi_K(0) + 2 G[(2 n_k - n_K) mod 2N, n_K].
     """
-    n = bands.grid.n_cavities
-    states = bands.bound_states
+    n = grid.n_cavities
     psi = np.zeros((max(s.m_max for s in states), n))
     for col, state in enumerate(states):
         psi[: state.m_max, col] = state.amplitudes[1:]
@@ -201,7 +203,7 @@ def profile_table(bands: BathBands) -> np.ndarray:
     m = np.arange(1, psi.shape[0] + 1)
     cosines = np.cos(np.pi * l / n)[np.outer(l, m) % (2 * n)]
     sums = cosines @ psi
-    idx = bands.grid.indices
+    idx = grid.indices
     rows = (2 * idx[:, None] - idx[None, :]) % (2 * n)
     head = np.array([s.amplitudes[0] for s in states])
     return head + 2.0 * sums[rows, np.arange(n)]

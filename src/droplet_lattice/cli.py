@@ -469,6 +469,8 @@ def _fig9(fig, cfg, pipe, out):
 
 def _fig10(fig, cfg, pipe, out):
     snaps = cfg.options.get("snapshot_times", [0, 960, 2220, 3080, 4440, 5220, 6540, 7500])
+    if not snaps:
+        raise ConfigError("figure 10 needs a non-empty options.snapshot_times")
     _, states, _ = pipe.quench("spin", "fs", snaps, (), range(len(snaps)))
     return _write_snapshots("fig10_t", states, pipe.basis, out)
 

@@ -12,11 +12,10 @@ product rather than a quadruple loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .bath import BathBands, profile_table
+from .bath import BathBands
 from .errors import DomainError
 from .output import write_csv
 from .params import J, PairBasis, SystemParams
@@ -62,11 +61,7 @@ def constrained_hop_matrix(params: SystemParams, positions: np.ndarray) -> np.nd
 
 
 def pair_bound_couplings(
-    params: SystemParams,
-    positions: np.ndarray,
-    basis: PairBasis,
-    bands: BathBands,
-    profiles: Optional[np.ndarray] = None,
+    params: SystemParams, positions: np.ndarray, basis: PairBasis, bands: BathBands
 ) -> np.ndarray:
     """Couplings between two-excited-qubit kets and bound-pair kets.
 
@@ -79,20 +74,12 @@ def pair_bound_couplings(
         raise DomainError("single-photon detuning not positive for every k")
     n = params.n_cavities
     k = bands.grid.wavevectors
-    if profiles is None:
-        profiles = profile_table(bands)
-    weighted = profiles / bands.single_detunings[:, None]
+    weighted = bands.profiles / bands.single_detunings[:, None]
 
     i0, j0 = basis.i_index - 1, basis.j_index - 1
-    n_i, n_j = positions[i0], positions[j0]
-    # distances present in the pair basis: r * spacing for r = 0 ... N_e - 1
-    dist_vals = np.unique(n_j - n_i)
-    if dist_vals[0] != 0:
-        dist_vals = np.concatenate(([0], dist_vals))
-    t_table = np.exp(1j * np.outer(dist_vals, k)) @ weighted
-    row_of = {int(d): row for row, d in enumerate(dist_vals)}
-    rows = np.array([row_of[int(d)] for d in (n_j - n_i)])
-    t_pair = t_table[rows, :]
+    # one row of T per distance n_j - n_i present in the pair basis
+    dist_vals, rows = np.unique(positions[j0] - positions[i0], return_inverse=True)
+    t_pair = (np.exp(1j * np.outer(dist_vals, k)) @ weighted)[rows]
     # rows e^{-i k n_j} and e^{-i k n_i} are taken from one table per qubit
     phases = np.exp(-1j * np.outer(positions, k))
     out = phases[j0]
@@ -105,19 +92,14 @@ def pair_bound_couplings(
 
 
 def bound_bound_couplings(
-    params: SystemParams,
-    positions: np.ndarray,
-    bands: BathBands,
-    profiles: Optional[np.ndarray] = None,
+    params: SystemParams, positions: np.ndarray, bands: BathBands
 ) -> np.ndarray:
     """Couplings between bound-pair kets with different wavevectors."""
     if np.any(bands.single_detunings <= 0):
         raise DomainError("single-photon detuning not positive for every k")
     n = params.n_cavities
     k = bands.grid.wavevectors
-    if profiles is None:
-        profiles = profile_table(bands)
-    cross = profiles.T @ (profiles / bands.single_detunings[:, None])
+    cross = bands.profiles.T @ (bands.profiles / bands.single_detunings[:, None])
     phases = np.exp(1j * np.outer(positions, k))
     geometry = phases.conj().T @ phases  # sum_j e^{i n_j (K' - K)}
     return -(2 * J / n) * geometry * cross
@@ -182,9 +164,8 @@ def build_effective_couplings(
 ) -> EffectiveCouplings:
     """Compute the effective interactions of the spin model for one parameter
     set; the bound-to-bound block comes from ``bound_bound_couplings``."""
-    profiles = profile_table(bands)
     hop = constrained_hop_matrix(params, positions)
-    pair_bound = pair_bound_couplings(params, positions, basis, bands, profiles)
+    pair_bound = pair_bound_couplings(params, positions, basis, bands)
     pair_hop = pair_hop_matrix(params, pair_bound, bands)
     return EffectiveCouplings(hop=hop, pair_bound=pair_bound, pair_hop=pair_hop)
 

@@ -36,10 +36,6 @@ class BasisMismatch(SimulationError):
 class ConvergenceError(SimulationError):
     """Iterative eigensolver failed to converge."""
 
-    def __init__(self, message, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
-
 
 class BracketError(SimulationError):
     """Scalar minimization found no interior minimum in the bracket."""

@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
-from .bath import BathBands, profile_table
+from .bath import BathBands
 from .couplings import EffectiveCouplings, bound_bound_couplings, pair_bound_couplings
 from .errors import BasisMismatch, SizeError
 from .oracles import photon_pair_index, single_photon_sector, two_photon_ring
@@ -70,7 +70,6 @@ class FullOperator:
         self.dim = p + n_e * n + n
         self.shape = (self.dim, self.dim)
         self.dtype = np.dtype(complex)
-        self._profiles = profile_table(bands)
         self._phases = np.exp(1j * np.outer(self.positions, bands.grid.wavevectors))
         self._i0 = basis.i_index - 1
         self._j0 = basis.j_index - 1
@@ -88,7 +87,7 @@ class FullOperator:
         phases = self._phases
         emit = phases @ c.T  # emit[a, b] = sum_k e^{i k n_a} c_{b k}
         pairs = (g / np.sqrt(n)) * (emit[self._i0, self._j0] + emit[self._j0, self._i0])
-        absorb = (phases * c) @ self._profiles
+        absorb = (phases * c) @ self.bands.profiles
         bound = (g / n) * np.sqrt(2) * (phases.conj() * absorb).sum(axis=0)
         return pairs, bound
 
@@ -100,7 +99,7 @@ class FullOperator:
         dmat[self._i0, self._j0] = d
         dmat[self._j0, self._i0] = d
         oc = (g / np.sqrt(n)) * (dmat @ phases.conj())
-        bound_in = (phases * b[None, :]) @ self._profiles.T
+        bound_in = (phases * b[None, :]) @ self.bands.profiles.T
         oc += (g / n) * np.sqrt(2) * phases.conj() * bound_in
         return oc
 
@@ -132,8 +131,8 @@ class FullOperator:
         hop = -(g * g / n) * ((self._phases / bands.single_detunings) @ self._phases.conj().T)
         # this operator's pair-bound phases are the complex conjugate of the
         # adiabatic model's, which pair_bound_couplings follows
-        pair_bound = pair_bound_couplings(params, positions, self.basis, bands, self._profiles)
-        bound_bound = bound_bound_couplings(params, positions, bands, self._profiles)
+        pair_bound = pair_bound_couplings(params, positions, self.basis, bands)
+        bound_bound = bound_bound_couplings(params, positions, bands)
         s = _pairs_plus_bound(hop.real, pair_bound.conj(), bound_bound, self.basis, params, bands)
         s[np.diag_indices_from(s)] -= sigma
         return s
@@ -198,7 +197,7 @@ class FullOperator:
                 1j
                 * self.positions[i0]
                 * (self.bands.grid.wavevectors[None, :] - self.bands.grid.wavevectors[:, None])
-            ) * self._profiles
+            ) * self.bands.profiles
             block = (g / n) * mb
             r_idx, c_idx = np.nonzero(np.ones_like(block, dtype=bool))
             rows.extend(qp(i0, r_idx))

@@ -373,8 +373,7 @@ def eigensolve(
     scale, gate = _gate(vals)
     if residuals.max(initial=0.0) > gate:
         raise ConvergenceError(
-            f"residual {residuals.max():g} too large for spectrum scale {scale:g}",
-            residuals=residuals,
+            f"residual {residuals.max():g} too large for spectrum scale {scale:g}"
         )
     return SpectralDecomposition(
         energies=vals + h.energy_offset,
@@ -553,6 +552,8 @@ def minimize_variational(h_spin: HamiltonianMatrix, n_max: Optional[int] = None)
     basis = h_spin.pair_basis
     if n_max is None:
         n_max = max(1, round(basis.n_qubits / length))
+    if n_max > basis.size:
+        raise ConfigError(f"n_max {n_max} exceeds the {basis.size} pair kets of the basis")
     raw = np.stack(
         [variational_vector(h_spin, length, n) for n in range(1, n_max + 1)], axis=1
     )

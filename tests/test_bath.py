@@ -1,8 +1,10 @@
+import sys
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh_tridiagonal
 
-from droplet_lattice import ConvergenceError, DomainError, bath, default_params
+from droplet_lattice import ConvergenceError, DomainError, Pipeline, bath, default_params
 from droplet_lattice.bath import (
     bound_energy_closed_form,
     bound_matrix_element,
@@ -24,16 +26,15 @@ def small_bands():
 
 
 def test_dispersion_band_edges():
-    p = default_params()
-    assert single_photon_energy(p, 0.0) == pytest.approx(-2, abs=1e-15)
-    assert single_photon_energy(p, np.pi) == pytest.approx(2, abs=1e-15)
+    assert single_photon_energy(0.0) == pytest.approx(-2, abs=1e-15)
+    assert single_photon_energy(np.pi) == pytest.approx(2, abs=1e-15)
 
 
 def test_dispersion_matches_one_photon_diagonalization():
     p = default_params(n_cavities=41, n_qubits=4)
     grid = MomentumGrid(p.n_cavities)
     spectrum = np.linalg.eigvalsh(single_photon_sector(p))
-    expected = np.sort(single_photon_energy(p, grid.wavevectors))
+    expected = np.sort(single_photon_energy(grid.wavevectors))
     np.testing.assert_allclose(spectrum, expected, atol=1e-10)
 
 
@@ -252,12 +253,32 @@ def test_profile_table_matches_per_state_transform(n_cavities, n_qubits, u, wrap
     bands = solve_bath(default_params(n_cavities=n_cavities, n_qubits=n_qubits, u=u))
     assert any(s.ring_wrapped for s in bands.bound_states) == wrapped
     assert {int(n) % 2 for n in bands.grid.indices} == {0, 1}
-    table = profile_table(bands)
+    table = profile_table(bands.grid, bands.bound_states)
+    np.testing.assert_array_equal(bands.profiles, table)
     reference = np.column_stack(
         [s.profile_transform(bands.grid.wavevectors) for s in bands.bound_states]
     )
     assert table.shape == reference.shape == (n_cavities, n_cavities)
     np.testing.assert_allclose(table, reference, rtol=0, atol=1e-13 * np.abs(reference).max())
+
+
+def test_one_pipeline_builds_the_profile_table_once(monkeypatch):
+    """The bands carry the table, so the couplings, the bound-to-bound block
+    and the explicit-photon operator all read the one that solve_bath made."""
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return profile_table(*args)
+
+    for name, module in list(sys.modules.items()):
+        holds = getattr(module, "profile_table", None) is profile_table
+        if name.startswith("droplet_lattice") and holds:
+            monkeypatch.setattr(module, "profile_table", spy)
+    pipe = Pipeline(default_params(n_cavities=41, n_qubits=6))
+    for name in ("spin", "adia0", "full"):
+        pipe.model(name)
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("n_cavities, n_qubits, spacing", [(41, 6, 1), (81, 12, 3)])

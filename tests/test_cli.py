@@ -530,6 +530,8 @@ def test_stale_temporary_does_not_block_output(tmp_path):
         ("figure", ["--set", "options.fig=3", "--set", "options.values=[]"], None),
         ("figure", ["--set", "options.fig=6b", "--set", "options.values=[]"], None),
         ("sweep", ["--set", "options.values=[]"], None),
+        ("variational", ["--set", "options.n_max=16"], None),
+        ("figure", ["--set", "options.fig=10", "--set", "options.snapshot_times=[]"], None),
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, task, extra, workers):

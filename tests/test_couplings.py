@@ -275,6 +275,7 @@ def test_gap_guard_raises_inside_band(small_stack):
         single_detunings=bands.single_detunings - 10.0,
         pair_detunings=bands.pair_detunings,
         bound_states=bands.bound_states,
+        profiles=bands.profiles,
     )
     with pytest.raises(DomainError):
         pair_bound_couplings(
@@ -287,6 +288,7 @@ def test_gap_guard_raises_inside_band(small_stack):
         single_detunings=bands.single_detunings,
         pair_detunings=bands.pair_detunings - 10.0,
         bound_states=bands.bound_states,
+        profiles=bands.profiles,
     )
     with pytest.raises(DomainError):
         pair_hop_matrix(small_stack.params, small_stack.couplings.pair_bound, broken2)
