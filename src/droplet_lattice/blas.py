@@ -1,7 +1,6 @@
 """Thread counts of the OpenBLAS pools that numpy and scipy each load,
-read and set through ctypes; ``"unmanaged"`` where no pool can be set."""
+read and set through ctypes."""
 
-import contextlib
 import ctypes
 import functools
 import os
@@ -45,40 +44,11 @@ def blas_libraries() -> list[dict]:
              "threads": None if get is None else get()} for name, config, get, _ in _blas_pools()]
 
 
-def blas_settable() -> bool:
-    """Whether OpenBLAS is loaded and each pool has a getter and a setter."""
-    pools = _blas_pools()
-    return bool(pools) and all(get is not None and set_ is not None for _, _, get, set_ in pools)
-
-
-def set_blas_threads(count: int):
-    """Set every OpenBLAS pool to ``count`` threads and return the prior
-    count of each; return ``"unmanaged"`` and change nothing unless
-    ``blas_settable()``.  A pool already at ``count`` is not touched: in a
-    forked process OpenBLAS's setter rebuilds the pool's threads, which then
-    spin idle."""
-    if not blas_settable():
-        return "unmanaged"
-    prior = [get() for _, _, get, _ in _blas_pools()]
-    for (_, _, _, set_), before in zip(_blas_pools(), prior):
-        if before != count:
+def set_blas_threads(count: int) -> None:
+    """Set every OpenBLAS pool that has a getter and a setter to ``count``
+    threads; a pool without them is left alone.  A pool already at ``count``
+    is not touched: in a forked process OpenBLAS's setter rebuilds the pool's
+    threads, which then spin idle."""
+    for _, _, get, set_ in _blas_pools():
+        if get is not None and set_ is not None and get() != count:
             set_(count)
-    return prior
-
-
-@contextlib.contextmanager
-def blas_threads(count: int):
-    """Hold every OpenBLAS pool at ``count`` threads inside the block; the
-    pools it changed get their prior counts back on exit, also after an
-    exception.  Yields ``count``, or ``"unmanaged"`` (and changes nothing) as
-    ``set_blas_threads`` does."""
-    prior = set_blas_threads(count)
-    if prior == "unmanaged":
-        yield prior
-        return
-    try:
-        yield count
-    finally:
-        for (_, _, _, set_), before in zip(_blas_pools(), prior):
-            if before != count:
-                set_(before)

@@ -26,7 +26,7 @@ import scipy
 from . import observables as obs
 from . import pipeline
 from .bath import write_band_csv
-from .blas import blas_libraries, blas_threads
+from .blas import blas_libraries, set_blas_threads
 from .couplings import hop_scale_and_length, write_hop_csv, write_pair_hop_blocks_csv
 from .errors import BracketError, ConfigError, ConvergenceError, SimulationError, SizeError
 from .hamiltonians import _require_pairs, export_triplets
@@ -287,9 +287,9 @@ def _sweep_point(args):
     return float(Pipeline(build_params(params_dict)).spectrum(model_name, 1).energies[0])
 
 
-def _pool_size(jobs: int) -> tuple[int, int]:
-    """Sweep workers and the BLAS threads of each, so that together they use
-    the process's cores and no more: ``SIMULATE_WORKERS`` caps the workers."""
+def _pool_size(jobs: int) -> int:
+    """Sweep workers, one per job up to the process's cores and no more:
+    ``SIMULATE_WORKERS`` caps them."""
     try:
         cores = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity on this platform
@@ -297,8 +297,7 @@ def _pool_size(jobs: int) -> tuple[int, int]:
     text = os.environ.get("SIMULATE_WORKERS")
     if text is not None and (not text.isdecimal() or int(text) < 1):
         raise ConfigError(f"SIMULATE_WORKERS must be a positive integer, got {text!r}")
-    workers = min(int(text) if text else cores, cores, jobs)
-    return workers, max(1, cores // workers)
+    return min(int(text) if text else cores, cores, jobs)
 
 
 def _task_sweep(cfg, pipe, out):
@@ -307,21 +306,18 @@ def _task_sweep(cfg, pipe, out):
     if not values:
         raise ConfigError("sweep needs options.values")
     jobs = [({**cfg.params, axis: v}, cfg.model) for v in values]
-    workers, threads = _pool_size(len(jobs))
+    workers = _pool_size(len(jobs))
     if workers > 1:
-        # the forked workers inherit the parent's pool sizes; set in a fresh
-        # fork instead, OpenBLAS would rebuild each pool's (spinning) threads
-        with blas_threads(threads) as held, ProcessPoolExecutor(workers) as pool:
+        # the forked workers inherit the parent's one BLAS thread per pool
+        with ProcessPoolExecutor(workers) as pool:
             try:
                 energies = list(pool.map(_sweep_point, jobs))
             except BrokenProcessPool as exc:
                 raise SimulationError(f"a sweep worker died: {exc}") from exc
-        pool_record = {"workers": workers, "blas_threads": held}
     else:
         energies = [_sweep_point(j) for j in jobs]
-        pool_record = {"workers": 1, "blas_threads": None}
     write_csv(os.path.join(out, "sweep.csv"), [axis, "E0_minus_E0b"], zip(values, energies))
-    return None, ["sweep.csv"], {"pool": pool_record}
+    return None, ["sweep.csv"], {"pool": {"workers": workers}}
 
 
 def _task_validate(cfg, pipe, out):
@@ -499,6 +495,9 @@ TASKS = {
 
 def run(cfg: RunConfig) -> int:
     started, cpu_started = time.perf_counter(), time.process_time()
+    # one BLAS thread for the whole run, so its bytes do not depend on the
+    # host's core count; ``libraries`` records the count
+    set_blas_threads(1)
     libraries = {"numpy": np.__version__, "scipy": scipy.__version__, "openblas": blas_libraries()}
     pipe = Pipeline(build_params(cfg.params))
     os.makedirs(cfg.out_dir, exist_ok=True)

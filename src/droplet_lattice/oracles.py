@@ -23,15 +23,15 @@ BATH_SECTOR_CAP = 61  # cavities; the two-photon sector is dense and O(N^2) wide
 
 
 def ladder_operators(n_qubits: int) -> tuple[list, list]:
-    """Dense raising and lowering operators for each qubit on 2^N_e."""
+    """Raising and lowering operators for each qubit on 2^N_e, as CSR arrays."""
     if n_qubits > OPERATOR_STRING_CAP:
         raise SizeError(f"operator strings limited to {OPERATOR_STRING_CAP} qubits")
-    raise_1 = np.array([[0.0, 0.0], [1.0, 0.0]])  # |e><g| with |g> = (1, 0)
+    raise_1 = sp.csr_array([[0.0, 0.0], [1.0, 0.0]])  # |e><g| with |g> = (1, 0)
     ups, downs = [], []
     for site in range(n_qubits):
-        op = np.array([[1.0]])
+        op = sp.csr_array([[1.0]])
         for slot in range(n_qubits):
-            op = np.kron(op, raise_1 if slot == site else np.eye(2))
+            op = sp.kron(op, raise_1 if slot == site else sp.eye_array(2), format="csr")
         ups.append(op)
         downs.append(op.T)
     return ups, downs
@@ -57,8 +57,8 @@ def constrained_hop_by_strings(hop: np.ndarray, basis: PairBasis) -> np.ndarray:
     for i in range(n_e):
         for j in range(n_e):
             for l in range(n_e):
-                h += 0.5 * hop[j, l] * (ups[i] @ ups[j] @ downs[i] @ downs[l])
-                h += 0.5 * hop[i, l] * (ups[i] @ ups[j] @ downs[l] @ downs[j])
+                h += (0.5 * hop[j, l] * (ups[i] @ ups[j] @ downs[i] @ downs[l])).toarray()
+                h += (0.5 * hop[i, l] * (ups[i] @ ups[j] @ downs[l] @ downs[j])).toarray()
     inj = two_excitation_injector(basis)
     return inj.T @ h @ inj
 
@@ -70,7 +70,7 @@ def unconstrained_hop_by_strings(hop: np.ndarray, basis: PairBasis) -> np.ndarra
     h = np.zeros((2**n_e, 2**n_e))
     for i in range(n_e):
         for j in range(n_e):
-            h += 2.0 * hop[i, j] * (ups[i] @ downs[j])
+            h += (2.0 * hop[i, j] * (ups[i] @ downs[j])).toarray()
     inj = two_excitation_injector(basis)
     return inj.T @ h @ inj
 
@@ -84,9 +84,9 @@ def pair_hop_by_strings(pair_hop: np.ndarray, basis: PairBasis) -> np.ndarray:
         i, j = basis.decode(p)
         for q in range(basis.size):
             l, m = basis.decode(q)
-            h += pair_hop[p, q] * (
+            h += (pair_hop[p, q] * (
                 ups[i - 1] @ ups[j - 1] @ downs[l - 1] @ downs[m - 1]
-            )
+            )).toarray()
     inj = two_excitation_injector(basis)
     return inj.T @ h @ inj
 

@@ -18,7 +18,6 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 from scipy.linalg.blas import dsymv
 
-from .blas import blas_threads
 from .errors import (
     BasisMismatch,
     BracketError,
@@ -125,9 +124,7 @@ class _Counted:
 
 
 def _arpack(op, k: int, ncv: int, **mode):
-    """Lowest ``k`` eigenpairs of ``op`` from ARPACK, ascending, and the BLAS
-    thread count they were computed with: one, so that the two OpenBLAS
-    pools do not hand the small products back and forth.
+    """Lowest ``k`` eigenpairs of ``op`` from ARPACK, ascending.
 
     A real operator gets the real part of the fixed start vector, so ARPACK
     runs its real symmetric routine."""
@@ -142,12 +139,11 @@ def _arpack(op, k: int, ncv: int, **mode):
     if not np.issubdtype(op.dtype, np.complexfloating):
         v0 = v0.real
     try:
-        with blas_threads(1) as threads:
-            vals, vecs = spla.eigsh(op, k=k, ncv=ncv, v0=v0, maxiter=20000, **mode)
+        vals, vecs = spla.eigsh(op, k=k, ncv=ncv, v0=v0, maxiter=20000, **mode)
     except spla.ArpackNoConvergence as exc:
         raise ConvergenceError(f"iterative eigensolver stalled: {exc}") from exc
     order = np.argsort(vals)
-    return vals[order], vecs[:, order], threads
+    return vals[order], vecs[:, order]
 
 
 def _representatives(mirror: np.ndarray) -> np.ndarray:
@@ -181,7 +177,14 @@ def _gate(vals: np.ndarray) -> tuple:
     return scale, 1e-8 * max(scale, 1.0)
 
 
-def _reflection_defect(payload: np.ndarray, mirror: np.ndarray) -> float:
+def _gather(payload, rows, cols=None) -> np.ndarray:
+    """``payload[rows][:, cols]`` (all columns without ``cols``) as an
+    ndarray of its own, from a dense or a sparse payload."""
+    block = payload[rows] if cols is None else payload[np.ix_(rows, cols)]
+    return block.toarray() if sp.issparse(block) else block
+
+
+def _reflection_defect(payload, mirror: np.ndarray) -> float:
     """||H - H[mirror][:, mirror]||_F: zero for a payload that commutes with
     the reflection.  The Frobenius norm bounds the spectral norm of the
     defect, so it bounds what the defect adds to any level's residual
@@ -190,8 +193,8 @@ def _reflection_defect(payload: np.ndarray, mirror: np.ndarray) -> float:
     squares = 0.0
     for start in range(0, len(mirror), DEFECT_ROWS):
         rows = slice(start, start + DEFECT_ROWS)
-        block = payload[np.ix_(mirror[rows], mirror)]
-        block -= payload[rows]
+        block = _gather(payload, mirror[rows], mirror)
+        block -= _gather(payload, rows)
         squares += float(np.vdot(block, block))
     return float(np.sqrt(squares))
 
@@ -208,10 +211,10 @@ def _shift_invert(h: HamiltonianMatrix, k_lowest, parity):
         )
     inverse = _Counted(h.payload.shift_invert(h.payload.lower_bound()))
     sigma = inverse.operator.sigma
-    vals, vecs, threads = _arpack(h.payload, k_lowest, max(2 * k_lowest + 1, 20),
-                                  sigma=sigma, which="LM", OPinv=inverse)
+    vals, vecs = _arpack(h.payload, k_lowest, max(2 * k_lowest + 1, 20),
+                         sigma=sigma, which="LM", OPinv=inverse)
     return vals, vecs, None, None, {"method": "shift-invert", "sigma": sigma,
-                                    "applications": inverse.applications, "blas_threads": threads}
+                                    "applications": inverse.applications}
 
 
 def _lanczos(h: HamiltonianMatrix, k_lowest, parity):
@@ -225,9 +228,8 @@ def _lanczos(h: HamiltonianMatrix, k_lowest, parity):
         # f2py would otherwise copy on every call
         product = functools.partial(dsymv, 1.0, np.ascontiguousarray(h.payload, float).T)
     counted = _Counted(h.payload, product)
-    vals, vecs, threads = _arpack(counted, k_lowest, max(4 * k_lowest, 40), which="SA")
-    return vals, vecs, None, None, {"method": "lanczos", "applications": counted.applications,
-                                    "blas_threads": threads}
+    vals, vecs = _arpack(counted, k_lowest, max(4 * k_lowest, 40), which="SA")
+    return vals, vecs, None, None, {"method": "lanczos", "applications": counted.applications}
 
 
 def _dense(h: HamiltonianMatrix) -> np.ndarray:
@@ -252,16 +254,16 @@ def _parity_blocks(h: HamiltonianMatrix, k_lowest, parity):
     Each orbit {p, mirror[p]} is represented by its lower index.  An orbit of
     two gives the even and the odd ket (|p> +- |mirror[p]>) / sqrt(2); a pair
     that is its own image gives an even ket only.  Each block is decomposed
-    with LAPACK's divide-and-conquer driver at one BLAS thread, and each
-    level's residual is taken on its block.  The vectors are lifted back into
-    the pair basis, mirrored components copied (even) or negated (odd), so
-    their magnitudes agree bit for bit.  The energies are sorted stably, so
-    an exact tie puts the even level first.  The reflection defect of the
-    whole payload is held to the residual gate, so a payload without the
-    symmetry fails even where the block solved looks exact.  A sparse payload
-    is copied dense once.
+    with LAPACK's divide-and-conquer driver, and each level's residual is
+    taken on its block.  The vectors are lifted back into the pair basis,
+    mirrored components copied (even) or negated (odd), so their magnitudes
+    agree bit for bit.  The energies are sorted stably, so an exact tie puts
+    the even level first.  The reflection defect of the whole payload is held
+    to the residual gate, so a payload without the symmetry fails even where
+    the block solved looks exact.  A sparse payload is never copied dense
+    whole: the blocks and the defect's slabs are gathered from it.
     """
-    payload, mirror = _dense(h), h.pair_basis.mirror
+    payload, mirror = h.payload, h.pair_basis.mirror
     defect = _reflection_defect(payload, mirror)
     reps = _representatives(mirror)
     partners = mirror[reps]
@@ -271,14 +273,13 @@ def _parity_blocks(h: HamiltonianMatrix, k_lowest, parity):
     if parity in (None, 1):
         # <e_a|H|e_b> = (H[a, b] + H[a, mirror b]) s_a s_b, s = 1/sqrt(2) on fixed pairs
         scale = np.where(fixed, np.sqrt(0.5), 1.0)
-        blocks[1] = payload[np.ix_(reps, reps)]
-        blocks[1] += payload[np.ix_(reps, partners)]
+        blocks[1] = _gather(payload, reps, reps)
+        blocks[1] += _gather(payload, reps, partners)
         blocks[1] *= np.outer(scale, scale)
     if parity in (None, -1):
-        blocks[-1] = payload[np.ix_(orbits, orbits)]
-        blocks[-1] -= payload[np.ix_(orbits, images)]
-    with blas_threads(1) as threads:
-        solved = {sign: eigh(block, driver="evd") for sign, block in blocks.items()}
+        blocks[-1] = _gather(payload, orbits, orbits)
+        blocks[-1] -= _gather(payload, orbits, images)
+    solved = {sign: eigh(block, driver="evd") for sign, block in blocks.items()}
     vals = np.concatenate([block_vals for block_vals, _ in solved.values()])
     spectral_scale, gate = _gate(vals)
     if defect > gate:
@@ -304,8 +305,7 @@ def _parity_blocks(h: HamiltonianMatrix, k_lowest, parity):
             vecs[images, cols] = -block_vecs
     order = np.argsort(vals, kind="stable")
     parities = np.concatenate([np.full(len(v), sign) for sign, (v, _) in solved.items()])
-    stats = {"method": "parity-blocks", "blocks": [len(reps), len(orbits)], "driver": "evd",
-             "blas_threads": threads}
+    stats = {"method": "parity-blocks", "blocks": [len(reps), len(orbits)], "driver": "evd"}
     if parity is not None:
         stats["solved"] = [PARITY_NAMES[parity]]
     return vals[order], vecs[:, order], np.concatenate(residuals)[order], parities[order], stats

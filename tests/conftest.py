@@ -4,12 +4,20 @@ targeted test run only pays for what it touches."""
 import pytest
 from hypothesis import settings
 
-from droplet_lattice import Pipeline, blas, default_params, eigensolve, minimize_variational
+from droplet_lattice import (
+    Pipeline, blas, build_adiabatic_model, default_params, eigensolve, minimize_variational,
+)
 
 settings.register_profile("suite", deadline=None, max_examples=50)
 settings.load_profile("suite")
 # whole CLI runs per example: a fixed, small set of draws
 settings.register_profile("cli_fuzz", derandomize=True, deadline=None, max_examples=40)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def one_blas_thread():
+    """Every test solves at one BLAS thread per pool, as ``cli.run`` does."""
+    blas.set_blas_threads(1)
 
 
 @pytest.fixture(scope="session")
@@ -73,10 +81,22 @@ def full_decomp_default(default_stack):
     return eigensolve(default_stack.model("full"), k_lowest=12)
 
 
+@pytest.fixture(scope="session")
+def adia_low(default_stack):
+    """Lowest ten levels of the adiabatic model without the bound-to-bound
+    block at the default point."""
+    h = build_adiabatic_model(
+        default_stack.couplings, default_stack.basis, default_stack.params,
+        default_stack.bands,
+    )
+    return eigensolve(h, k_lowest=10)
+
+
 @pytest.fixture
 def blas_pools():
-    """The loaded OpenBLAS pools, each set to 2 threads so that restoring
-    them is visible on any host; their own counts come back afterwards."""
+    """The loaded OpenBLAS pools, each set to 2 threads so that a run's
+    setting them to one is visible on any host; their own counts come back
+    afterwards."""
     pools = blas._blas_pools()
     assert pools and all(None not in pool for pool in pools)
     own = [get() for _, _, get, _ in pools]

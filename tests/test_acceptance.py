@@ -26,7 +26,6 @@ from scipy.signal import find_peaks
 
 from droplet_lattice import (
     Pipeline,
-    build_adiabatic_model,
     classify_droplet_states,
     eigensolve,
     first_order_perturbation,
@@ -329,15 +328,6 @@ def test_criterion_7c_truncation_oracle():
 # ---------------------------------------------------------------------------
 # 7d. elimination-chain consistency
 # ---------------------------------------------------------------------------
-
-
-@pytest.fixture(scope="module")
-def adia_low(default_stack):
-    h = build_adiabatic_model(
-        default_stack.couplings, default_stack.basis, default_stack.params,
-        default_stack.bands,
-    )
-    return eigensolve(h, k_lowest=10)
 
 
 def test_criterion_7d_adiabatic_vs_spin(default_stack, adia_low):

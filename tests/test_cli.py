@@ -33,8 +33,7 @@ def test_spectrum_row_count(tmp_path):
     assert len(lines) == 1 + 15  # 6 qubits -> 15 pair kets
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["basis_dims"] == {"pairs": 15}
-    assert manifest["solver"] == {"method": "parity-blocks", "blocks": [9, 6], "driver": "evd",
-                                  "blas_threads": 1}
+    assert manifest["solver"] == {"method": "parity-blocks", "blocks": [9, 6], "driver": "evd"}
     assert manifest["task"] == "spectrum"
     assert manifest["residual_max"] < 1e-10
 
@@ -82,7 +81,7 @@ def test_dynamics_columns_and_determinism(tmp_path):
     # ps is even under the reflection, so only the even block is solved
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
     assert manifest["solver"] == {"method": "parity-blocks", "blocks": [9, 6], "driver": "evd",
-                                  "blas_threads": 1, "solved": ["even"]}
+                                  "solved": ["even"]}
 
 
 _PAIR_BASIS_MODELS = ("spin", "single", "tilde-single", "pair")
@@ -193,9 +192,9 @@ def worker_reports(tmp_path, monkeypatch):
 @pytest.mark.parametrize("settable", [True, False])
 def test_pooled_sweep_matches_the_serial_one(tmp_path, monkeypatch, blas_pools, worker_reports,
                                              settable):
-    """Two workers on four cores run two BLAS threads each, held by the parent
-    across the fork, and write the serial run's bytes; without OpenBLAS
-    setters the manifest says ``"unmanaged"``."""
+    """Two workers on four cores write the serial run's bytes.  The run sets
+    the parent's pools to one thread, which the forked workers keep; without
+    OpenBLAS setters no pool is touched and the run still completes."""
     _affinity(monkeypatch, 4)
     blas.set_blas_threads(3)
     if not settable:
@@ -209,36 +208,35 @@ def test_pooled_sweep_matches_the_serial_one(tmp_path, monkeypatch, blas_pools, 
         outputs.append((tmp_path / workers / "sweep.csv").read_bytes())
         manifests.append(json.loads((tmp_path / workers / "manifest.json").read_text()))
     assert outputs[0] == outputs[1]
-    assert manifests[0]["pool"] == {"workers": 1, "blas_threads": None}
-    assert manifests[1]["pool"] == {"workers": 2, "blas_threads": 2 if settable else "unmanaged"}
+    assert manifests[0]["pool"] == {"workers": 1}
+    assert manifests[1]["pool"] == {"workers": 2}
     spy.assert_called_once_with(2)
     reports = worker_reports()
     assert len(reports) == 3
     if settable:
-        assert all(r["threads"] == [2] * len(blas_pools) for r in reports)
-        assert [get() for _, _, get, _ in blas_pools] == [3] * len(blas_pools)
+        assert all(r["threads"] == [1] * len(blas_pools) for r in reports)
+    assert [get() for _, _, get, _ in blas_pools] == [1 if settable else 3] * len(blas_pools)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
-@pytest.mark.parametrize("cores, share", [(2, 1), (4, 2)])
+@pytest.mark.parametrize("cores, before", [(2, 1), (4, 2)])
 def test_sweep_workers_keep_the_share_they_inherit(tmp_path, monkeypatch, blas_pools,
-                                                   worker_reports, cores, share):
-    """Two workers fork while the parent holds its pools at the share; each
-    keeps it after a LAPACK-subset job (6 qubits) and after a Lanczos job
-    inside an ARPACK scope (30 qubits, dim 435).  At a share of one the
-    worker runs on one OS thread: no OpenBLAS pool was rebuilt in it."""
+                                                   worker_reports, cores, before):
+    """Whatever the cores and the pools' counts ``before`` the run, two
+    workers fork after the run set each pool to one thread.  Each keeps it
+    after a LAPACK-subset job (6 qubits) and after a Lanczos job (30 qubits,
+    dim 435), and runs on one OS thread: no OpenBLAS pool was rebuilt in it."""
     _affinity(monkeypatch, cores)
     monkeypatch.setenv("SIMULATE_WORKERS", "2")
-    blas.set_blas_threads(3)
+    blas.set_blas_threads(before)
     code, out = run_cli(tmp_path, "sweep", "--set", "params.n_cavities=101",
                         "--set", "options.axis=n_qubits", "--set", "options.values=[30,6,30,6]")
     assert code == 0
     reports = worker_reports()
     assert sorted(r["n_qubits"] for r in reports) == [6, 6, 30, 30]
-    assert all(r["threads"] == [share] * len(blas_pools) for r in reports)
-    if share == 1:
-        assert all(r["tasks"] == 1 for r in reports)
-    assert [get() for _, _, get, _ in blas_pools] == [3] * len(blas_pools)
+    assert all(r["threads"] == [1] * len(blas_pools) for r in reports)
+    assert all(r["tasks"] == 1 for r in reports)
+    assert [get() for _, _, get, _ in blas_pools] == [1] * len(blas_pools)
 
 
 @pytest.mark.parametrize("found", ["affinity", "cpu_count"])
@@ -256,13 +254,13 @@ def test_one_core_sweeps_in_process(tmp_path, monkeypatch, found):
     assert code == 0
     spy.assert_not_called()
     manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["pool"] == {"workers": 1, "blas_threads": None}
+    assert manifest["pool"] == {"workers": 1}
 
 
 def test_dead_sweep_worker_exits_3_with_one_line(tmp_path, monkeypatch, capsys, blas_pools):
     """A worker that dies (here by ``os._exit``, as an OOM kill would end it)
     breaks the pool; the run ends in one validity-error line, no traceback,
-    and the parent's pools get back the counts they had before the pool."""
+    and the parent's pools keep the one thread the run set."""
     _affinity(monkeypatch, 2)
     monkeypatch.setenv("SIMULATE_WORKERS", "2")
     parent, build = os.getpid(), cli.Pipeline
@@ -279,7 +277,7 @@ def test_dead_sweep_worker_exits_3_with_one_line(tmp_path, monkeypatch, capsys, 
     assert err.startswith("validity error: a sweep worker died")
     assert err.count("\n") == 1
     assert not os.path.exists(os.path.join(out, "manifest.json"))
-    assert [get() for _, _, get, _ in blas_pools] == [2] * len(blas_pools)
+    assert [get() for _, _, get, _ in blas_pools] == [1] * len(blas_pools)
 
 
 def test_cli_import_freezes_the_import_heap():
@@ -418,13 +416,12 @@ def test_explicit_photon_reruns_are_bit_identical(tmp_path):
     body, _, solver, _ = runs[0]
     ground = float(body.decode().splitlines()[1])
     assert solver["method"] == "shift-invert" and solver["applications"] > 0
-    assert solver["blas_threads"] == 1
     assert solver["sigma"] + manifest["params"]["delta"] < ground
 
 
 def test_rerun_manifests_differ_only_in_wall_time(tmp_path):
-    """A dense Lanczos solve records its method and BLAS threads, the run its
-    libraries and their thread counts; all of it repeats on a rerun.  The
+    """A dense Lanczos solve records its method, the run its libraries and
+    their thread counts, one each; all of it repeats on a rerun.  The
     timing keys (wall and CPU time, peak RSS) are the only ones that may
     differ."""
     size = ["--set", "params.n_cavities=201", "--set", "params.n_qubits=30"]
@@ -440,11 +437,25 @@ def test_rerun_manifests_differ_only_in_wall_time(tmp_path):
     assert manifests[0] == manifests[1]
     manifest = manifests[0]
     assert manifest["solver"]["method"] == "lanczos"
-    assert manifest["solver"]["blas_threads"] == 1
     libraries = manifest["libraries"]
     assert libraries["numpy"] == np.__version__ and libraries["scipy"]
     assert libraries["openblas"]
-    assert all(lib["threads"] >= 1 for lib in libraries["openblas"])
+    assert all(lib["threads"] == 1 for lib in libraries["openblas"])
+
+
+def test_dynamics_bytes_do_not_depend_on_the_blas_thread_count(tmp_path, blas_pools):
+    """``dynamics`` at 101x20 writes the same bytes whether the pools held two
+    threads or one before the run: the run sets one.  Solved at two threads,
+    the chain's GEMMs move the last bits of P_alpha(t)."""
+    size = ["--set", "params.n_cavities=101", "--set", "params.n_qubits=20",
+            "--set", "options.t_max=2000", "--set", "options.alphas=[1,6,11]"]
+    outputs = []
+    for threads in (2, 1):
+        blas.set_blas_threads(threads)
+        out = tmp_path / str(threads)
+        assert main(["dynamics", "--out", str(out), *size]) == 0
+        outputs.append((out / "dynamics.csv").read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_invalid_regime_exit_code(tmp_path):

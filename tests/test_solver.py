@@ -1,5 +1,3 @@
-import contextlib
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -198,9 +196,10 @@ def test_dense_lanczos_refuses_a_payload_whose_triangles_differ(
 
 def test_a_sparse_pair_payload_takes_the_route_of_its_dense_copy(mid_stack):
     """The CSR ``single`` payload meets the same route conditions as the
-    same matrix stored dense.  LAPACK and the parity blocks copy it dense
-    first, so their energies and vectors are bitwise those of the dense
-    copy; Lanczos applies it by its CSR product and agrees to rounding."""
+    same matrix stored dense.  LAPACK copies it dense first and the parity
+    blocks gather their blocks from it, so their energies and vectors are
+    bitwise those of the dense copy; Lanczos applies it by its CSR product
+    and agrees to rounding."""
     from dataclasses import replace
 
     small = Pipeline(default_params(n_cavities=81, n_qubits=12))
@@ -225,6 +224,25 @@ def test_a_sparse_pair_payload_takes_the_route_of_its_dense_copy(mid_stack):
             np.testing.assert_array_equal(sparse.vectors, dense.vectors)
 
 
+def test_parity_blocks_never_copy_a_sparse_payload_dense(monkeypatch):
+    """The full decomposition of the CSR ``single`` payload gathers its
+    blocks and defect slabs from the CSR form without ``_dense``, and is
+    bitwise that of the same payload stored dense."""
+    from dataclasses import replace
+
+    h = Pipeline(default_params(n_cavities=101, n_qubits=20)).model("single")
+    dense = eigensolve(replace(h, payload=h.payload.toarray()))
+
+    def refuse(h):
+        raise AssertionError("the whole payload was copied dense")
+
+    monkeypatch.setattr(solver, "_dense", refuse)
+    sparse = eigensolve(h)
+    assert sparse.solver["method"] == "parity-blocks"
+    for name in ("energies", "vectors", "residual_norms", "parity"):
+        np.testing.assert_array_equal(getattr(sparse, name), getattr(dense, name))
+
+
 def test_dense_lanczos_is_limited_to_small_k_large_pair_payloads(mid_stack):
     """Many levels, a small payload, and the adiabatic models (whose low levels
     crowd against the whole bound band) stay on the LAPACK subset."""
@@ -240,58 +258,6 @@ def test_dense_lanczos_is_limited_to_small_k_large_pair_payloads(mid_stack):
         assert d.solver == LAPACK_RECORD
         vals = eigh(h.payload, eigvals_only=True, subset_by_index=[0, k - 1])
         np.testing.assert_array_equal(d.energies, vals + h.energy_offset)
-
-
-def _thread_counts():
-    return [lib["threads"] for lib in blas.blas_libraries()]
-
-
-def test_blas_scope_holds_one_thread_and_restores_the_prior_counts(blas_pools):
-    assert _thread_counts() == [2] * len(blas_pools)
-    with blas.blas_threads(1) as threads:
-        assert threads == 1
-        assert _thread_counts() == [1] * len(blas_pools)
-    assert _thread_counts() == [2] * len(blas_pools)
-
-
-def test_blas_scope_restores_the_prior_counts_after_an_exception(blas_pools):
-    with pytest.raises(RuntimeError, match="inside"):
-        with blas.blas_threads(1):
-            assert _thread_counts() == [1] * len(blas_pools)
-            raise RuntimeError("inside the scope")
-    assert _thread_counts() == [2] * len(blas_pools)
-
-
-def test_forked_worker_keeps_the_share_its_parent_held(blas_pools):
-    """A pool worker forked inside ``blas_threads(3)`` starts at 3 threads
-    in each pool and keeps them across jobs, also after an ARPACK scope inside
-    one (the ``full`` model's k = 1 solve); the parent's counts come back."""
-    from concurrent.futures import ProcessPoolExecutor
-
-    from droplet_lattice.cli import DEFAULT_PARAMS, _sweep_point
-
-    point = ({**DEFAULT_PARAMS, "n_cavities": 41, "n_qubits": 6}, "full")
-    with blas.blas_threads(3), ProcessPoolExecutor(1) as pool:
-        before = pool.submit(blas.blas_libraries).result()
-        pool.submit(_sweep_point, point).result()
-        after = pool.submit(blas.blas_libraries).result()
-    assert [lib["threads"] for lib in before] == [3] * len(blas_pools)
-    assert [lib["threads"] for lib in after] == [3] * len(blas_pools)
-    assert _thread_counts() == [2] * len(blas_pools)
-
-
-@pytest.mark.parametrize("found", ["none", "no setter"])
-def test_blas_scope_without_setters_changes_nothing(blas_pools, mid_stack, monkeypatch, found):
-    """No OpenBLAS found, or one without a setter: the scope leaves every pool
-    alone and the solve records ``"unmanaged"``."""
-    stripped = () if found == "none" else tuple(p[:3] + (None,) for p in blas_pools)
-    monkeypatch.setattr(blas, "_blas_pools", lambda: stripped)
-    assert not blas.blas_settable() and blas.set_blas_threads(3) == "unmanaged"
-    with blas.blas_threads(1) as threads:
-        assert threads == "unmanaged"
-        assert [get() for _, _, get, _ in blas_pools] == [2] * len(blas_pools)
-    d = eigensolve(mid_stack.model("spin"), k_lowest=1)
-    assert d.solver["method"] == "lanczos" and d.solver["blas_threads"] == "unmanaged"
 
 
 class _FakePool:
@@ -314,27 +280,14 @@ def _fake_pools(monkeypatch, *pools):
 
 def test_a_pool_already_at_the_count_is_not_set(monkeypatch):
     at, off = _fake_pools(monkeypatch, _FakePool(1), _FakePool(4))
-    assert blas.set_blas_threads(1) == [1, 4]
+    blas.set_blas_threads(1)
     assert at.calls == [] and off.calls == [1]
 
 
-@pytest.mark.parametrize("raises", [False, True])
-def test_blas_scope_restores_only_the_pools_it_changed(monkeypatch, raises):
-    at, off = _fake_pools(monkeypatch, _FakePool(2), _FakePool(4))
-    with contextlib.suppress(RuntimeError):
-        with blas.blas_threads(2) as threads:
-            assert threads == 2 and [at.threads, off.threads] == [2, 2]
-            if raises:
-                raise RuntimeError("inside the scope")
-    assert at.calls == [] and off.calls == [2, 4]
-
-
-def test_unmanaged_blas_scope_calls_no_setter(monkeypatch):
+def test_a_pool_without_a_setter_is_left_alone(monkeypatch):
     pool, bare = _fake_pools(monkeypatch, _FakePool(4), _FakePool(4, settable=False))
-    assert not blas.blas_settable()
-    with blas.blas_threads(1) as threads:
-        assert threads == "unmanaged"
-    assert pool.calls == [] and [pool.threads, bare.threads] == [4, 4]
+    blas.set_blas_threads(1)
+    assert pool.calls == [1] and [pool.threads, bare.threads] == [1, 4]
 
 
 def test_dense_copy_of_a_huge_sparse_payload_is_refused():
@@ -395,7 +348,7 @@ def test_parity_blocks_match_the_whole_payload(parity_stack, n_qubits, spacing):
         h = pipe.model(name)
         d = eigensolve(h)
         assert d.solver == {"method": "parity-blocks", "blocks": [n_even, size - n_even],
-                            "driver": "evd", "blas_threads": 1}
+                            "driver": "evd"}
         assert np.count_nonzero(d.parity == 1) == n_even
         vals, vecs = eigh(h.payload.toarray() if sp.issparse(h.payload) else h.payload)
         scale = np.abs(vals).max()
@@ -467,7 +420,7 @@ def test_one_block_is_the_full_decomposition_restricted(parity_stack, n_qubits, 
     for parity, name in ((1, "even"), (-1, "odd")):
         block = eigensolve(h, parity=parity)
         assert block.solver == {"method": "parity-blocks", "blocks": [n_even, size - n_even],
-                                "driver": "evd", "blas_threads": 1, "solved": [name]}
+                                "driver": "evd", "solved": [name]}
         levels = full.parity == parity
         np.testing.assert_array_equal(block.parity, full.parity[levels])
         np.testing.assert_array_equal(block.energies, full.energies[levels])
