@@ -4,7 +4,6 @@ exact diagonalization at every level of description, quench dynamics, and
 droplet-state analysis."""
 
 from .bath import BathBands, RelativeBoundState, solve_bath, solve_bound_state
-from .couplings import EffectiveCouplings, build_effective_couplings
 from .errors import (
     BasisMismatch,
     BracketError,

@@ -132,12 +132,15 @@ def load_config(raw: dict) -> RunConfig:
             raise ConfigError(f"no data generator for figure {options['fig']!r}")
     if raw.get("deterministic", True) is not True:
         raise ConfigError("the deterministic flag is always on; remove or set true")
+    out_dir = raw.get("out_dir", "out")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError(f"out_dir must be a non-empty string, got {out_dir!r}")
     return RunConfig(
         task=task,
         params={**DEFAULT_PARAMS, **raw_params},
         model=model,
         options=options,
-        out_dir=str(raw.get("out_dir", "out")),
+        out_dir=out_dir,
         deterministic=True,
     )
 
@@ -205,9 +208,9 @@ def _task_spectrum(cfg, pipe, out):
         write_band_csv(pipe.bands, os.path.join(out, "bands.csv"))
         written.append("bands.csv")
     if cfg.options.get("dump_couplings"):
-        write_hop_csv(pipe.couplings, os.path.join(out, "hop.csv"))
+        write_hop_csv(pipe.hop, os.path.join(out, "hop.csv"))
         write_pair_hop_blocks_csv(
-            pipe.couplings, pipe.basis, os.path.join(out, "pair_hop_blocks.csv")
+            pipe.pair_hop, pipe.basis, os.path.join(out, "pair_hop_blocks.csv")
         )
         written.extend(["hop.csv", "pair_hop_blocks.csv"])
     return decomp, written, {}
@@ -331,12 +334,12 @@ def _task_validate(cfg, pipe, out):
         print(f"{'PASS' if ok else 'FAIL'} {name}: {value:.3e} (tol {tol:.0e})")
 
     small = Pipeline(build_params({**cfg.params, "n_cavities": 41, "n_qubits": 6, "spacing": 1}))
-    cpl, basis, bands = small.couplings, small.basis, small.bands
+    basis, bands = small.basis, small.bands
     for name, oracle, model in (
-        ("single hop", oracles.constrained_hop_by_strings(cpl.hop, basis), "single"),
-        ("unconstrained hop", oracles.unconstrained_hop_by_strings(cpl.hop, basis),
+        ("single hop", oracles.constrained_hop_by_strings(small.hop, basis), "single"),
+        ("unconstrained hop", oracles.unconstrained_hop_by_strings(small.hop, basis),
          "tilde-single"),
-        ("pair hop", oracles.pair_hop_by_strings(cpl.pair_hop, basis), "pair"),
+        ("pair hop", oracles.pair_hop_by_strings(small.pair_hop, basis), "pair"),
     ):
         check(f"operator-string {name}", np.abs(oracle - small.model(model).payload).max(), 1e-12)
     bath_spec = np.linalg.eigvalsh(oracles.two_photon_bath_sector(small.params))
@@ -345,8 +348,8 @@ def _task_validate(cfg, pipe, out):
     one_spec = np.linalg.eigvalsh(oracles.single_photon_sector(small.params))
     worst = max(np.abs(one_spec - e).min() for e in bands.single_photon_energies)
     check("bath one-photon sector vs dispersion", worst, 1e-10)
-    ref = oracles.pair_hop_reference(small.params, cpl.pair_bound, bands)
-    check("pair-hop factorization vs wavevector loop", np.abs(ref - cpl.pair_hop).max(), 1e-12)
+    ref = oracles.pair_hop_reference(small.params, small.pair_bound, bands)
+    check("pair-hop factorization vs wavevector loop", np.abs(ref - small.pair_hop).max(), 1e-12)
 
     tiny = Pipeline(build_params({**cfg.params, "n_cavities": 41, "n_qubits": 4, "spacing": 1}))
     exact, truncated = tiny.spectrum("oracle", 5).energies, tiny.spectrum("full", 5).energies
@@ -378,7 +381,7 @@ def _fig3(fig, cfg, pipe, out):
 
 
 def _fig4(fig, cfg, pipe, out):
-    write_pair_hop_blocks_csv(pipe.couplings, pipe.basis, os.path.join(out, "fig4.csv"))
+    write_pair_hop_blocks_csv(pipe.pair_hop, pipe.basis, os.path.join(out, "fig4.csv"))
     return ["fig4.csv"]
 
 
@@ -396,7 +399,7 @@ def _fig6a(fig, cfg, pipe, out):
     spin, single = pipe.spectrum("spin"), pipe.spectrum("single")
     var = minimize_variational(pipe.model("spin"), n_max=6)
     droplets = obs.classify_droplet_states(spin, var).indices[:6] - 1
-    pert = first_order_perturbation(single, pipe.couplings.pair_hop, indices=np.arange(6))
+    pert = first_order_perturbation(single, pipe.pair_hop, indices=np.arange(6))
     write_csv(
         os.path.join(out, "fig6a.csv"),
         ["n", "E_spin", "E_single", "E_variational", "E_perturbation"],
@@ -412,7 +415,7 @@ def _ground_energies(params):
     h_spin = pipe.model("spin")
     exact = pipe.spectrum("spin", 1).energies[0]
     single = pipe.spectrum("single", 4)
-    pert = first_order_perturbation(single, pipe.couplings.pair_hop, indices=[0])[0]
+    pert = first_order_perturbation(single, pipe.pair_hop, indices=[0])[0]
     try:
         var_energy = minimize_variational(h_spin, n_max=1).energies[0]
     except BracketError:
@@ -562,6 +565,7 @@ def main(argv=None) -> int:
         return run(cfg)
     except (
         ConfigError, FileNotFoundError, IsADirectoryError, FileExistsError, NotADirectoryError,
+        PermissionError,
     ) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

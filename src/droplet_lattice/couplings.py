@@ -11,8 +11,6 @@ product rather than a quadruple loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bath import BathBands
@@ -22,22 +20,6 @@ from .params import J, PairBasis, SystemParams
 
 # largest pair separation written by the pair-hop block dump
 BLOCK_DUMP_MAX_SEPARATION = 9
-
-
-@dataclass(frozen=True)
-class EffectiveCouplings:
-    """All effective interactions for one parameter set.
-
-    hop : (N_e, N_e) real, constrained single-qubit hop strengths.
-    pair_bound : (P, N) complex, pair ket to bound ket couplings, one
-        column per center-of-mass wavevector.  Carries no factor of g;
-        the g^2 prefactors enter at Hamiltonian assembly.
-    pair_hop : (P, P) real symmetric negative semidefinite.
-    """
-
-    hop: np.ndarray
-    pair_bound: np.ndarray
-    pair_hop: np.ndarray
 
 
 def hop_scale_and_length(params: SystemParams) -> tuple[float, float]:
@@ -63,7 +45,9 @@ def constrained_hop_matrix(params: SystemParams, positions: np.ndarray) -> np.nd
 def pair_bound_couplings(
     params: SystemParams, positions: np.ndarray, basis: PairBasis, bands: BathBands
 ) -> np.ndarray:
-    """Couplings between two-excited-qubit kets and bound-pair kets.
+    """Couplings between two-excited-qubit kets and bound-pair kets, (P, N)
+    complex with one column per center-of-mass wavevector.  They carry no
+    factor of g; the g^2 prefactors enter at Hamiltonian assembly.
 
     Row p, column K holds
       -sum_k (J / (N Delta_k)) [e^{-i k n_i} M^*(k, n_j, K) + (i <-> j)]
@@ -156,30 +140,16 @@ def pair_hop_matrix(
     return y
 
 
-def build_effective_couplings(
-    params: SystemParams,
-    positions: np.ndarray,
-    basis: PairBasis,
-    bands: BathBands,
-) -> EffectiveCouplings:
-    """Compute the effective interactions of the spin model for one parameter
-    set; the bound-to-bound block comes from ``bound_bound_couplings``."""
-    hop = constrained_hop_matrix(params, positions)
-    pair_bound = pair_bound_couplings(params, positions, basis, bands)
-    pair_hop = pair_hop_matrix(params, pair_bound, bands)
-    return EffectiveCouplings(hop=hop, pair_bound=pair_bound, pair_hop=pair_hop)
-
-
-def write_hop_csv(couplings: EffectiveCouplings, path):
-    n_e = couplings.hop.shape[0]
+def write_hop_csv(hop: np.ndarray, path):
+    n_e = hop.shape[0]
     write_csv(
         path,
         ["j", "l", "W"],
-        ((j + 1, l + 1, couplings.hop[j, l]) for j in range(n_e) for l in range(n_e)),
+        ((j + 1, l + 1, hop[j, l]) for j in range(n_e) for l in range(n_e)),
     )
 
 
-def write_pair_hop_blocks_csv(couplings: EffectiveCouplings, basis: PairBasis, path):
+def write_pair_hop_blocks_csv(pair_hop: np.ndarray, basis: PairBasis, path):
     """Pair-hop entries restricted to separations <= BLOCK_DUMP_MAX_SEPARATION.
 
     Rows follow the block layout of the pair basis itself (ascending
@@ -192,7 +162,7 @@ def write_pair_hop_blocks_csv(couplings: EffectiveCouplings, basis: PairBasis, p
         ["row", "col", "i", "j", "l", "h", "Y"],
         (
             (a, b, basis.i_index[p], basis.j_index[p], basis.i_index[q], basis.j_index[q],
-             couplings.pair_hop[p, q])
+             pair_hop[p, q])
             for a, p in enumerate(keep)
             for b, q in enumerate(keep)
         ),

@@ -32,7 +32,7 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
 from .bath import BathBands
-from .couplings import EffectiveCouplings, bound_bound_couplings, pair_bound_couplings
+from .couplings import bound_bound_couplings, pair_bound_couplings
 from .errors import BasisMismatch, SizeError
 from .oracles import photon_pair_index, single_photon_sector, two_photon_ring
 from .output import atomic_open
@@ -313,7 +313,7 @@ def _constrained_hop_payload(w: np.ndarray, basis: PairBasis) -> sp.csr_array:
 
 
 def build_constrained_hop(
-    couplings: EffectiveCouplings, basis: PairBasis, params: SystemParams
+    hop: np.ndarray, basis: PairBasis, params: SystemParams
 ) -> HamiltonianMatrix:
     """Constrained single-excitation hop model on the pair basis.
 
@@ -321,11 +321,11 @@ def build_constrained_hop(
     qubit; the diagonal carries twice the onsite hop energy (the self
     interaction of each excitation).  The payload is a CSR array.
     """
-    return _pair_model(_constrained_hop_payload(couplings.hop, basis), basis, params)
+    return _pair_model(_constrained_hop_payload(hop, basis), basis, params)
 
 
 def build_unconstrained_hop(
-    couplings: EffectiveCouplings, basis: PairBasis, params: SystemParams
+    hop: np.ndarray, basis: PairBasis, params: SystemParams
 ) -> HamiltonianMatrix:
     """Two-magnon sector of the unconstrained flip-flop model (twice the
     hop matrix contracted with sigma+ sigma-).
@@ -336,21 +336,21 @@ def build_unconstrained_hop(
     diagonal, the flip-flop model with twice the weight.
     ``oracles.unconstrained_hop_by_strings`` builds it independently.
     """
-    return _pair_model(2 * _constrained_hop_payload(couplings.hop, basis), basis, params)
+    return _pair_model(2 * _constrained_hop_payload(hop, basis), basis, params)
 
 
 def build_pair_hop(
-    couplings: EffectiveCouplings, basis: PairBasis, params: SystemParams
+    pair_hop: np.ndarray, basis: PairBasis, params: SystemParams
 ) -> HamiltonianMatrix:
-    return _pair_model(couplings.pair_hop.copy(), basis, params)
+    return _pair_model(pair_hop.copy(), basis, params)
 
 
 def build_spin_model(
-    couplings: EffectiveCouplings, basis: PairBasis, params: SystemParams
+    hop: np.ndarray, pair_hop: np.ndarray, basis: PairBasis, params: SystemParams
 ) -> HamiltonianMatrix:
-    single = build_constrained_hop(couplings, basis, params)
+    single = build_constrained_hop(hop, basis, params)
     # CSR plus dense adds the stored entries onto one copy of the pair hop
-    return _pair_model(single.payload + couplings.pair_hop, basis, params)
+    return _pair_model(single.payload + pair_hop, basis, params)
 
 
 def _pairs_plus_bound(
@@ -377,7 +377,8 @@ def _pairs_plus_bound(
 
 
 def build_adiabatic_model(
-    couplings: EffectiveCouplings,
+    hop: np.ndarray,
+    pair_bound: np.ndarray,
     basis: PairBasis,
     params: SystemParams,
     bands: BathBands,
@@ -388,7 +389,7 @@ def build_adiabatic_model(
     ``bound_bound`` (from ``couplings.bound_bound_couplings``) adds the
     bound-to-bound block; without it that block is dropped.
     """
-    h = _pairs_plus_bound(couplings.hop, couplings.pair_bound, bound_bound, basis, params, bands)
+    h = _pairs_plus_bound(hop, pair_bound, bound_bound, basis, params, bands)
     return HamiltonianMatrix(
         payload=h,
         energy_offset=params.delta,

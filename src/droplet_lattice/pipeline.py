@@ -1,10 +1,11 @@
 """The elimination chain as one lazy object.
 
 ``Pipeline(params)`` holds one parameter point: qubit positions and pair
-basis up front, then on first use the bath bands, the effective couplings
-of the first and second elimination, the bound-to-bound block, any model
-of ``MODELS`` and its eigendecomposition.  Every stage is computed once and
-kept for the life of the object.
+basis up front, then on first use the bath bands, the couplings of the
+first elimination (``hop``, ``pair_bound``, ``bound_bound``), the pair hop
+of the second (``pair_hop``), any model of ``MODELS`` and its
+eigendecomposition.  Every stage is computed once, only when a model or a
+caller reads it, and kept for the life of the object.
 
 Layer functions are called through their modules (``bath.solve_bath``, not
 an imported name), so a caller that rebinds a module attribute, such as a
@@ -29,14 +30,16 @@ QUENCH_MIN_CHUNK = 64
 
 #: Model name -> builder of its Hamiltonian from a pipeline.
 MODELS = {
-    "spin": lambda p: hamiltonians.build_spin_model(p.couplings, p.basis, p.params),
-    "single": lambda p: hamiltonians.build_constrained_hop(p.couplings, p.basis, p.params),
-    "tilde-single": lambda p: hamiltonians.build_unconstrained_hop(p.couplings, p.basis, p.params),
-    "pair": lambda p: hamiltonians.build_pair_hop(p.couplings, p.basis, p.params),
+    "spin": lambda p: hamiltonians.build_spin_model(p.hop, p.pair_hop, p.basis, p.params),
+    "single": lambda p: hamiltonians.build_constrained_hop(p.hop, p.basis, p.params),
+    "tilde-single": lambda p: hamiltonians.build_unconstrained_hop(p.hop, p.basis, p.params),
+    "pair": lambda p: hamiltonians.build_pair_hop(p.pair_hop, p.basis, p.params),
     "adia0": lambda p: hamiltonians.build_adiabatic_model(
-        p.couplings, p.basis, p.params, p.bands, p.bound_bound
+        p.hop, p.pair_bound, p.basis, p.params, p.bands, p.bound_bound
     ),
-    "adia1": lambda p: hamiltonians.build_adiabatic_model(p.couplings, p.basis, p.params, p.bands),
+    "adia1": lambda p: hamiltonians.build_adiabatic_model(
+        p.hop, p.pair_bound, p.basis, p.params, p.bands
+    ),
     "full": lambda p: hamiltonians.build_full_model(p.params, p.positions, p.basis, p.bands),
     "oracle": lambda p: hamiltonians.build_complete_sector(p.params, p.positions, p.basis),
 }
@@ -59,10 +62,16 @@ class Pipeline:
         return bands
 
     @cached_property
-    def couplings(self) -> couplings.EffectiveCouplings:
-        return couplings.build_effective_couplings(
-            self.params, self.positions, self.basis, self.bands
-        )
+    def hop(self) -> np.ndarray:
+        return couplings.constrained_hop_matrix(self.params, self.positions)
+
+    @cached_property
+    def pair_bound(self) -> np.ndarray:
+        return couplings.pair_bound_couplings(self.params, self.positions, self.basis, self.bands)
+
+    @cached_property
+    def pair_hop(self) -> np.ndarray:
+        return couplings.pair_hop_matrix(self.params, self.pair_bound, self.bands)
 
     @cached_property
     def bound_bound(self) -> np.ndarray:

@@ -471,7 +471,7 @@ def first_order_perturbation(
             stacklevel=2,
         )
     vecs = decomp.vectors[:, indices]
-    corrections = np.einsum("pi,pq,qi->i", vecs.conj(), pair_hop, vecs).real
+    corrections = ((pair_hop @ vecs) * vecs.conj()).sum(axis=0).real
     return decomp.energies[indices] + corrections
 
 

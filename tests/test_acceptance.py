@@ -265,16 +265,16 @@ def test_criterion_7a_operator_strings():
     for n_qubits in (4, 8):
         stack = Pipeline(default_params(n_cavities=41, n_qubits=n_qubits))
         single_dev = np.abs(
-            constrained_hop_by_strings(stack.couplings.hop, stack.basis)
+            constrained_hop_by_strings(stack.hop, stack.basis)
             - stack.model("single").payload
         ).max()
         pair_dev = np.abs(
-            pair_hop_by_strings(stack.couplings.pair_hop, stack.basis)
-            - stack.couplings.pair_hop
+            pair_hop_by_strings(stack.pair_hop, stack.basis)
+            - stack.pair_hop
         ).max()
         spin_dev = np.abs(
-            constrained_hop_by_strings(stack.couplings.hop, stack.basis)
-            + pair_hop_by_strings(stack.couplings.pair_hop, stack.basis)
+            constrained_hop_by_strings(stack.hop, stack.basis)
+            + pair_hop_by_strings(stack.pair_hop, stack.basis)
             - stack.model("spin").payload
         ).max()
         worst = max(worst, single_dev, pair_dev, spin_dev)
@@ -373,7 +373,7 @@ def test_criterion_7e_structural_invariants(default_stack, variational_family):
         hermiticity_defect(stack.model("single")),
         hermiticity_defect(stack.model("full")),
     )
-    y = stack.couplings.pair_hop
+    y = stack.pair_hop
     y_spectrum = np.linalg.eigvalsh(y)
     top = y_spectrum.max()
     psd_scale = abs(y_spectrum.min())

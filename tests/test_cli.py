@@ -543,6 +543,9 @@ def test_stale_temporary_does_not_block_output(tmp_path):
         ("sweep", ["--set", "options.values=[]"], None),
         ("variational", ["--set", "options.n_max=16"], None),
         ("figure", ["--set", "options.fig=10", "--set", "options.snapshot_times=[]"], None),
+        ("spectrum", ["--set", "out_dir=null"], None),
+        ("spectrum", ["--set", "out_dir=[1]"], None),
+        ("spectrum", ["--set", 'out_dir=""'], None),
     ],
 )
 def test_bad_input_exits_2_with_one_line(tmp_path, monkeypatch, capsys, task, extra, workers):
@@ -578,6 +581,33 @@ def test_unreadable_config_or_output_path_exits_2(tmp_path, capsys, option, name
     assert code == 2
     assert err.startswith("config error: ")
     assert os.path.normpath(path) in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("option, target", [("--config", "open"), ("--out", "makedirs")])
+def test_forbidden_config_or_output_path_exits_2(tmp_path, monkeypatch, capsys, option, target):
+    """A config the process may not read, and an output directory it may not
+    create, end in one config-error line that names the path.  Root ignores
+    file modes, so the refusal is raised by a patched ``open`` or
+    ``os.makedirs``."""
+    path = str(tmp_path / "forbidden")
+    real = {"open": open, "makedirs": os.makedirs}[target]
+
+    def refuse(name, *args, **kwargs):
+        if os.fspath(name) == path:
+            raise PermissionError(13, "Permission denied", name)
+        return real(name, *args, **kwargs)
+
+    if target == "open":
+        (tmp_path / "forbidden").write_text("{}")
+        monkeypatch.setattr("builtins.open", refuse)
+    else:
+        monkeypatch.setattr(cli.os, "makedirs", refuse)
+    code, _ = run_cli(tmp_path, "spectrum", option, path)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ")
+    assert path in err
     assert err.count("\n") == 1
 
 

@@ -1,7 +1,9 @@
+import sys
+
 import numpy as np
 import pytest
 
-from droplet_lattice import DomainError, PairBasis, build_effective_couplings, default_params
+from droplet_lattice import DomainError, Pipeline, default_params
 from droplet_lattice import couplings
 from droplet_lattice.bath import solve_bath
 from droplet_lattice.couplings import (
@@ -23,7 +25,7 @@ def test_hop_scale_and_length_reference_point():
 
 
 def test_hop_matrix_structure(small_stack):
-    w = small_stack.couplings.hop
+    w = small_stack.hop
     scale, length = hop_scale_and_length(small_stack.params)
     np.testing.assert_allclose(w, w.T, atol=0)
     assert np.all(w < 0)
@@ -69,7 +71,7 @@ def _pair_bound_literal(params, bands, n_i, n_j):
 def test_pair_bound_matches_literal_definition(tiny_stack):
     basis, bands = tiny_stack.basis, tiny_stack.bands
     pos = tiny_stack.positions
-    fast = tiny_stack.couplings.pair_bound
+    fast = tiny_stack.pair_bound
     scale = np.abs(fast).max()
     for (i, j) in [(1, 2), (2, 5), (1, 6)]:
         literal = _pair_bound_literal(tiny_stack.params, bands, pos[i - 1], pos[j - 1])
@@ -87,7 +89,7 @@ def test_pair_bound_symmetric_under_qubit_exchange(tiny_stack):
 def test_pair_bound_shift_covariance(small_stack):
     params, basis, bands = small_stack.params, small_stack.basis, small_stack.bands
     pos = small_stack.positions
-    f0 = small_stack.couplings.pair_bound
+    f0 = small_stack.pair_bound
     shift = 3
     f1 = pair_bound_couplings(params, pos + shift, basis, bands)
     k = bands.grid.wavevectors
@@ -104,7 +106,7 @@ def test_pair_bound_carries_no_coupling_constant(small_stack):
     f_doubled = pair_bound_couplings(
         doubled, small_stack.positions, small_stack.basis, solve_bath(doubled)
     )
-    np.testing.assert_allclose(f_doubled, small_stack.couplings.pair_bound, atol=1e-12)
+    np.testing.assert_allclose(f_doubled, small_stack.pair_bound, atol=1e-12)
 
 
 def test_bound_bound_hermitian_negative_diagonal(small_stack):
@@ -123,7 +125,7 @@ def test_bound_bound_empty_array_is_zero(small_stack):
 
 
 def test_pair_hop_negative_semidefinite(small_stack):
-    y = small_stack.couplings.pair_hop
+    y = small_stack.pair_hop
     np.testing.assert_allclose(y, y.T, atol=0)
     vals = np.linalg.eigvalsh(y)
     assert vals.max() <= 1e-14 * abs(vals.min())
@@ -132,7 +134,7 @@ def test_pair_hop_negative_semidefinite(small_stack):
 
 def test_pair_hop_equals_real_part_of_complex_product(small_stack):
     params, bands = small_stack.params, small_stack.bands
-    pair_bound = small_stack.couplings.pair_bound
+    pair_bound = small_stack.pair_bound
     y = pair_hop_matrix(params, pair_bound, bands)
     a = pair_bound / np.sqrt(bands.pair_detunings)[None, :]
     reference = -(params.g**4 / (params.n_cavities * J * J)) * (a @ a.conj().T).real
@@ -147,7 +149,7 @@ def test_pair_hop_refuses_unpaired_wavevectors(small_stack):
     real.  A phase on one column leaves A A^H unchanged; a changed magnitude
     breaks the pairing and leaves an imaginary part."""
     params, bands = small_stack.params, small_stack.bands
-    pair_bound = small_stack.couplings.pair_bound
+    pair_bound = small_stack.pair_bound
     col = bands.grid.zero_index + 1
     partner = bands.grid.zero_index - 1
     np.testing.assert_allclose(
@@ -155,7 +157,7 @@ def test_pair_hop_refuses_unpaired_wavevectors(small_stack):
     )
     phased = pair_bound.copy()
     phased[:, col] *= 1j
-    y = small_stack.couplings.pair_hop
+    y = small_stack.pair_hop
     np.testing.assert_allclose(
         pair_hop_matrix(params, phased, bands), y, rtol=0, atol=1e-13 * np.abs(y).max()
     )
@@ -173,7 +175,7 @@ def test_pair_hop_certificate_bounds_the_imaginary_part(tiny_stack, factor):
     product confirms what the certificate promises: Im(A A^H) and the
     distance of the result from -c Re(A A^H) both lie within the bound."""
     params, bands = tiny_stack.params, tiny_stack.bands
-    pair_bound = tiny_stack.couplings.pair_bound
+    pair_bound = tiny_stack.pair_bound
     col = bands.grid.zero_index - 1
     a = pair_bound / np.sqrt(bands.pair_detunings)[None, :]
     alpha = np.linalg.norm(a, axis=1).max()
@@ -194,14 +196,14 @@ def test_pair_hop_certificate_bounds_the_imaginary_part(tiny_stack, factor):
 
 
 def test_pair_hop_off_diagonal_bounded_by_diagonals(small_stack):
-    y = small_stack.couplings.pair_hop
+    y = small_stack.pair_hop
     d = np.sqrt(np.abs(np.diag(y)))
     bound = np.outer(d, d)
     assert np.all(np.abs(y) <= bound * (1 + 1e-10))
 
 
 def test_pair_hop_translation_invariance(small_stack):
-    y = small_stack.couplings.pair_hop
+    y = small_stack.pair_hop
     basis = small_stack.basis
     scale = np.abs(y).max()
     for (i, j, l, h, s) in [(1, 2, 3, 5, 2), (2, 4, 1, 6, 3), (1, 3, 2, 4, 4)]:
@@ -211,7 +213,7 @@ def test_pair_hop_translation_invariance(small_stack):
 
 
 def test_pair_hop_blocks_most_negative_on_block_diagonal(small_stack):
-    y = small_stack.couplings.pair_hop
+    y = small_stack.pair_hop
     basis = small_stack.basis
     # within the (r=1, r=1) block the diagonal is the most negative entry row-wise
     block = [p for p in range(basis.size) if basis.separations[p] == 1]
@@ -227,24 +229,22 @@ def test_pair_hop_blocks_most_negative_on_block_diagonal(small_stack):
 
 
 def test_pair_hop_matches_wavevector_loop_reference(tiny_stack):
-    y = tiny_stack.couplings.pair_hop
+    y = tiny_stack.pair_hop
     reference = pair_hop_reference(
-        tiny_stack.params, tiny_stack.couplings.pair_bound, tiny_stack.bands
+        tiny_stack.params, tiny_stack.pair_bound, tiny_stack.bands
     )
     np.testing.assert_allclose(reference, y, atol=1e-12 * np.abs(y).max())
 
 
 def test_couplings_vanish_at_zero_coupling():
     p = default_params(n_cavities=101, n_qubits=8, g=0.0)
-    pos = qubit_positions(p)
-    basis = PairBasis(p.n_qubits)
-    cpl = build_effective_couplings(p, pos, basis, solve_bath(p))
-    assert np.abs(cpl.hop).max() == 0.0
-    assert np.abs(cpl.pair_hop).max() == 0.0
+    pipe = Pipeline(p)
+    assert np.abs(pipe.hop).max() == 0.0
+    assert np.abs(pipe.pair_hop).max() == 0.0
     # assembled models therefore vanish as well
     from droplet_lattice import build_spin_model
 
-    h = build_spin_model(cpl, basis, p)
+    h = build_spin_model(pipe.hop, pipe.pair_hop, pipe.basis, p)
     assert np.abs(h.payload).max() == 0.0
 
 
@@ -253,13 +253,12 @@ def test_array_size_convergence():
     rows = {}
     for n in (301, 501):
         p = default_params(n_cavities=n, n_qubits=8)
-        pos = qubit_positions(p)
-        basis = PairBasis(p.n_qubits)
-        cpl = build_effective_couplings(p, pos, basis, solve_bath(p))
+        pipe = Pipeline(p)
+        basis, y = pipe.basis, pipe.pair_hop
         probe = (
-            cpl.pair_hop[basis.encode(1, 2), basis.encode(1, 2)],
-            cpl.pair_hop[basis.encode(1, 2), basis.encode(4, 7)],
-            cpl.pair_hop[basis.encode(2, 5), basis.encode(3, 6)],
+            y[basis.encode(1, 2), basis.encode(1, 2)],
+            y[basis.encode(1, 2), basis.encode(4, 7)],
+            y[basis.encode(2, 5), basis.encode(3, 6)],
         )
         rows[n] = np.array(probe + hop_scale_and_length(p))
     drift = np.abs(rows[301] - rows[501]) / np.abs(rows[501])
@@ -291,13 +290,47 @@ def test_gap_guard_raises_inside_band(small_stack):
         profiles=bands.profiles,
     )
     with pytest.raises(DomainError):
-        pair_hop_matrix(small_stack.params, small_stack.couplings.pair_bound, broken2)
+        pair_hop_matrix(small_stack.params, small_stack.pair_bound, broken2)
 
 
 def test_pair_hop_block_dump(tmp_path, monkeypatch, small_stack):
     monkeypatch.setattr(couplings, "BLOCK_DUMP_MAX_SEPARATION", 3)
     path = tmp_path / "blocks.csv"
-    write_pair_hop_blocks_csv(small_stack.couplings, small_stack.basis, path)
+    write_pair_hop_blocks_csv(small_stack.pair_hop, small_stack.basis, path)
     lines = path.read_text().strip().splitlines()
     kept = sum(1 for r in small_stack.basis.separations if r <= 3)
     assert len(lines) == 1 + kept * kept
+
+
+@pytest.mark.parametrize(
+    "models, pair_bound_calls, pair_hop_calls",
+    [
+        (("single",), 0, 0),
+        (("tilde-single",), 0, 0),
+        (("adia0",), 1, 0),
+        (("adia1",), 1, 0),
+        (("spin", "pair", "adia0"), 1, 1),
+    ],
+    ids=["single", "tilde-single", "adia0", "adia1", "spin-pair-adia0"],
+)
+def test_a_pipeline_builds_only_the_coupling_stages_its_models_read(
+    monkeypatch, models, pair_bound_calls, pair_hop_calls
+):
+    """The hop models read ``hop`` alone, the adiabatic models ``hop`` and
+    ``pair_bound``; only ``spin`` and ``pair`` contract ``pair_bound`` into
+    ``pair_hop``, and every stage is built once per pipeline."""
+    calls = {"pair_bound_couplings": 0, "pair_hop_matrix": 0}
+    for stage in calls:
+        real = getattr(couplings, stage)
+
+        def spy(*args, real=real, stage=stage):
+            calls[stage] += 1
+            return real(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("droplet_lattice") and getattr(module, stage, None) is real:
+                monkeypatch.setattr(module, stage, spy)
+    pipe = Pipeline(default_params(n_cavities=41, n_qubits=6))
+    for model in models:
+        pipe.spectrum(model)
+    assert calls == {"pair_bound_couplings": pair_bound_calls, "pair_hop_matrix": pair_hop_calls}

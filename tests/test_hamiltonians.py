@@ -42,28 +42,30 @@ MODEL_BUILDERS = {"single": build_constrained_hop, "tilde-single": build_unconst
 
 
 def test_constrained_hop_matches_operator_strings(tiny_stack):
-    oracle = constrained_hop_by_strings(tiny_stack.couplings.hop, tiny_stack.basis)
+    oracle = constrained_hop_by_strings(tiny_stack.hop, tiny_stack.basis)
     np.testing.assert_allclose(tiny_stack.model("single").payload.toarray(), oracle, atol=1e-12)
 
 
 def test_unconstrained_hop_matches_operator_strings(tiny_stack):
-    oracle = unconstrained_hop_by_strings(tiny_stack.couplings.hop, tiny_stack.basis)
+    oracle = unconstrained_hop_by_strings(tiny_stack.hop, tiny_stack.basis)
     np.testing.assert_allclose(
         tiny_stack.model("tilde-single").payload.toarray(), oracle, atol=1e-12
     )
 
 
 def test_pair_hop_matches_operator_strings(tiny_stack):
-    h_pair = build_pair_hop(tiny_stack.couplings, tiny_stack.basis, tiny_stack.params)
-    oracle = pair_hop_by_strings(tiny_stack.couplings.pair_hop, tiny_stack.basis)
+    h_pair = build_pair_hop(tiny_stack.pair_hop, tiny_stack.basis, tiny_stack.params)
+    oracle = pair_hop_by_strings(tiny_stack.pair_hop, tiny_stack.basis)
     np.testing.assert_allclose(h_pair.payload, oracle, atol=1e-12)
 
 
 def test_spin_model_is_sum(tiny_stack):
-    total = build_spin_model(tiny_stack.couplings, tiny_stack.basis, tiny_stack.params)
+    total = build_spin_model(
+        tiny_stack.hop, tiny_stack.pair_hop, tiny_stack.basis, tiny_stack.params
+    )
     np.testing.assert_allclose(
         total.payload,
-        tiny_stack.model("single").payload + tiny_stack.couplings.pair_hop,
+        tiny_stack.model("single").payload + tiny_stack.pair_hop,
         atol=0,
     )
 
@@ -101,15 +103,16 @@ def test_single_is_stored_sparse_and_spin_holds_one_dense_array():
     at any step breaks both bounds.  Each build runs once untraced first, so
     one-time imports and caches are not counted."""
     pipe = Pipeline(default_params(n_cavities=201, n_qubits=30))
-    cpl, basis, params = pipe.couplings, pipe.basis, pipe.params
+    basis, params = pipe.basis, pipe.params
     square = 8 * basis.size**2
     linear = 10 * 8 * basis.size * params.n_qubits
-    for build, bound in ((build_constrained_hop, linear), (build_spin_model, square + linear)):
-        build(cpl, basis, params)
+    for build, args, bound in ((build_constrained_hop, (pipe.hop,), linear),
+                               (build_spin_model, (pipe.hop, pipe.pair_hop), square + linear)):
+        build(*args, basis, params)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            build(cpl, basis, params)
+            build(*args, basis, params)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
@@ -121,12 +124,8 @@ def test_single_is_stored_sparse_and_spin_holds_one_dense_array():
 
 def test_two_qubit_degenerate_case():
     p = default_params(n_cavities=101, n_qubits=2)
-    from droplet_lattice import build_effective_couplings
-    from droplet_lattice.bath import solve_bath
-
-    basis = PairBasis(2)
-    cpl = build_effective_couplings(p, qubit_positions(p), basis, solve_bath(p))
-    h = build_constrained_hop(cpl, basis, p)
+    pipe = Pipeline(p)
+    h = build_constrained_hop(pipe.hop, pipe.basis, p)
     assert h.payload.shape == (1, 1)
     # no partner kets to hop to: only the self-interaction diagonal survives
     assert h.payload[0, 0] == pytest.approx(2 * hop_scale_and_length(p)[0], rel=1e-12)
@@ -140,12 +139,8 @@ def test_constraint_upshift_state_by_state(small_stack):
 
 def test_unconstrained_limit_zero_coupling():
     p = default_params(n_cavities=101, n_qubits=8, g=0.0)
-    from droplet_lattice import build_effective_couplings
-    from droplet_lattice.bath import solve_bath
-
-    basis = PairBasis(8)
-    cpl = build_effective_couplings(p, qubit_positions(p), basis, solve_bath(p))
-    assert np.abs(build_unconstrained_hop(cpl, basis, p).payload).max() == 0.0
+    pipe = Pipeline(p)
+    assert np.abs(build_unconstrained_hop(pipe.hop, pipe.basis, p).payload).max() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +150,8 @@ def test_unconstrained_limit_zero_coupling():
 
 def test_adiabatic_model_layout(small_stack):
     h = build_adiabatic_model(
-        small_stack.couplings, small_stack.basis, small_stack.params, small_stack.bands
+        small_stack.hop, small_stack.pair_bound, small_stack.basis, small_stack.params,
+        small_stack.bands,
     )
     p = small_stack.basis.size
     n = small_stack.params.n_cavities
@@ -171,11 +167,12 @@ def test_adiabatic_model_layout(small_stack):
 
 def test_adiabatic_bound_bound_toggle(small_stack):
     base = build_adiabatic_model(
-        small_stack.couplings, small_stack.basis, small_stack.params, small_stack.bands
+        small_stack.hop, small_stack.pair_bound, small_stack.basis, small_stack.params,
+        small_stack.bands,
     )
     kept = build_adiabatic_model(
-        small_stack.couplings, small_stack.basis, small_stack.params, small_stack.bands,
-        small_stack.bound_bound,
+        small_stack.hop, small_stack.pair_bound, small_stack.basis, small_stack.params,
+        small_stack.bands, small_stack.bound_bound,
     )
     p = small_stack.basis.size
     block = kept.payload[p:, p:] - base.payload[p:, p:]
@@ -187,7 +184,8 @@ def test_adiabatic_bound_bound_toggle(small_stack):
 def test_adiabatic_tracks_spin_model_low_spectrum(small_stack):
     adia = eigensolve(
         build_adiabatic_model(
-            small_stack.couplings, small_stack.basis, small_stack.params, small_stack.bands
+            small_stack.hop, small_stack.pair_bound, small_stack.basis, small_stack.params,
+            small_stack.bands,
         ),
         k_lowest=6,
     )
@@ -366,12 +364,11 @@ def test_sparse_hop_payloads_export_and_check_as_their_dense_form(tmp_path, tiny
     """A CSR hop payload writes byte for byte the triplets of its dense form
     (rows in order, columns sorted, no stored zeros, also where qubit 1's hop
     strengths are cut to zero), and ``hermiticity_defect`` takes it as it is."""
-    cpl = tiny_stack.couplings
+    hop = tiny_stack.hop
     if cut:
-        hop = cpl.hop.copy()
+        hop = hop.copy()
         hop[0, :] = hop[:, 0] = 0.0
-        cpl = replace(cpl, hop=hop)
-    h = MODEL_BUILDERS[name](cpl, tiny_stack.basis, tiny_stack.params)
+    h = MODEL_BUILDERS[name](hop, tiny_stack.basis, tiny_stack.params)
     dense = replace(h, payload=h.payload.toarray())
     export_triplets(h, tmp_path / "sparse.txt")
     export_triplets(dense, tmp_path / "dense.txt")
@@ -408,7 +405,8 @@ def test_bound_bound_block_shift_is_small(default_stack, adia_low):
     base = adia_low.energies[0]
     kept = eigensolve(
         build_adiabatic_model(
-            stack.couplings, stack.basis, stack.params, stack.bands, stack.bound_bound
+            stack.hop, stack.pair_bound, stack.basis, stack.params, stack.bands,
+            stack.bound_bound,
         ),
         k_lowest=1,
     ).energies[0]

@@ -648,14 +648,14 @@ def test_propagate_rejects_mismatched_state(small_stack):
 
 def test_first_order_corrections_nonpositive(small_stack):
     single = small_stack.spectrum("single")
-    corrected = first_order_perturbation(single, small_stack.couplings.pair_hop)
+    corrected = first_order_perturbation(single, small_stack.pair_hop)
     assert np.all(corrected <= single.energies + 1e-15)
 
 
 def test_first_order_improves_toward_exact(small_stack):
     single = small_stack.spectrum("single")
     corrected = first_order_perturbation(
-        single, small_stack.couplings.pair_hop, indices=[0]
+        single, small_stack.pair_hop, indices=[0]
     )[0]
     exact = small_stack.spectrum("spin").energies[0]
     unperturbed = single.energies[0]
@@ -665,7 +665,7 @@ def test_first_order_improves_toward_exact(small_stack):
 def test_degeneracy_warning(x0_stack):
     decomp = x0_stack.spectrum("single")
     with pytest.warns(DegeneracyWarning):
-        first_order_perturbation(decomp, x0_stack.couplings.pair_hop, indices=[5])
+        first_order_perturbation(decomp, x0_stack.pair_hop, indices=[5])
 
 
 # ---------------------------------------------------------------------------
