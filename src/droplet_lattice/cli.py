@@ -399,7 +399,7 @@ def _fig6a(fig, cfg, pipe, out):
     spin, single = pipe.spectrum("spin"), pipe.spectrum("single")
     var = minimize_variational(pipe.model("spin"), n_max=6)
     droplets = obs.classify_droplet_states(spin, var).indices[:6] - 1
-    pert = first_order_perturbation(single, pipe.pair_hop, indices=np.arange(6))
+    pert = first_order_perturbation(single, pipe.pair_hop_factor, indices=np.arange(6))
     write_csv(
         os.path.join(out, "fig6a.csv"),
         ["n", "E_spin", "E_single", "E_variational", "E_perturbation"],
@@ -415,7 +415,7 @@ def _ground_energies(params):
     h_spin = pipe.model("spin")
     exact = pipe.spectrum("spin", 1).energies[0]
     single = pipe.spectrum("single", 4)
-    pert = first_order_perturbation(single, pipe.pair_hop, indices=[0])[0]
+    pert = first_order_perturbation(single, pipe.pair_hop_factor, indices=[0])[0]
     try:
         var_energy = minimize_variational(h_spin, n_max=1).energies[0]
     except BracketError:
@@ -563,10 +563,9 @@ def main(argv=None) -> int:
         raw = apply_overrides(raw, args.assignments)
         cfg = load_config(raw)
         return run(cfg)
-    except (
-        ConfigError, FileNotFoundError, IsADirectoryError, FileExistsError, NotADirectoryError,
-        PermissionError,
-    ) as exc:
+    except (ConfigError, OSError) as exc:
+        # any refused path or failed write: a missing directory, a read-only
+        # or full disk, a file where a directory should be
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ConvergenceError as exc:

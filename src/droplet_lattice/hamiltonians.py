@@ -32,7 +32,7 @@ import scipy.sparse as sp
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
 from .bath import BathBands
-from .couplings import bound_bound_couplings, pair_bound_couplings
+from .couplings import PairHopFactor, bound_bound_couplings, pair_bound_couplings
 from .errors import BasisMismatch, SizeError
 from .oracles import photon_pair_index, single_photon_sector, two_photon_ring
 from .output import atomic_open
@@ -249,7 +249,35 @@ class ShiftInvert:
         return np.concatenate([y[:p], oc.ravel(), y[p:]])
 
 
-Payload = Union[np.ndarray, sp.spmatrix, sp.sparray, FullOperator]
+class SpinOperator:
+    """The spin model's payload: the constrained hop as CSR plus the pair hop
+    as its factor (``couplings.PairHopFactor``), with no P x P array.
+
+    Like an ndarray it has ``shape``, ``dtype`` and ``@``, which applies
+    both terms in O(P (N_e + N)) per vector.  ``toarray()`` forms the dense
+    sum, bit for bit the CSR hop added onto the pair hop's ``toarray()``;
+    on a solver path only ``solver._dense`` calls it."""
+
+    def __init__(self, single: sp.csr_array, pair_hop: PairHopFactor):
+        self.single = single
+        self.pair_hop = pair_hop
+        self.shape = single.shape
+        self.dtype = np.result_type(single.dtype, pair_hop.dtype)
+
+    def __matmul__(self, v: np.ndarray) -> np.ndarray:
+        out = self.single @ v
+        out += self.pair_hop @ v
+        return out
+
+    def toarray(self) -> np.ndarray:
+        dense = self.pair_hop.toarray()
+        # the stored entries are distinct, so this adds each once, as CSR + dense does
+        coo = self.single.tocoo()
+        dense[coo.row, coo.col] += coo.data
+        return dense
+
+
+Payload = Union[np.ndarray, sp.spmatrix, sp.sparray, FullOperator, SpinOperator]
 
 
 @dataclass
@@ -346,11 +374,11 @@ def build_pair_hop(
 
 
 def build_spin_model(
-    hop: np.ndarray, pair_hop: np.ndarray, basis: PairBasis, params: SystemParams
+    hop: np.ndarray, pair_hop: PairHopFactor, basis: PairBasis, params: SystemParams
 ) -> HamiltonianMatrix:
-    single = build_constrained_hop(hop, basis, params)
-    # CSR plus dense adds the stored entries onto one copy of the pair hop
-    return _pair_model(single.payload + pair_hop, basis, params)
+    """Constrained hop plus pair hop, held as a ``SpinOperator``: O(P (N_e + N))
+    bytes."""
+    return _pair_model(SpinOperator(_constrained_hop_payload(hop, basis), pair_hop), basis, params)
 
 
 def _pairs_plus_bound(
@@ -456,10 +484,16 @@ def build_complete_sector(params: SystemParams, positions, basis: PairBasis) -> 
     )
 
 
+def _stored(payload):
+    """An ndarray or sparse payload as it is; any other, its dense ``toarray()``."""
+    return payload if isinstance(payload, np.ndarray) or sp.issparse(payload) else payload.toarray()
+
+
 def export_triplets(h: HamiltonianMatrix, path):
     """Write the matrix as text triplets: row col re im, one entry per line."""
     payload = h.payload
-    coo = sp.coo_matrix(payload.to_sparse() if isinstance(payload, FullOperator) else payload)
+    coo = sp.coo_matrix(payload.to_sparse() if isinstance(payload, FullOperator)
+                        else _stored(payload))
     if coo.nnz > EXPORT_NNZ_CAP:
         raise SizeError(f"{coo.nnz} nonzeros exceed the export cap")
     with atomic_open(path) as fh:
@@ -472,10 +506,10 @@ def export_triplets(h: HamiltonianMatrix, path):
 def hermiticity_defect(h: HamiltonianMatrix) -> float:
     """Max deviation from Hermiticity, relative to the largest entry.
 
-    Dense and sparse payloads are checked exactly; the matrix-free
-    ``FullOperator`` is probed with ``HERMITICITY_PROBES`` fixed
-    pseudo-random vector pairs, the one check that scales to production
-    array sizes.
+    Dense and sparse payloads are checked exactly, a ``SpinOperator``
+    through its dense ``toarray()``; the matrix-free ``FullOperator`` is
+    probed with ``HERMITICITY_PROBES`` fixed pseudo-random vector pairs, the
+    one check that scales to production array sizes.
     """
     payload = h.payload
     if isinstance(payload, FullOperator):
@@ -488,4 +522,5 @@ def hermiticity_defect(h: HamiltonianMatrix) -> float:
             rhs = np.vdot(payload @ b, a)
             worst = max(worst, abs(lhs - rhs) / max(abs(lhs), 1e-300))
         return worst
+    payload = _stored(payload)
     return float(abs(payload - payload.conj().T).max() / (abs(payload).max() or 1.0))

@@ -3,9 +3,11 @@
 ``Pipeline(params)`` holds one parameter point: qubit positions and pair
 basis up front, then on first use the bath bands, the couplings of the
 first elimination (``hop``, ``pair_bound``, ``bound_bound``), the pair hop
-of the second (``pair_hop``), any model of ``MODELS`` and its
-eigendecomposition.  Every stage is computed once, only when a model or a
-caller reads it, and kept for the life of the object.
+of the second as its factor (``pair_hop_factor``, built from row blocks of
+the couplings without ``pair_bound``) or as a dense matrix (``pair_hop``),
+any model of ``MODELS`` and its eigendecomposition.  Every stage is
+computed once, only when a model or a caller reads it, and kept for the
+life of the object.
 
 Layer functions are called through their modules (``bath.solve_bath``, not
 an imported name), so a caller that rebinds a module attribute, such as a
@@ -30,7 +32,9 @@ QUENCH_MIN_CHUNK = 64
 
 #: Model name -> builder of its Hamiltonian from a pipeline.
 MODELS = {
-    "spin": lambda p: hamiltonians.build_spin_model(p.hop, p.pair_hop, p.basis, p.params),
+    "spin": lambda p: hamiltonians.build_spin_model(
+        p.hop, p.pair_hop_factor, p.basis, p.params
+    ),
     "single": lambda p: hamiltonians.build_constrained_hop(p.hop, p.basis, p.params),
     "tilde-single": lambda p: hamiltonians.build_unconstrained_hop(p.hop, p.basis, p.params),
     "pair": lambda p: hamiltonians.build_pair_hop(p.pair_hop, p.basis, p.params),
@@ -70,8 +74,13 @@ class Pipeline:
         return couplings.pair_bound_couplings(self.params, self.positions, self.basis, self.bands)
 
     @cached_property
+    def pair_hop_factor(self) -> couplings.PairHopFactor:
+        rows = couplings.PairBoundRows(self.params, self.positions, self.basis, self.bands)
+        return couplings.pair_hop_factor(self.params, rows, self.bands)
+
+    @cached_property
     def pair_hop(self) -> np.ndarray:
-        return couplings.pair_hop_matrix(self.params, self.pair_bound, self.bands)
+        return self.pair_hop_factor.toarray()
 
     @cached_property
     def bound_bound(self) -> np.ndarray:

@@ -26,6 +26,7 @@ from .errors import (
     DegeneracyWarning,
     SizeError,
 )
+from .couplings import PairHopFactor
 from .hamiltonians import FullOperator, HamiltonianMatrix, _require_pairs
 from .observables import WavepacketState
 
@@ -219,11 +220,12 @@ def _shift_invert(h: HamiltonianMatrix, k_lowest, parity):
 
 def _lanczos(h: HamiltonianMatrix, k_lowest, parity):
     """The lowest ``k_lowest`` levels from Lanczos (ARPACK, lowest algebraic).
-    A sparse payload is applied by its CSR product, a dense one by BLAS
-    ``dsymv``, which reads one triangle; the residuals against the whole
-    payload catch a dense one whose two triangles differ."""
+    A dense payload is applied by BLAS ``dsymv``, which reads one triangle;
+    the residuals against the whole payload catch one whose two triangles
+    differ.  Any other payload (CSR, ``SpinOperator``) is applied by its own
+    ``@``."""
     product = None
-    if not sp.issparse(h.payload):
+    if isinstance(h.payload, np.ndarray):
         # dsymv gets the transpose, F-ordered for a C-ordered payload, which
         # f2py would otherwise copy on every call
         product = functools.partial(dsymv, 1.0, np.ascontiguousarray(h.payload, float).T)
@@ -233,15 +235,17 @@ def _lanczos(h: HamiltonianMatrix, k_lowest, parity):
 
 
 def _dense(h: HamiltonianMatrix) -> np.ndarray:
-    """The payload as an ndarray: a sparse one is copied dense, and refused
-    above ``DENSE_BYTES_CAP``."""
+    """The payload as an ndarray.  Any other payload (CSR, ``SpinOperator``)
+    is formed by its ``toarray()``, the one place a solver forms a P x P
+    array, and is refused above ``DENSE_BYTES_CAP`` before it allocates."""
     payload = h.payload
-    if not sp.issparse(payload):
+    if isinstance(payload, np.ndarray):
         return payload
     nbytes = payload.shape[0] * payload.shape[1] * payload.dtype.itemsize
     if nbytes > DENSE_BYTES_CAP:
         raise SizeError(
-            f"dense copy of a {h.dim}-dim sparse matrix needs {nbytes / 2**30:.1f} GiB"
+            f"dense copy of a {h.dim}-dim {type(payload).__name__} needs "
+            f"{nbytes / 2**30:.1f} GiB"
         )
     return payload.toarray()
 
@@ -261,9 +265,11 @@ def _parity_blocks(h: HamiltonianMatrix, k_lowest, parity):
     the even level first.  The reflection defect of the whole payload is held
     to the residual gate, so a payload without the symmetry fails even where
     the block solved looks exact.  A sparse payload is never copied dense
-    whole: the blocks and the defect's slabs are gathered from it.
+    whole: the blocks and the defect's slabs are gathered from it.  Any other
+    payload is gathered from its dense copy (``_dense``).
     """
-    payload, mirror = h.payload, h.pair_basis.mirror
+    payload = h.payload if sp.issparse(h.payload) else _dense(h)
+    mirror = h.pair_basis.mirror
     defect = _reflection_defect(payload, mirror)
     reps = _representatives(mirror)
     partners = mirror[reps]
@@ -445,10 +451,11 @@ def propagate(
 
 def first_order_perturbation(
     decomp: SpectralDecomposition,
-    pair_hop: np.ndarray,
+    pair_hop: PairHopFactor,
     indices: Optional[Sequence[int]] = None,
 ) -> np.ndarray:
-    """First-order corrected energies E0 + <v|pair_hop|v> for selected states.
+    """First-order corrected energies E0 + <v|pair_hop|v> for selected states,
+    <v|pair_hop|v> = -c ||X^T v||^2 from the pair hop's factor.
 
     indices are 0-based positions in the decomposition; defaults to all.
     Warns when adjacent levels are closer than the degeneracy gap, where
@@ -470,9 +477,7 @@ def first_order_perturbation(
             DegeneracyWarning,
             stacklevel=2,
         )
-    vecs = decomp.vectors[:, indices]
-    corrections = ((pair_hop @ vecs) * vecs.conj()).sum(axis=0).real
-    return decomp.energies[indices] + corrections
+    return decomp.energies[indices] + pair_hop.expectations(decomp.vectors[:, indices])
 
 
 # ---------------------------------------------------------------------------
@@ -511,7 +516,7 @@ def variational_energy(h_spin: HamiltonianMatrix, length: float, n: int = 1) -> 
     if length <= 0:
         raise BracketError(f"length must be positive, got {length}")
     vec = variational_vector(h_spin, length, n)
-    return float(vec @ h_spin.payload @ vec) + h_spin.energy_offset
+    return float(vec @ (h_spin.payload @ vec)) + h_spin.energy_offset
 
 
 def golden_section(fun, lo: float, hi: float, xatol: float) -> tuple[float, float]:
@@ -562,9 +567,7 @@ def minimize_variational(h_spin: HamiltonianMatrix, n_max: Optional[int] = None)
     for col in range(n_max):
         if ortho[:, col] @ raw[:, col] < 0:
             ortho[:, col] = -ortho[:, col]
-    energies = (
-        np.einsum("pi,pq,qi->i", ortho, h_spin.payload, ortho) + h_spin.energy_offset
-    )
+    energies = ((h_spin.payload @ ortho) * ortho).sum(axis=0) + h_spin.energy_offset
     return VariationalResult(
         length=float(length),
         energies=energies,

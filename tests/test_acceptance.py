@@ -275,7 +275,7 @@ def test_criterion_7a_operator_strings():
         spin_dev = np.abs(
             constrained_hop_by_strings(stack.hop, stack.basis)
             + pair_hop_by_strings(stack.pair_hop, stack.basis)
-            - stack.model("spin").payload
+            - stack.model("spin").payload.toarray()
         ).max()
         worst = max(worst, single_dev, pair_dev, spin_dev)
     assert report(7, worst < 1e-12, f"a: operator-string deviation {worst:.2e}") is True
@@ -389,7 +389,8 @@ def test_criterion_7e_structural_invariants(default_stack, variational_family):
     upshift_ok = bool(np.all(single >= tilde - 1e-14))
     exact0 = stack.spectrum("spin").energies[0]
     var0 = variational_energy(stack.model("spin"), variational_family(stack).length, 1)
-    corrections = first_order_perturbation(stack.spectrum("single"), y) - stack.spectrum("single").energies
+    corrections = (first_order_perturbation(stack.spectrum("single"), stack.pair_hop_factor)
+                   - stack.spectrum("single").energies)
     ok = report(
         7,
         herm < 1e-12 and top <= 1e-13 * psd_scale and shift_dev < 1e-10

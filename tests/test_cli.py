@@ -1,4 +1,5 @@
 import contextlib
+import errno
 import gc
 import io
 import json
@@ -611,6 +612,31 @@ def test_forbidden_config_or_output_path_exits_2(tmp_path, monkeypatch, capsys, 
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("failure", ["read-only", "disk-full"])
+def test_any_os_error_on_the_output_path_exits_2(tmp_path, monkeypatch, capsys, failure):
+    """An ``OSError`` of no named subclass ends in one config-error line like
+    the named ones, not a traceback: a read-only file system met creating
+    the output directory (EROFS), and a full disk met writing a CSV
+    (ENOSPC)."""
+    path = str(tmp_path / "out")
+    if failure == "read-only":
+        def refuse(name, *args, **kwargs):
+            raise OSError(errno.EROFS, "Read-only file system", name)
+
+        monkeypatch.setattr(cli.os, "makedirs", refuse)
+    else:
+        def refuse(name, *args, **kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device", name)
+
+        monkeypatch.setattr(cli, "write_csv", refuse)
+    code, _ = run_cli(tmp_path, "spectrum", out=path)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("config error: ")
+    assert os.strerror(errno.EROFS if failure == "read-only" else errno.ENOSPC) in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("t_max, dt", [("1e15", "1"), ("1e4", "1e-300"), ("1e300", "2")],
                          ids=["7PiB", "tiny-dt", "huge-t_max"])
 def test_refused_allocation_exits_3_with_one_line(tmp_path, capsys, t_max, dt):
@@ -624,6 +650,57 @@ def test_refused_allocation_exits_3_with_one_line(tmp_path, capsys, t_max, dt):
     assert code == 3
     assert err.startswith("validity error: ")
     assert err.count("\n") == 1
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
+def _spy_dense_stages(monkeypatch):
+    """Record every call of a payload's or factor's ``toarray()`` and every
+    read of ``Pipeline.pair_bound`` or ``Pipeline.pair_hop``."""
+    from droplet_lattice.couplings import PairHopFactor
+    from droplet_lattice.hamiltonians import SpinOperator
+    from droplet_lattice.pipeline import Pipeline
+
+    calls = []
+    for cls, name in ((SpinOperator, "toarray"), (PairHopFactor, "toarray"),
+                      (Pipeline, "pair_bound"), (Pipeline, "pair_hop")):
+        def spy(self, *args, name=f"{cls.__name__}.{name}"):
+            calls.append(name)
+            raise AssertionError(f"{name} was called")
+
+        monkeypatch.setattr(cls, name, property(spy) if cls is Pipeline else spy)
+    return calls
+
+
+@pytest.mark.parametrize("task, extra", [
+    ("spectrum", ["--set", "options.k_lowest=1"]),
+    ("figure", ["--fig", "6b", "--set", "options.values=[-0.07]"]),
+], ids=["spectrum-k1", "fig6b"])
+def test_the_k_lowest_path_forms_no_pair_by_pair_array(tmp_path, monkeypatch, task, extra):
+    """The lowest ``spin`` level and fig 6b never read ``pair_bound`` or the
+    dense ``pair_hop`` and never call ``toarray()``: Lanczos applies the
+    ``spin`` payload by its own product, and the perturbative column reads
+    the pair hop's factor.  At 101 x 26 (P = 325) the payload is above
+    ``LANCZOS_MIN_DIM``; below it the LAPACK subset forms the dense copy by
+    design."""
+    calls = _spy_dense_stages(monkeypatch)
+    size = ["--set", "params.n_cavities=101", "--set", "params.n_qubits=26"]
+    assert main([task, "--out", str(tmp_path / "o"), *size, *extra]) == 0
+    assert calls == []
+
+
+def test_a_full_spin_spectrum_over_the_dense_cap_exits_3_before_it_allocates(
+    tmp_path, monkeypatch, capsys
+):
+    """A full spectrum copies the ``spin`` payload dense; one byte over the
+    cap refuses it from its shape and dtype, before ``toarray()``."""
+    calls = _spy_dense_stages(monkeypatch)
+    monkeypatch.setattr(solver, "DENSE_BYTES_CAP", 8 * 15 * 15 - 1)
+    code, out = run_cli(tmp_path, "spectrum")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("validity error: dense copy of a 15-dim SpinOperator")
+    assert err.count("\n") == 1
+    assert calls == []
     assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 

@@ -11,7 +11,7 @@ from droplet_lattice.couplings import (
     constrained_hop_matrix,
     hop_scale_and_length,
     pair_bound_couplings,
-    pair_hop_matrix,
+    pair_hop_factor,
     write_pair_hop_blocks_csv,
 )
 from droplet_lattice.oracles import pair_hop_reference
@@ -135,7 +135,7 @@ def test_pair_hop_negative_semidefinite(small_stack):
 def test_pair_hop_equals_real_part_of_complex_product(small_stack):
     params, bands = small_stack.params, small_stack.bands
     pair_bound = small_stack.pair_bound
-    y = pair_hop_matrix(params, pair_bound, bands)
+    y = pair_hop_factor(params, pair_bound, bands).toarray()
     a = pair_bound / np.sqrt(bands.pair_detunings)[None, :]
     reference = -(params.g**4 / (params.n_cavities * J * J)) * (a @ a.conj().T).real
     scale = np.abs(reference).max()
@@ -158,13 +158,12 @@ def test_pair_hop_refuses_unpaired_wavevectors(small_stack):
     phased = pair_bound.copy()
     phased[:, col] *= 1j
     y = small_stack.pair_hop
-    np.testing.assert_allclose(
-        pair_hop_matrix(params, phased, bands), y, rtol=0, atol=1e-13 * np.abs(y).max()
-    )
+    np.testing.assert_allclose(pair_hop_factor(params, phased, bands).toarray(), y, rtol=0,
+                               atol=1e-13 * np.abs(y).max())
     broken = pair_bound.copy()
     broken[:, col] *= 2
     with pytest.raises(DomainError, match="unexpectedly complex"):
-        pair_hop_matrix(params, broken, bands)
+        pair_hop_factor(params, broken, bands)
 
 
 @pytest.mark.parametrize("factor", [0.99, 1.01])
@@ -184,15 +183,74 @@ def test_pair_hop_certificate_bounds_the_imaginary_part(tiny_stack, factor):
     scaled[:, col] *= 1 + factor * delta / np.abs(a[:, col]).max()
     if factor > 1:
         with pytest.raises(DomainError, match="unexpectedly complex"):
-            pair_hop_matrix(params, scaled, bands)
+            pair_hop_factor(params, scaled, bands)
         return
-    y = pair_hop_matrix(params, scaled, bands)
+    y = pair_hop_factor(params, scaled, bands).toarray()
     a = scaled / np.sqrt(bands.pair_detunings)[None, :]
     product = a @ a.conj().T
     scale = np.linalg.norm(a, axis=1).max() ** 2
     prefactor = params.g**4 / (params.n_cavities * J * J)
     assert 0 < np.abs(product.imag).max() <= 1e-10 * scale
     assert np.abs(y + prefactor * product.real).max() <= 1e-10 * prefactor * scale
+
+
+def _dense_pair_hop(params, pair_bound, bands):
+    """X and the pair hop -c X X^T as formed from the whole of ``pair_bound``
+    at once: A = pair_bound / sqrt(pair detuning), X = [Re A_+ W, Im A_+ W]."""
+    a = pair_bound / np.sqrt(bands.pair_detunings)[None, :]
+    plus = a[:, bands.grid.zero_index:]
+    weight = np.full(plus.shape[1], np.sqrt(2))
+    weight[0] = 1.0
+    x = np.concatenate((plus.real * weight, plus.imag * weight), axis=1)
+    y = x @ x.T
+    y *= -(params.g**4 / (params.n_cavities * J * J))
+    return x, y
+
+
+@pytest.mark.parametrize("rows", [1, 7, 10_000])
+def test_the_factor_built_in_row_blocks_is_bitwise_that_of_the_whole_couplings(
+    monkeypatch, small_stack, rows
+):
+    """Blocks of one row, of seven (which do not divide P = 45) and of more
+    than P rows all give X bit for bit as it is formed from the whole of
+    ``pair_bound``, and so do the rows of ``PairBoundRows``."""
+    monkeypatch.setattr(couplings, "FACTOR_ROWS", rows)
+    params, basis, bands = small_stack.params, small_stack.basis, small_stack.bands
+    source = couplings.PairBoundRows(params, small_stack.positions, basis, bands)
+    assert source[:].tobytes() == small_stack.pair_bound.tobytes()
+    x, _ = _dense_pair_hop(params, small_stack.pair_bound, bands)
+    for pair_bound in (source, small_stack.pair_bound):
+        factor = pair_hop_factor(params, pair_bound, bands)
+        assert factor.x.shape == x.shape and factor.x.tobytes() == x.tobytes()
+
+
+@pytest.mark.parametrize("n_cavities, n_qubits", [(41, 6), (101, 20)])
+@pytest.mark.parametrize("spacing", [0, 1])
+def test_the_pair_hop_and_spin_arrays_are_bitwise_those_of_the_dense_formula(
+    n_cavities, n_qubits, spacing
+):
+    """``toarray()`` of the factor is bit for bit -c X X^T formed from the
+    whole couplings, and that of the ``spin`` payload is bit for bit the CSR
+    hop added onto it."""
+    pipe = Pipeline(default_params(n_cavities=n_cavities, n_qubits=n_qubits, spacing=spacing))
+    _, y = _dense_pair_hop(pipe.params, pipe.pair_bound, pipe.bands)
+    assert pipe.pair_hop_factor.toarray().tobytes() == y.tobytes()
+    assert pipe.pair_hop.tobytes() == y.tobytes()
+    spin = pipe.model("single").payload + y
+    assert pipe.model("spin").payload.toarray().tobytes() == spin.tobytes()
+
+
+def test_a_pairing_broken_in_the_last_row_block_is_refused(monkeypatch, small_stack):
+    """The certificate reads every block: column K doubled in the rows of the
+    last block alone still fails it."""
+    monkeypatch.setattr(couplings, "FACTOR_ROWS", 7)
+    params, bands = small_stack.params, small_stack.bands
+    broken = small_stack.pair_bound.copy()
+    last = (len(broken) - 1) // 7 * 7
+    broken[last:, bands.grid.zero_index + 1] *= 2
+    pair_hop_factor(params, broken[:last], bands)
+    with pytest.raises(DomainError, match="unexpectedly complex"):
+        pair_hop_factor(params, broken, bands)
 
 
 def test_pair_hop_off_diagonal_bounded_by_diagonals(small_stack):
@@ -244,8 +302,8 @@ def test_couplings_vanish_at_zero_coupling():
     # assembled models therefore vanish as well
     from droplet_lattice import build_spin_model
 
-    h = build_spin_model(pipe.hop, pipe.pair_hop, pipe.basis, p)
-    assert np.abs(h.payload).max() == 0.0
+    h = build_spin_model(pipe.hop, pipe.pair_hop_factor, pipe.basis, p)
+    assert np.abs(h.payload.toarray()).max() == 0.0
 
 
 def test_array_size_convergence():
@@ -290,7 +348,7 @@ def test_gap_guard_raises_inside_band(small_stack):
         profiles=bands.profiles,
     )
     with pytest.raises(DomainError):
-        pair_hop_matrix(small_stack.params, small_stack.pair_bound, broken2)
+        pair_hop_factor(small_stack.params, small_stack.pair_bound, broken2)
 
 
 def test_pair_hop_block_dump(tmp_path, monkeypatch, small_stack):
@@ -317,9 +375,10 @@ def test_a_pipeline_builds_only_the_coupling_stages_its_models_read(
     monkeypatch, models, pair_bound_calls, pair_hop_calls
 ):
     """The hop models read ``hop`` alone, the adiabatic models ``hop`` and
-    ``pair_bound``; only ``spin`` and ``pair`` contract ``pair_bound`` into
-    ``pair_hop``, and every stage is built once per pipeline."""
-    calls = {"pair_bound_couplings": 0, "pair_hop_matrix": 0}
+    ``pair_bound``; only ``spin`` and ``pair`` build the pair hop's factor,
+    from row blocks of the couplings rather than ``pair_bound``, and every
+    stage is built once per pipeline."""
+    calls = {"pair_bound_couplings": 0, "pair_hop_factor": 0}
     for stage in calls:
         real = getattr(couplings, stage)
 
@@ -333,4 +392,4 @@ def test_a_pipeline_builds_only_the_coupling_stages_its_models_read(
     pipe = Pipeline(default_params(n_cavities=41, n_qubits=6))
     for model in models:
         pipe.spectrum(model)
-    assert calls == {"pair_bound_couplings": pair_bound_calls, "pair_hop_matrix": pair_hop_calls}
+    assert calls == {"pair_bound_couplings": pair_bound_calls, "pair_hop_factor": pair_hop_calls}

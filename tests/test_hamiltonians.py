@@ -15,6 +15,7 @@ from droplet_lattice import (
     build_pair_hop,
     build_spin_model,
     build_unconstrained_hop,
+    couplings,
     default_params,
     eigensolve,
     hamiltonians,
@@ -22,6 +23,7 @@ from droplet_lattice import (
 from droplet_lattice.couplings import hop_scale_and_length
 from droplet_lattice.hamiltonians import (
     HamiltonianMatrix,
+    SpinOperator,
     export_triplets,
     hermiticity_defect,
 )
@@ -61,10 +63,10 @@ def test_pair_hop_matches_operator_strings(tiny_stack):
 
 def test_spin_model_is_sum(tiny_stack):
     total = build_spin_model(
-        tiny_stack.hop, tiny_stack.pair_hop, tiny_stack.basis, tiny_stack.params
+        tiny_stack.hop, tiny_stack.pair_hop_factor, tiny_stack.basis, tiny_stack.params
     )
     np.testing.assert_allclose(
-        total.payload,
+        total.payload.toarray(),
         tiny_stack.model("single").payload + tiny_stack.pair_hop,
         atol=0,
     )
@@ -80,7 +82,7 @@ def test_pair_models_commute_with_the_reflection(n_qubits, spacing):
     mirror = pipe.basis.mirror
     for name in ("spin", "single", "tilde-single", "pair"):
         h = pipe.model(name).payload
-        h = h.toarray() if sp.issparse(h) else h
+        h = h if isinstance(h, np.ndarray) else h.toarray()
         np.testing.assert_allclose(h[mirror][:, mirror], h, rtol=0, atol=1e-14 * np.abs(h).max())
 
 
@@ -95,31 +97,43 @@ def test_hop_row_connectivity(small_stack):
         assert h[row, row] == pytest.approx(2 * scale, rel=1e-12)
 
 
-def test_single_is_stored_sparse_and_spin_holds_one_dense_array():
+def test_single_is_stored_sparse_and_spin_holds_no_dense_array():
     """Building ``single`` allocates O(P N_e) bytes, here at most ten doubles
-    per pair and qubit (its CSR arrays, filled and sorted row by row);
-    building ``spin`` adds one P x P float64 array, the sum.  At 201 x 30 a
-    P x P array holds 14.5 doubles per pair and qubit, so a dense ``single``
-    at any step breaks both bounds.  Each build runs once untraced first, so
-    one-time imports and caches are not counted."""
-    pipe = Pipeline(default_params(n_cavities=201, n_qubits=30))
-    basis, params = pipe.basis, pipe.params
+    per pair and qubit (its CSR arrays, filled and sorted row by row).
+    Building the pair hop's factor allocates O(P N) bytes: X, P x (N + 1)
+    doubles, plus the k-sum tables (O(N^2)) and a few complex blocks of
+    ``FACTOR_ROWS`` rows.  Building ``spin`` from the factor allocates no
+    more than ``single``.  At 101 x 60 a P x P array is more than four
+    times the factor's bound and twice the hop's, so a dense step anywhere
+    breaks them.  Each build runs once untraced first, so one-time imports
+    and caches are not counted."""
+    pipe = Pipeline(default_params(n_cavities=101, n_qubits=60))
+    basis, params, n = pipe.basis, pipe.params, pipe.params.n_cavities
     square = 8 * basis.size**2
     linear = 10 * 8 * basis.size * params.n_qubits
-    for build, args, bound in ((build_constrained_hop, (pipe.hop,), linear),
-                               (build_spin_model, (pipe.hop, pipe.pair_hop), square + linear)):
-        build(*args, basis, params)
+    factored = 8 * basis.size * (n + 1) + 16 * n * (n + 8 * couplings.FACTOR_ROWS)
+    assert 4 * factored < square and 2 * linear < square
+
+    def factor():
+        rows = couplings.PairBoundRows(params, pipe.positions, basis, pipe.bands)
+        return couplings.pair_hop_factor(params, rows, pipe.bands)
+
+    pair_hop = factor()
+    for build, bound in ((lambda: build_constrained_hop(pipe.hop, basis, params), linear),
+                         (factor, factored),
+                         (lambda: build_spin_model(pipe.hop, pair_hop, basis, params), linear)):
+        build()
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            build(*args, basis, params)
+            build()
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak <= bound, (build.__name__, peak, bound)
+        assert peak <= bound, (peak, bound)
     assert sp.issparse(pipe.model("single").payload)
     assert sp.issparse(pipe.model("tilde-single").payload)
-    assert isinstance(pipe.model("spin").payload, np.ndarray)
+    assert isinstance(pipe.model("spin").payload, SpinOperator)
 
 
 def test_two_qubit_degenerate_case():
@@ -341,8 +355,9 @@ def test_truncation_against_complete_sector():
 def test_rotating_frame_offset_shift(small_stack):
     """Adding a constant to the diagonal shifts every eigenvalue by it."""
     h = small_stack.model("spin")
-    shifted = h.payload + 0.37 * np.eye(h.dim)
-    base = np.linalg.eigvalsh(h.payload)
+    payload = h.payload.toarray()
+    shifted = payload + 0.37 * np.eye(h.dim)
+    base = np.linalg.eigvalsh(payload)
     moved = np.linalg.eigvalsh(shifted)
     np.testing.assert_allclose(moved, base + 0.37, atol=1e-12)
 
@@ -354,7 +369,8 @@ def test_export_triplets_roundtrip(tmp_path, tiny_stack):
     rebuilt = np.zeros((tiny_stack.model("spin").dim,) * 2, dtype=complex)
     for r, c, re, im in rows:
         rebuilt[int(r), int(c)] += re + 1j * im
-    np.testing.assert_allclose(rebuilt.real, tiny_stack.model("spin").payload, atol=1e-12)
+    np.testing.assert_allclose(rebuilt.real, tiny_stack.model("spin").payload.toarray(),
+                               atol=1e-12)
 
 
 @pytest.mark.parametrize("name", ["single", "tilde-single"])

@@ -32,6 +32,11 @@ from droplet_lattice.solver import _canonicalize_signs, golden_section, variatio
 LAPACK_RECORD = {"method": "lapack", "driver": "evr"}
 
 
+def _matrix(payload) -> np.ndarray:
+    """A payload as a dense ndarray: its ``toarray()`` unless it is one."""
+    return payload if isinstance(payload, np.ndarray) else payload.toarray()
+
+
 def _toy_spin_matrix(matrix, offset=0.0):
     n = matrix.shape[0]
     # smallest pair basis with size >= n is irrelevant here; tests using this
@@ -135,14 +140,14 @@ def mid_stack():
 
 @pytest.mark.parametrize("name, k", [("spin", 1), ("single", 4)])
 def test_dense_lanczos_matches_the_lapack_subset(mid_stack, name, k):
-    """Small k on a large pair-basis payload (dense ``spin``, CSR ``single``)
-    goes to Lanczos, which agrees with the LAPACK subset and repeats bit for
+    """Small k on a large pair-basis payload (``spin`` as its operator, CSR
+    ``single``) goes to Lanczos, which agrees with the LAPACK subset and repeats bit for
     bit."""
     h = mid_stack.model(name)
     assert h.dim == 435
     lanczos = eigensolve(h, k_lowest=k)
     assert lanczos.solver["method"] == "lanczos" and lanczos.solver["applications"] > 0
-    dense = h.payload.toarray() if sp.issparse(h.payload) else h.payload
+    dense = h.payload.toarray()
     vals, vecs = eigh(dense, subset_by_index=[0, k - 1])
     np.testing.assert_allclose(lanczos.energies - h.energy_offset, vals, atol=1e-12, rtol=0)
     # every level here is non-degenerate (gaps above 2e-4); the reflection
@@ -182,7 +187,7 @@ def test_dense_lanczos_refuses_a_payload_whose_triangles_differ(
     ground = eigensolve(h, k_lowest=1)
     assert ground.solver["method"] == "lanczos"
     col = 1 + np.argmax(np.abs(ground.vectors[1:, 0]))
-    broken = h.payload.copy()
+    broken = h.payload.toarray()
     broken[(0, col) if triangle == "upper" else (col, 0)] += 1e-3 * np.abs(broken).max()
     with pytest.raises(ConvergenceError, match="residual"):
         eigensolve(replace(h, payload=broken), k_lowest=1)
@@ -256,7 +261,7 @@ def test_dense_lanczos_is_limited_to_small_k_large_pair_payloads(mid_stack):
     for h, k in cases:
         d = eigensolve(h, k_lowest=k)
         assert d.solver == LAPACK_RECORD
-        vals = eigh(h.payload, eigvals_only=True, subset_by_index=[0, k - 1])
+        vals = eigh(_matrix(h.payload), eigvals_only=True, subset_by_index=[0, k - 1])
         np.testing.assert_array_equal(d.energies, vals + h.energy_offset)
 
 
@@ -350,7 +355,7 @@ def test_parity_blocks_match_the_whole_payload(parity_stack, n_qubits, spacing):
         assert d.solver == {"method": "parity-blocks", "blocks": [n_even, size - n_even],
                             "driver": "evd"}
         assert np.count_nonzero(d.parity == 1) == n_even
-        vals, vecs = eigh(h.payload.toarray() if sp.issparse(h.payload) else h.payload)
+        vals, vecs = eigh(_matrix(h.payload))
         scale = np.abs(vals).max()
         np.testing.assert_allclose(d.energies - h.energy_offset, vals, atol=1e-13 * scale, rtol=0)
         cuts = np.flatnonzero(np.diff(vals) > 1e-6 * scale) + 1
@@ -365,7 +370,7 @@ def test_a_payload_that_breaks_the_reflection_fails_the_residual_gate(tiny_stack
     from dataclasses import replace
 
     h = tiny_stack.model("spin")
-    broken = h.payload.copy()
+    broken = h.payload.toarray()
     broken[0, 0] += 1e-3 * np.abs(broken).max()
     with pytest.raises(ConvergenceError, match="residual"):
         eigensolve(replace(h, payload=broken))
@@ -381,7 +386,7 @@ def test_a_payload_that_breaks_the_reflection_fails_on_one_block(tiny_stack, par
 
     h = tiny_stack.model("spin")
     p = 0 if row == "representative" else tiny_stack.basis.mirror[0]
-    broken = h.payload.copy()
+    broken = h.payload.toarray()
     broken[p, p] += 1e-3 * np.abs(broken).max()
     with pytest.raises(ConvergenceError, match="reflection"):
         eigensolve(replace(h, payload=broken), parity=parity)
@@ -396,12 +401,13 @@ def test_a_small_defect_spread_over_every_entry_fails_the_reflection_check(small
 
     h = small_stack.model("spin")
     mirror = small_stack.basis.mirror
-    gate = 1e-8 * max(np.abs(eigh(h.payload, eigvals_only=True)).max(), 1.0)
-    r = np.random.default_rng(3).uniform(-1.0, 1.0, h.payload.shape)
+    payload = h.payload.toarray()
+    gate = 1e-8 * max(np.abs(eigh(payload, eigvals_only=True)).max(), 1.0)
+    r = np.random.default_rng(3).uniform(-1.0, 1.0, payload.shape)
     r += r.T
     odd = r - r[np.ix_(mirror, mirror)]  # symmetric, odd under the reflection
     odd *= 0.25 * gate / np.abs(odd).max()
-    broken = h.payload + odd
+    broken = payload + odd
     defect = broken[np.ix_(mirror, mirror)] - broken
     assert np.abs(defect).max() < gate < np.linalg.norm(defect)
     with pytest.raises(ConvergenceError, match="reflection"):
@@ -648,14 +654,14 @@ def test_propagate_rejects_mismatched_state(small_stack):
 
 def test_first_order_corrections_nonpositive(small_stack):
     single = small_stack.spectrum("single")
-    corrected = first_order_perturbation(single, small_stack.pair_hop)
+    corrected = first_order_perturbation(single, small_stack.pair_hop_factor)
     assert np.all(corrected <= single.energies + 1e-15)
 
 
 def test_first_order_improves_toward_exact(small_stack):
     single = small_stack.spectrum("single")
     corrected = first_order_perturbation(
-        single, small_stack.pair_hop, indices=[0]
+        single, small_stack.pair_hop_factor, indices=[0]
     )[0]
     exact = small_stack.spectrum("spin").energies[0]
     unperturbed = single.energies[0]
@@ -665,7 +671,7 @@ def test_first_order_improves_toward_exact(small_stack):
 def test_degeneracy_warning(x0_stack):
     decomp = x0_stack.spectrum("single")
     with pytest.warns(DegeneracyWarning):
-        first_order_perturbation(decomp, x0_stack.pair_hop, indices=[5])
+        first_order_perturbation(decomp, x0_stack.pair_hop_factor, indices=[5])
 
 
 # ---------------------------------------------------------------------------
