@@ -341,7 +341,8 @@ def _task_validate(cfg, pipe, out):
          "tilde-single"),
         ("pair hop", oracles.pair_hop_by_strings(small.pair_hop, basis), "pair"),
     ):
-        check(f"operator-string {name}", np.abs(oracle - small.model(model).payload).max(), 1e-12)
+        payload = small.model(model).payload
+        check(f"operator-string {name}", np.abs(oracle - payload.toarray()).max(), 1e-12)
     bath_spec = np.linalg.eigvalsh(oracles.two_photon_bath_sector(small.params))
     worst = max(np.abs(bath_spec - e).min() for e in bands.bound_energies)
     check("bath two-photon sector vs bound band", worst, 1e-9)

@@ -254,13 +254,15 @@ class SpinOperator:
     as its factor (``couplings.PairHopFactor``), with no P x P array.
 
     Like an ndarray it has ``shape``, ``dtype`` and ``@``, which applies
-    both terms in O(P (N_e + N)) per vector.  ``toarray()`` forms the dense
-    sum, bit for bit the CSR hop added onto the pair hop's ``toarray()``;
-    on a solver path only ``solver._dense`` calls it."""
+    both terms in O(P (N_e + N)) per vector.  ``parts`` is the two terms, from
+    which the reflection blocks are taken.  ``toarray()`` forms the dense sum,
+    bit for bit the CSR hop added onto the pair hop's ``toarray()``; on a
+    solver path only ``solver._dense`` calls it."""
 
     def __init__(self, single: sp.csr_array, pair_hop: PairHopFactor):
         self.single = single
         self.pair_hop = pair_hop
+        self.parts = (single, pair_hop)
         self.shape = single.shape
         self.dtype = np.result_type(single.dtype, pair_hop.dtype)
 
@@ -368,9 +370,10 @@ def build_unconstrained_hop(
 
 
 def build_pair_hop(
-    pair_hop: np.ndarray, basis: PairBasis, params: SystemParams
+    pair_hop: PairHopFactor, basis: PairBasis, params: SystemParams
 ) -> HamiltonianMatrix:
-    return _pair_model(pair_hop.copy(), basis, params)
+    """The pair hop alone; the payload is its factor, held, not copied."""
+    return _pair_model(pair_hop, basis, params)
 
 
 def build_spin_model(
@@ -506,10 +509,11 @@ def export_triplets(h: HamiltonianMatrix, path):
 def hermiticity_defect(h: HamiltonianMatrix) -> float:
     """Max deviation from Hermiticity, relative to the largest entry.
 
-    Dense and sparse payloads are checked exactly, a ``SpinOperator``
-    through its dense ``toarray()``; the matrix-free ``FullOperator`` is
-    probed with ``HERMITICITY_PROBES`` fixed pseudo-random vector pairs, the
-    one check that scales to production array sizes.
+    Dense and sparse payloads are checked exactly, a factored one
+    (``SpinOperator``, ``PairHopFactor``) through its ``toarray()``; the
+    matrix-free ``FullOperator`` is probed with ``HERMITICITY_PROBES`` fixed
+    pseudo-random vector pairs, the one check that scales to production
+    array sizes.
     """
     payload = h.payload
     if isinstance(payload, FullOperator):

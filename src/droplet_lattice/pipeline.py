@@ -37,7 +37,7 @@ MODELS = {
     ),
     "single": lambda p: hamiltonians.build_constrained_hop(p.hop, p.basis, p.params),
     "tilde-single": lambda p: hamiltonians.build_unconstrained_hop(p.hop, p.basis, p.params),
-    "pair": lambda p: hamiltonians.build_pair_hop(p.pair_hop, p.basis, p.params),
+    "pair": lambda p: hamiltonians.build_pair_hop(p.pair_hop_factor, p.basis, p.params),
     "adia0": lambda p: hamiltonians.build_adiabatic_model(
         p.hop, p.pair_bound, p.basis, p.params, p.bands, p.bound_bound
     ),

@@ -18,14 +18,8 @@ import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 from scipy.linalg.blas import dsymv
 
-from .errors import (
-    BasisMismatch,
-    BracketError,
-    ConfigError,
-    ConvergenceError,
-    DegeneracyWarning,
-    SizeError,
-)
+from .errors import (BasisMismatch, BracketError, ConfigError, ConvergenceError,
+                     DegeneracyWarning, SizeError)
 from .couplings import PairHopFactor
 from .hamiltonians import FullOperator, HamiltonianMatrix, _require_pairs
 from .observables import WavepacketState
@@ -147,9 +141,12 @@ def _arpack(op, k: int, ncv: int, **mode):
     return vals[order], vecs[:, order]
 
 
-def _representatives(mirror: np.ndarray) -> np.ndarray:
-    """One pair per orbit {p, mirror[p]} of the reflection: its lower index."""
-    return np.flatnonzero(np.arange(len(mirror)) <= mirror)
+def _orbits(mirror: np.ndarray) -> tuple:
+    """The reflection's orbits {p, mirror[p]} as lower index and image, then the orbits of two."""
+    reps = np.flatnonzero(np.arange(len(mirror)) <= mirror)
+    partners = mirror[reps]
+    two = reps != partners
+    return reps, partners, reps[two], partners[two]
 
 
 #: a reflection block by its parity
@@ -234,20 +231,47 @@ def _lanczos(h: HamiltonianMatrix, k_lowest, parity):
     return vals, vecs, None, None, {"method": "lanczos", "applications": counted.applications}
 
 
+def _refuse_above_cap(nbytes: int, what: str):
+    """Refuse (exit 3) an array of ``nbytes`` above ``DENSE_BYTES_CAP`` before it exists."""
+    if nbytes > DENSE_BYTES_CAP:
+        raise SizeError(f"{what} {nbytes / 2**30:.1f} GiB")
+
+
 def _dense(h: HamiltonianMatrix) -> np.ndarray:
-    """The payload as an ndarray.  Any other payload (CSR, ``SpinOperator``)
-    is formed by its ``toarray()``, the one place a solver forms a P x P
-    array, and is refused above ``DENSE_BYTES_CAP`` before it allocates."""
+    """The payload as an ndarray.  Any other payload (CSR, ``SpinOperator``,
+    ``PairHopFactor``) is formed by its ``toarray()``, the one place a solver
+    forms a P x P array, after ``_refuse_above_cap``."""
     payload = h.payload
     if isinstance(payload, np.ndarray):
         return payload
-    nbytes = payload.shape[0] * payload.shape[1] * payload.dtype.itemsize
-    if nbytes > DENSE_BYTES_CAP:
-        raise SizeError(
-            f"dense copy of a {h.dim}-dim {type(payload).__name__} needs "
-            f"{nbytes / 2**30:.1f} GiB"
-        )
+    _refuse_above_cap(h.dim * h.dim * payload.dtype.itemsize,
+                      f"dense copy of a {h.dim}-dim {type(payload).__name__} needs")
     return payload.toarray()
+
+
+def _reflection_blocks(payload, mirror: np.ndarray, parity) -> tuple:
+    """The blocks, by parity, of ``payload`` on the kets of ``_parity_blocks``
+    (only that of ``parity`` unless it is None) and its reflection defect
+    ||H - H[mirror][:, mirror]||_F, or for a factored payload a bound of it.
+    Both are gathered from an ndarray or sparse payload.  A factored payload
+    (``spin``, ``pair``) gathers the sparse part of its ``parts`` and lets its
+    ``PairHopFactor`` add its own blocks and defect."""
+    reps, partners, orbits, images = _orbits(mirror)
+    payload, factor = getattr(payload, "parts", (payload, None))
+    blocks = {}
+    if parity in (None, 1):
+        # <e_a|H|e_b> = (H[a, b] + H[a, mirror b]) s_a s_b, s = 1/sqrt(2) on fixed pairs
+        scale = np.where(partners == reps, np.sqrt(0.5), 1.0)
+        blocks[1] = _gather(payload, reps, reps)
+        blocks[1] += _gather(payload, reps, partners)
+        blocks[1] *= np.outer(scale, scale)
+    if parity in (None, -1):
+        blocks[-1] = _gather(payload, orbits, orbits)
+        blocks[-1] -= _gather(payload, orbits, images)
+    defect = _reflection_defect(payload, mirror)
+    if factor is not None:
+        defect += factor.add_parity_blocks(blocks, reps, partners)
+    return blocks, defect
 
 
 def _parity_blocks(h: HamiltonianMatrix, k_lowest, parity):
@@ -257,34 +281,22 @@ def _parity_blocks(h: HamiltonianMatrix, k_lowest, parity):
 
     Each orbit {p, mirror[p]} is represented by its lower index.  An orbit of
     two gives the even and the odd ket (|p> +- |mirror[p]>) / sqrt(2); a pair
-    that is its own image gives an even ket only.  Each block is decomposed
-    with LAPACK's divide-and-conquer driver, and each level's residual is
-    taken on its block.  The vectors are lifted back into the pair basis,
-    mirrored components copied (even) or negated (odd), so their magnitudes
-    agree bit for bit.  The energies are sorted stably, so an exact tie puts
-    the even level first.  The reflection defect of the whole payload is held
-    to the residual gate, so a payload without the symmetry fails even where
-    the block solved looks exact.  A sparse payload is never copied dense
-    whole: the blocks and the defect's slabs are gathered from it.  Any other
-    payload is gathered from its dense copy (``_dense``).
+    that is its own image gives an even ket only.  The largest array, the
+    lifted vectors, is refused first (``_refuse_above_cap``); the blocks come
+    from ``_reflection_blocks``, so no payload is copied dense whole.  Each
+    block is decomposed by LAPACK's divide-and-conquer driver, with each
+    level's residual taken on its block, and lifted back: mirrored components
+    copied (even) or negated (odd) agree in magnitude bit for bit.  A stable
+    sort puts the even level first in an exact tie.  The reflection defect is
+    held to the residual gate, so a payload without the symmetry fails even
+    where the block solved looks exact.
     """
-    payload = h.payload if sp.issparse(h.payload) else _dense(h)
     mirror = h.pair_basis.mirror
-    defect = _reflection_defect(payload, mirror)
-    reps = _representatives(mirror)
-    partners = mirror[reps]
-    fixed = partners == reps
-    orbits, images = reps[~fixed], partners[~fixed]
-    blocks = {}
-    if parity in (None, 1):
-        # <e_a|H|e_b> = (H[a, b] + H[a, mirror b]) s_a s_b, s = 1/sqrt(2) on fixed pairs
-        scale = np.where(fixed, np.sqrt(0.5), 1.0)
-        blocks[1] = _gather(payload, reps, reps)
-        blocks[1] += _gather(payload, reps, partners)
-        blocks[1] *= np.outer(scale, scale)
-    if parity in (None, -1):
-        blocks[-1] = _gather(payload, orbits, orbits)
-        blocks[-1] -= _gather(payload, orbits, images)
+    reps, partners, orbits, images = _orbits(mirror)
+    levels = sum(len(kets) for sign, kets in ((1, reps), (-1, orbits)) if parity in (None, sign))
+    _refuse_above_cap(8 * len(mirror) * levels, f"{levels} parity-block vectors of a "
+                      f"{h.dim}-dim {type(h.payload).__name__} need")
+    blocks, defect = _reflection_blocks(h.payload, mirror, parity)
     solved = {sign: eigh(block, driver="evd") for sign, block in blocks.items()}
     vals = np.concatenate([block_vals for block_vals, _ in solved.values()])
     spectral_scale, gate = _gate(vals)
@@ -301,14 +313,10 @@ def _parity_blocks(h: HamiltonianMatrix, k_lowest, parity):
         residuals.append(np.linalg.norm(h_vecs, axis=0))
         cols = slice(start, start + len(block_vals))
         start += len(block_vals)
-        if sign > 0:
-            block_vecs *= np.where(fixed, 1.0, np.sqrt(0.5))[:, None]
-            vecs[partners, cols] = block_vecs
-            vecs[reps, cols] = block_vecs
-        else:
-            block_vecs *= np.sqrt(0.5)
-            vecs[orbits, cols] = block_vecs
-            vecs[images, cols] = -block_vecs
+        kets, mirrored = (reps, partners) if sign > 0 else (orbits, images)
+        block_vecs *= np.where(kets == mirrored, 1.0, np.sqrt(0.5))[:, None]
+        vecs[mirrored, cols] = sign * block_vecs
+        vecs[kets, cols] = block_vecs
     order = np.argsort(vals, kind="stable")
     parities = np.concatenate([np.full(len(v), sign) for sign, (v, _) in solved.items()])
     stats = {"method": "parity-blocks", "blocks": [len(reps), len(orbits)], "driver": "evd"}
@@ -350,16 +358,12 @@ def eigensolve(
     reflection block of a model that ``splits_by_parity``.
 
     The first row of ``_ROUTES`` that takes the request solves it:
-    ``_shift_invert`` for the matrix-free explicit-photon operator;
-    ``_lanczos`` for ``k_lowest`` levels of a real pair-basis payload, dense
-    or sparse, of dimension ``LANCZOS_MIN_DIM`` or more with
-    ``k_lowest <= LANCZOS_MAX_K``, or of any other sparse payload above
-    ``DENSE_FALLBACK_DIM``;
-    ``_parity_blocks`` for every level of a model that ``splits_by_parity``;
-    ``_lapack`` for the rest.  Every eigenvector then gets its canonical
-    sign, and each level's residual (against the whole payload unless the
-    route took it on its block) is held to the gate 1e-8 * max(scale, 1).
-    ``solver`` on the result is the route's record.
+    shift-invert for the matrix-free operator, Lanczos for a few levels of a
+    large payload, the parity blocks for every level of a model that
+    ``splits_by_parity``, LAPACK for the rest.  Every eigenvector then gets
+    its canonical sign, and each level's residual (against the whole payload
+    unless the route took it on its block) is held to the gate
+    1e-8 * max(scale, 1).  ``solver`` on the result is the route's record.
     """
     if parity is not None and (
         parity not in PARITY_NAMES or k_lowest is not None or not splits_by_parity(h)
@@ -415,7 +419,7 @@ def propagate(
     times = np.asarray(times, dtype=float)
     energies = decomp.rotating_frame_energies()
     psi, mirror = psi0.coefficients, decomp.mirror
-    reps = _representatives(mirror)
+    reps = _orbits(mirror)[0]
     occupied = occupied_parities(psi, mirror)
     block_dims = {1: len(reps), -1: len(mirror) - len(reps)}
     for sign in occupied:
@@ -465,13 +469,9 @@ def first_order_perturbation(
     if indices is None:
         indices = np.arange(len(decomp.energies))
     indices = np.asarray(indices, dtype=int)
-    gaps = []
-    for n in indices:
-        if n > 0:
-            gaps.append(abs(decomp.energies[n] - decomp.energies[n - 1]))
-        if n + 1 < len(decomp.energies):
-            gaps.append(abs(decomp.energies[n + 1] - decomp.energies[n]))
-    if gaps and min(gaps) < DEGENERACY_GAP:
+    gaps = np.abs(np.diff(decomp.energies))  # gaps[n] lies between levels n and n + 1
+    near = np.concatenate([gaps[indices[indices > 0] - 1], gaps[indices[indices < len(gaps)]]])
+    if near.size and near.min() < DEGENERACY_GAP:
         warnings.warn(
             "selected level nearly degenerate; first-order theory unreliable",
             DegeneracyWarning,

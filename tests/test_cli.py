@@ -688,20 +688,56 @@ def test_the_k_lowest_path_forms_no_pair_by_pair_array(tmp_path, monkeypatch, ta
     assert calls == []
 
 
-def test_a_full_spin_spectrum_over_the_dense_cap_exits_3_before_it_allocates(
-    tmp_path, monkeypatch, capsys
-):
-    """A full spectrum copies the ``spin`` payload dense; one byte over the
-    cap refuses it from its shape and dtype, before ``toarray()``."""
+@pytest.mark.parametrize("task, extra", [
+    ("spectrum", []),
+    ("dynamics", ["--set", "options.t_max=200"]),
+])
+def test_the_full_spectrum_path_forms_no_pair_by_pair_array(tmp_path, monkeypatch, task, extra):
+    """A full ``spin`` spectrum and a quench (the even block alone) take
+    their parity blocks from the CSR hop and the pair hop's factor: no
+    ``toarray()``, no read of ``pair_bound`` or of the dense ``pair_hop``."""
     calls = _spy_dense_stages(monkeypatch)
+    size = ["--set", "params.n_cavities=101", "--set", "params.n_qubits=26"]
+    assert main([task, "--out", str(tmp_path / "o"), *size, *extra]) == 0
+    assert calls == []
+
+
+def _full_spectrum_over_the_cap(tmp_path, monkeypatch, capsys, model, payload_type):
+    """One byte under the P x P doubles of the lifted vectors, a full
+    spectrum exits 3 with one line, before it gathers a block or calls
+    ``toarray()``, and writes no manifest."""
+    calls = _spy_dense_stages(monkeypatch)
+
+    def gather(*args):
+        calls.append("_gather")
+        raise AssertionError("_gather was called")
+
+    monkeypatch.setattr(solver, "_gather", gather)
     monkeypatch.setattr(solver, "DENSE_BYTES_CAP", 8 * 15 * 15 - 1)
-    code, out = run_cli(tmp_path, "spectrum")
+    code, out = run_cli(tmp_path, "spectrum", "--set", f"model={model}")
     err = capsys.readouterr().err
     assert code == 3
-    assert err.startswith("validity error: dense copy of a 15-dim SpinOperator")
+    assert err.startswith(
+        f"validity error: 15 parity-block vectors of a 15-dim {payload_type} need"
+    )
     assert err.count("\n") == 1
     assert calls == []
     assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
+def test_a_full_spin_spectrum_over_the_dense_cap_exits_3_before_it_allocates(
+    tmp_path, monkeypatch, capsys
+):
+    _full_spectrum_over_the_cap(tmp_path, monkeypatch, capsys, "spin", "SpinOperator")
+
+
+@pytest.mark.parametrize("model, payload_type", [
+    ("single", "csr_array"), ("pair", "PairHopFactor"),
+])
+def test_a_full_csr_or_factor_spectrum_over_the_dense_cap_exits_3_before_it_gathers(
+    tmp_path, monkeypatch, capsys, model, payload_type
+):
+    _full_spectrum_over_the_cap(tmp_path, monkeypatch, capsys, model, payload_type)
 
 
 # JSON texts for --set values: wrong types, bools, non-finite numbers and

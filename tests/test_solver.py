@@ -414,6 +414,71 @@ def test_a_small_defect_spread_over_every_entry_fails_the_reflection_check(small
         eigensolve(replace(h, payload=broken), parity=parity)
 
 
+@pytest.mark.parametrize("n_qubits, spacing", [(6, 0), (6, 1), (7, 0), (7, 1)])
+def test_factored_blocks_match_the_blocks_of_the_dense_copy(parity_stack, n_qubits, spacing):
+    """The even and odd blocks of the factored ``spin`` and ``pair`` payloads,
+    gathered from the CSR hop and formed by syrks on the mirrored rows of X,
+    agree with the blocks gathered from their ``toarray()`` to 1e-15 of the
+    spectral norm (measured worst 4e-17), and both defects are rounding."""
+    pipe = parity_stack(n_qubits, spacing)
+    mirror = pipe.basis.mirror
+    for name in ("spin", "pair"):
+        payload = pipe.model(name).payload
+        dense = payload.toarray()
+        norm = np.abs(eigh(dense, eigvals_only=True)).max()
+        factored, defect = solver._reflection_blocks(payload, mirror, None)
+        gathered, dense_defect = solver._reflection_blocks(dense, mirror, None)
+        assert factored.keys() == gathered.keys() == {1, -1}
+        for sign in factored:
+            np.testing.assert_allclose(factored[sign], gathered[sign], atol=1e-15 * norm, rtol=0)
+        assert max(defect, dense_defect) < 1e-15 * norm
+
+
+def _broken_spin(pipe, part: str, eps: float):
+    """The ``spin`` payload with row 0 of X, or the CSR hop's diagonal entry
+    of pair 0, scaled by 1 + eps.  Pair 0 is not its own mirror image."""
+    from droplet_lattice.couplings import PairHopFactor
+    from droplet_lattice.hamiltonians import SpinOperator
+
+    payload = pipe.model("spin").payload
+    single, x = payload.single.copy(), payload.pair_hop.x.copy()
+    if part == "factor":
+        x[0] *= 1 + eps
+    else:
+        single[0, 0] *= 1 + eps
+    assert pipe.basis.mirror[0] != 0
+    return SpinOperator(single, PairHopFactor(x, payload.pair_hop.scale))
+
+
+@pytest.mark.parametrize("eps", [1e-6, 1e-3])
+@pytest.mark.parametrize("n_qubits", [6, 7])
+def test_the_factored_defect_is_that_of_the_dense_copy(parity_stack, n_qubits, eps):
+    """With one row of X scaled by 1 + eps, the defect taken from the factor
+    (the CSR hop's plus 2 sqrt(2) c ||X_e X_o^T||_F) equals the dense
+    ||H - H[mirror][:, mirror]||_F to 1e-6 relative (measured 5e-10)."""
+    pipe = parity_stack(n_qubits, 0)
+    broken = _broken_spin(pipe, "factor", eps)
+    mirror = pipe.basis.mirror
+    _, defect = solver._reflection_blocks(broken, mirror, None)
+    dense = broken.toarray()
+    expected = np.linalg.norm(dense - dense[np.ix_(mirror, mirror)])
+    assert expected > 0
+    assert defect == pytest.approx(expected, rel=1e-6, abs=0)
+
+
+@pytest.mark.parametrize("parity", [None, 1, -1])
+@pytest.mark.parametrize("part", ["factor", "csr"])
+def test_a_broken_factor_or_hop_fails_the_reflection_check(parity_stack, part, parity):
+    """A factored payload whose X or CSR hop breaks the reflection by 1e-3
+    of one entry fails the reflection check on every parity route."""
+    from dataclasses import replace
+
+    pipe = parity_stack(6, 0)
+    broken = replace(pipe.model("spin"), payload=_broken_spin(pipe, part, 1e-3))
+    with pytest.raises(ConvergenceError, match="reflection"):
+        eigensolve(broken, parity=parity)
+
+
 @pytest.mark.parametrize("n_qubits, spacing", [(6, 0), (7, 1), (2, 1)])
 def test_one_block_is_the_full_decomposition_restricted(parity_stack, n_qubits, spacing):
     """Solving one reflection block gives, bit for bit, the levels of that
