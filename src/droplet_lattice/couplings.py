@@ -13,7 +13,6 @@ held as its real factor (``PairHopFactor``) and built from row blocks of
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
 from .bath import BathBands
 from .errors import DomainError
@@ -120,15 +119,12 @@ class PairHopFactor:
     """The pair-hop matrix -c X X^T, held as its real (P, N + 1) factor X and
     the scale c > 0 (see ``pair_hop_factor``).
 
-    Like the P x P matrix it stands for, it has ``shape``, ``dtype`` and
-    ``@``, which applies -c X (X^T v) without forming the matrix.
-    ``toarray()`` forms it, O(P^2) bytes."""
+    ``@`` applies -c X (X^T v) without forming the matrix; ``toarray()``
+    forms it, O(P^2) bytes."""
 
     def __init__(self, x: np.ndarray, scale: float):
         self.x = x
         self.scale = scale
-        self.shape = (len(x), len(x))
-        self.dtype = x.dtype
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         return -self.scale * (self.x @ (self.x.T @ v))
@@ -142,32 +138,6 @@ class PairHopFactor:
         y = self.x @ self.x.T  # numpy takes x @ x.T to syrk, which mirrors one triangle
         y *= -self.scale
         return y
-
-    @property
-    def parts(self) -> tuple:
-        """As a payload, (sparse part, factor): an empty CSR array and itself."""
-        return sp.csr_array(self.shape), self
-
-    def add_parity_blocks(self, blocks: dict, reps: np.ndarray, partners: np.ndarray) -> float:
-        """Add this matrix's even and odd blocks under a reflection, with
-        ``reps`` one pair per orbit and ``partners`` their images, onto
-        ``blocks[1]`` and ``blocks[-1]`` where present; return its reflection
-        defect.  The blocks are -c X_e X_e^T and -c X_o X_o^T, one syrk each,
-        with X_e = (X[reps] + X[partners]) w, w = 1/sqrt(2) on orbits of two
-        and 1/2 on pairs that are their own image, and X_o = (X[p] -
-        X[image of p]) / sqrt(2) on orbits of two.  The matrix is symmetric,
-        so its defect is 2 sqrt(2) c ||X_e X_o^T||_F, from its even-odd block."""
-        fixed = reps == partners
-        even = self.x[reps] + self.x[partners]
-        even *= np.where(fixed, 0.5, np.sqrt(0.5))[:, None]
-        odd = self.x[reps[~fixed]] - self.x[partners[~fixed]]
-        odd *= np.sqrt(0.5)
-        for sign, factor in ((1, even), (-1, odd)):
-            if sign in blocks:
-                gram = factor @ factor.T  # syrk
-                gram *= self.scale
-                blocks[sign] -= gram
-        return 2 * np.sqrt(2) * self.scale * float(np.linalg.norm(even @ odd.T))
 
 
 def pair_hop_factor(params: SystemParams, pair_bound, bands: BathBands) -> PairHopFactor:

@@ -250,13 +250,13 @@ class ShiftInvert:
 
 
 class SpinOperator:
-    """The spin model's payload: the constrained hop as CSR plus the pair hop
-    as its factor (``couplings.PairHopFactor``), with no P x P array.
+    """The ``spin`` and ``pair`` payload: the constrained hop as CSR (empty for
+    ``pair``) plus the pair hop as its factor (``couplings.PairHopFactor``).
 
     Like an ndarray it has ``shape``, ``dtype`` and ``@``, which applies
     both terms in O(P (N_e + N)) per vector.  ``parts`` is the two terms, from
-    which the reflection blocks are taken.  ``toarray()`` forms the dense sum,
-    bit for bit the CSR hop added onto the pair hop's ``toarray()``; on a
+    which the solver takes the reflection blocks.  ``toarray()`` forms the dense
+    sum, bit for bit the CSR hop added onto the pair hop's ``toarray()``; on a
     solver path only ``solver._dense`` calls it."""
 
     def __init__(self, single: sp.csr_array, pair_hop: PairHopFactor):
@@ -264,7 +264,7 @@ class SpinOperator:
         self.pair_hop = pair_hop
         self.parts = (single, pair_hop)
         self.shape = single.shape
-        self.dtype = np.result_type(single.dtype, pair_hop.dtype)
+        self.dtype = np.result_type(single.dtype, pair_hop.x.dtype)
 
     def __matmul__(self, v: np.ndarray) -> np.ndarray:
         out = self.single @ v
@@ -372,8 +372,8 @@ def build_unconstrained_hop(
 def build_pair_hop(
     pair_hop: PairHopFactor, basis: PairBasis, params: SystemParams
 ) -> HamiltonianMatrix:
-    """The pair hop alone; the payload is its factor, held, not copied."""
-    return _pair_model(pair_hop, basis, params)
+    """The pair hop alone, held as a ``SpinOperator`` with an empty CSR hop."""
+    return _pair_model(SpinOperator(sp.csr_array((basis.size,) * 2), pair_hop), basis, params)
 
 
 def build_spin_model(
@@ -487,16 +487,21 @@ def build_complete_sector(params: SystemParams, positions, basis: PairBasis) -> 
     )
 
 
-def _stored(payload):
-    """An ndarray or sparse payload as it is; any other, its dense ``toarray()``."""
-    return payload if isinstance(payload, np.ndarray) or sp.issparse(payload) else payload.toarray()
+def _stored(payload, cap=np.inf):
+    """An ndarray or sparse payload as it is; any other, its dense ``toarray()``,
+    refused first if its P^2 entries exceed ``cap``: the pair hop's are full in general."""
+    if isinstance(payload, np.ndarray) or sp.issparse(payload):
+        return payload
+    if (entries := payload.shape[0] ** 2) > cap:
+        raise SizeError(f"{entries} dense {type(payload).__name__} entries exceed the export cap")
+    return payload.toarray()
 
 
 def export_triplets(h: HamiltonianMatrix, path):
     """Write the matrix as text triplets: row col re im, one entry per line."""
     payload = h.payload
     coo = sp.coo_matrix(payload.to_sparse() if isinstance(payload, FullOperator)
-                        else _stored(payload))
+                        else _stored(payload, EXPORT_NNZ_CAP))
     if coo.nnz > EXPORT_NNZ_CAP:
         raise SizeError(f"{coo.nnz} nonzeros exceed the export cap")
     with atomic_open(path) as fh:
@@ -509,11 +514,10 @@ def export_triplets(h: HamiltonianMatrix, path):
 def hermiticity_defect(h: HamiltonianMatrix) -> float:
     """Max deviation from Hermiticity, relative to the largest entry.
 
-    Dense and sparse payloads are checked exactly, a factored one
-    (``SpinOperator``, ``PairHopFactor``) through its ``toarray()``; the
-    matrix-free ``FullOperator`` is probed with ``HERMITICITY_PROBES`` fixed
-    pseudo-random vector pairs, the one check that scales to production
-    array sizes.
+    Dense and sparse payloads are checked exactly, a ``SpinOperator`` through
+    its ``toarray()``; the matrix-free ``FullOperator`` is probed with
+    ``HERMITICITY_PROBES`` fixed pseudo-random vector pairs, the one check
+    that scales to production array sizes.
     """
     payload = h.payload
     if isinstance(payload, FullOperator):

@@ -31,8 +31,6 @@ DENSE_FALLBACK_DIM = 4000
 LANCZOS_MIN_DIM = 300
 LANCZOS_MAX_K = 8
 DENSE_BYTES_CAP = 2**30
-# payload rows per block of the reflection defect's sum
-DEFECT_ROWS = 128
 DEGENERACY_GAP = 1e-10
 # relative lengths searched by the variational optimization, and its tolerance
 VARIATIONAL_BRACKET = (1.0, 30.0)
@@ -186,15 +184,10 @@ def _reflection_defect(payload, mirror: np.ndarray) -> float:
     """||H - H[mirror][:, mirror]||_F: zero for a payload that commutes with
     the reflection.  The Frobenius norm bounds the spectral norm of the
     defect, so it bounds what the defect adds to any level's residual
-    against the whole payload.  It is summed over ``DEFECT_ROWS`` rows at a
-    time, so no mirrored copy of the whole payload is held."""
-    squares = 0.0
-    for start in range(0, len(mirror), DEFECT_ROWS):
-        rows = slice(start, start + DEFECT_ROWS)
-        block = _gather(payload, mirror[rows], mirror)
-        block -= _gather(payload, rows)
-        squares += float(np.vdot(block, block))
-    return float(np.sqrt(squares))
+    against the whole payload.  It is the norm of the stored entries of one
+    difference, sparse for a sparse payload."""
+    diff = payload[mirror][:, mirror] - payload
+    return float(np.linalg.norm(diff.data if sp.issparse(diff) else diff))
 
 
 def _shift_invert(h: HamiltonianMatrix, k_lowest, parity):
@@ -238,9 +231,9 @@ def _refuse_above_cap(nbytes: int, what: str):
 
 
 def _dense(h: HamiltonianMatrix) -> np.ndarray:
-    """The payload as an ndarray.  Any other payload (CSR, ``SpinOperator``,
-    ``PairHopFactor``) is formed by its ``toarray()``, the one place a solver
-    forms a P x P array, after ``_refuse_above_cap``."""
+    """The payload as an ndarray.  Any other payload (CSR, ``SpinOperator``)
+    is formed by its ``toarray()``, the one place a solver forms a P x P
+    array, after ``_refuse_above_cap``."""
     payload = h.payload
     if isinstance(payload, np.ndarray):
         return payload
@@ -252,16 +245,20 @@ def _dense(h: HamiltonianMatrix) -> np.ndarray:
 def _reflection_blocks(payload, mirror: np.ndarray, parity) -> tuple:
     """The blocks, by parity, of ``payload`` on the kets of ``_parity_blocks``
     (only that of ``parity`` unless it is None) and its reflection defect
-    ||H - H[mirror][:, mirror]||_F, or for a factored payload a bound of it.
-    Both are gathered from an ndarray or sparse payload.  A factored payload
-    (``spin``, ``pair``) gathers the sparse part of its ``parts`` and lets its
-    ``PairHopFactor`` add its own blocks and defect."""
+    ||H - H[mirror][:, mirror]||_F, or for a ``SpinOperator`` a bound of it.
+    An ndarray or sparse payload, or the CSR hop of a ``SpinOperator``'s
+    ``parts``, gives both by gathers.  The pair hop -c X X^T adds -c X_e X_e^T
+    and -c X_o X_o^T, one syrk each, with X_e = (X[reps] + X[partners]) w
+    (w = 1/sqrt(2) on orbits of two, 1/2 on pairs that are their own image)
+    and X_o = (X[orbits] - X[images]) / sqrt(2); it is symmetric, so its
+    defect is 2 sqrt(2) c ||X_e X_o^T||_F, from its even-odd block."""
     reps, partners, orbits, images = _orbits(mirror)
     payload, factor = getattr(payload, "parts", (payload, None))
+    fixed = partners == reps
     blocks = {}
     if parity in (None, 1):
         # <e_a|H|e_b> = (H[a, b] + H[a, mirror b]) s_a s_b, s = 1/sqrt(2) on fixed pairs
-        scale = np.where(partners == reps, np.sqrt(0.5), 1.0)
+        scale = np.where(fixed, np.sqrt(0.5), 1.0)
         blocks[1] = _gather(payload, reps, reps)
         blocks[1] += _gather(payload, reps, partners)
         blocks[1] *= np.outer(scale, scale)
@@ -270,7 +267,16 @@ def _reflection_blocks(payload, mirror: np.ndarray, parity) -> tuple:
         blocks[-1] -= _gather(payload, orbits, images)
     defect = _reflection_defect(payload, mirror)
     if factor is not None:
-        defect += factor.add_parity_blocks(blocks, reps, partners)
+        even = factor.x[reps] + factor.x[partners]
+        even *= np.where(fixed, 0.5, np.sqrt(0.5))[:, None]
+        odd = factor.x[orbits] - factor.x[images]
+        odd *= np.sqrt(0.5)
+        for sign, half in ((1, even), (-1, odd)):
+            if sign in blocks:
+                gram = half @ half.T  # syrk
+                gram *= factor.scale
+                blocks[sign] -= gram
+        defect += 2 * np.sqrt(2) * factor.scale * float(np.linalg.norm(even @ odd.T))
     return blocks, defect
 
 

@@ -732,12 +732,38 @@ def test_a_full_spin_spectrum_over_the_dense_cap_exits_3_before_it_allocates(
 
 
 @pytest.mark.parametrize("model, payload_type", [
-    ("single", "csr_array"), ("pair", "PairHopFactor"),
+    ("single", "csr_array"), ("pair", "SpinOperator"),
 ])
 def test_a_full_csr_or_factor_spectrum_over_the_dense_cap_exits_3_before_it_gathers(
     tmp_path, monkeypatch, capsys, model, payload_type
 ):
     _full_spectrum_over_the_cap(tmp_path, monkeypatch, capsys, model, payload_type)
+
+
+@pytest.mark.parametrize("model", ["spin", "pair"])
+def test_a_factored_export_over_the_cap_exits_3_before_the_dense_copy(
+    tmp_path, monkeypatch, capsys, model
+):
+    """With the export cap one under the P^2 = 225 entries of a dense 41 x 6
+    payload, exporting ``spin`` or ``pair`` raises ``SizeError`` before any
+    ``toarray()``, and ``spectrum`` asked for the export exits 3 with one
+    line and writes no ``matrix.txt``."""
+    from droplet_lattice import Pipeline, SizeError, default_params, hamiltonians
+
+    h = Pipeline(default_params(n_cavities=41, n_qubits=6)).model(model)
+    calls = _spy_dense_stages(monkeypatch)
+    monkeypatch.setattr(hamiltonians, "EXPORT_NNZ_CAP", 15 * 15 - 1)
+    with pytest.raises(SizeError, match="225 dense SpinOperator entries exceed the export cap"):
+        hamiltonians.export_triplets(h, tmp_path / "direct.txt")
+    code, out = run_cli(tmp_path, "spectrum", "--set", f"model={model}",
+                        "--set", "options.export_matrix=true")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("validity error: 225 dense SpinOperator entries")
+    assert err.count("\n") == 1
+    assert calls == []
+    assert not os.path.exists(tmp_path / "direct.txt")
+    assert not os.path.exists(os.path.join(out, "matrix.txt"))
 
 
 # JSON texts for --set values: wrong types, bools, non-finite numbers and

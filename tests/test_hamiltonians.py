@@ -61,6 +61,17 @@ def test_pair_hop_matches_operator_strings(tiny_stack):
     np.testing.assert_allclose(h_pair.payload.toarray(), oracle, atol=1e-12)
 
 
+def test_the_pair_payload_is_a_spin_operator_with_an_empty_hop(tiny_stack):
+    """The ``pair`` payload is a ``SpinOperator`` whose CSR hop stores no
+    entries; its dense form is bit for bit the pair hop factor's."""
+    payload = tiny_stack.model("pair").payload
+    assert isinstance(payload, SpinOperator)
+    single, factor = payload.parts
+    assert sp.issparse(single) and single.shape == payload.shape and single.nnz == 0
+    assert factor is tiny_stack.pair_hop_factor
+    assert payload.toarray().tobytes() == tiny_stack.pair_hop_factor.toarray().tobytes()
+
+
 def test_spin_model_is_sum(tiny_stack):
     total = build_spin_model(
         tiny_stack.hop, tiny_stack.pair_hop_factor, tiny_stack.basis, tiny_stack.params

@@ -466,6 +466,28 @@ def test_the_factored_defect_is_that_of_the_dense_copy(parity_stack, n_qubits, e
     assert defect == pytest.approx(expected, rel=1e-6, abs=0)
 
 
+@pytest.mark.parametrize("n_qubits", [6, 7])
+def test_the_reflection_defect_is_one_sparse_difference(parity_stack, monkeypatch, n_qubits):
+    """With the diagonal entry of pair 0 of the ``single`` hop scaled by
+    1 + 1e-3, its reflection defect, taken with no dense gather, equals
+    ||H - H[mirror][:, mirror]||_F of its dense copy to 1e-12 relative."""
+    pipe = parity_stack(n_qubits, 0)
+    mirror = pipe.basis.mirror
+    broken = pipe.model("single").payload.copy()
+    broken[0, 0] *= 1 + 1e-3
+    assert mirror[0] != 0
+
+    def gather(*args):
+        raise AssertionError("_gather was called")
+
+    monkeypatch.setattr(solver, "_gather", gather)
+    defect = solver._reflection_defect(broken, mirror)
+    dense = broken.toarray()
+    expected = np.linalg.norm(dense - dense[np.ix_(mirror, mirror)])
+    assert expected > 0
+    assert defect == pytest.approx(expected, rel=1e-12, abs=0)
+
+
 @pytest.mark.parametrize("parity", [None, 1, -1])
 @pytest.mark.parametrize("part", ["factor", "csr"])
 def test_a_broken_factor_or_hop_fails_the_reflection_check(parity_stack, part, parity):
