@@ -1,6 +1,8 @@
-"""Thread counts of the OpenBLAS pools that numpy and scipy each load,
-read and set through ctypes."""
+"""Thread counts of the OpenBLAS pools that numpy and scipy each load:
+started at one thread while the package imports them, read and set through
+ctypes afterwards.  This module imports no numpy."""
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -52,3 +54,22 @@ def set_blas_threads(count: int) -> None:
     for _, _, get, set_ in _blas_pools():
         if get is not None and set_ is not None and get() != count:
             set_(count)
+
+
+@contextlib.contextmanager
+def one_thread_while_loading():
+    """Load any OpenBLAS that the body imports with one thread.
+
+    OpenBLAS reads ``OPENBLAS_NUM_THREADS`` once, when the library loads, and
+    starts that many threads minus one at once.  Unless the caller set it,
+    the variable is ``"1"`` inside the body and removed afterwards, so the
+    environment is left as it was found; a value the caller set is kept.
+    A library loaded before the body keeps its count (``set_blas_threads``)."""
+    if "OPENBLAS_NUM_THREADS" in os.environ:
+        yield
+        return
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        yield
+    finally:
+        os.environ.pop("OPENBLAS_NUM_THREADS", None)

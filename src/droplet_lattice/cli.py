@@ -500,7 +500,9 @@ TASKS = {
 def run(cfg: RunConfig) -> int:
     started, cpu_started = time.perf_counter(), time.process_time()
     # one BLAS thread for the whole run, so its bytes do not depend on the
-    # host's core count; ``libraries`` records the count
+    # host's core count; ``libraries`` records the count.  The package import
+    # loaded both pools at one thread already, unless numpy was loaded first
+    # (pytest, a library caller) or the caller set OPENBLAS_NUM_THREADS
     set_blas_threads(1)
     libraries = {"numpy": np.__version__, "scipy": scipy.__version__, "openblas": blas_libraries()}
     pipe = Pipeline(build_params(cfg.params))

@@ -40,7 +40,14 @@ from .params import J, PairBasis, SystemParams
 
 COMPLETE_DIM_CAP = 40_000
 EXPORT_NNZ_CAP = 20_000_000
+DENSE_BYTES_CAP = 2**30
 HERMITICITY_PROBES = 4
+
+
+def _refuse_above_cap(nbytes: int, what: str):
+    """Refuse (exit 3) an array of ``nbytes`` above ``DENSE_BYTES_CAP`` before it exists."""
+    if nbytes > DENSE_BYTES_CAP:
+        raise SizeError(f"{what} {nbytes / 2**30:.1f} GiB")
 
 
 class FullOperator:
@@ -396,6 +403,7 @@ def _pairs_plus_bound(
     on pairs then bound kets, c = g^2 / (J sqrt N) and c' = g^2 / (N J); the
     bound-bound term is left out when ``bound_bound`` is None."""
     n, p, g = params.n_cavities, basis.size, params.g
+    _refuse_above_cap(16 * (p + n) ** 2, f"the {p + n}-dim pairs-plus-bound matrix needs")
     h = np.zeros((p + n, p + n), dtype=complex)
     single = _constrained_hop_payload(hop, basis).tocoo()
     h[single.row, single.col] = single.data

@@ -19,9 +19,9 @@ from scipy.linalg import eigh
 from scipy.linalg.blas import dsymv
 
 from .errors import (BasisMismatch, BracketError, ConfigError, ConvergenceError,
-                     DegeneracyWarning, SizeError)
+                     DegeneracyWarning)
 from .couplings import PairHopFactor
-from .hamiltonians import FullOperator, HamiltonianMatrix, _require_pairs
+from .hamiltonians import FullOperator, HamiltonianMatrix, _refuse_above_cap, _require_pairs
 from .observables import WavepacketState
 
 DENSE_FALLBACK_DIM = 4000
@@ -30,7 +30,6 @@ DENSE_FALLBACK_DIM = 4000
 # k = 8 (at k = 16 only from dim of about 1000)
 LANCZOS_MIN_DIM = 300
 LANCZOS_MAX_K = 8
-DENSE_BYTES_CAP = 2**30
 DEGENERACY_GAP = 1e-10
 # relative lengths searched by the variational optimization, and its tolerance
 VARIATIONAL_BRACKET = (1.0, 30.0)
@@ -222,12 +221,6 @@ def _lanczos(h: HamiltonianMatrix, k_lowest, parity):
     counted = _Counted(h.payload, product)
     vals, vecs = _arpack(counted, k_lowest, max(4 * k_lowest, 40), which="SA")
     return vals, vecs, None, None, {"method": "lanczos", "applications": counted.applications}
-
-
-def _refuse_above_cap(nbytes: int, what: str):
-    """Refuse (exit 3) an array of ``nbytes`` above ``DENSE_BYTES_CAP`` before it exists."""
-    if nbytes > DENSE_BYTES_CAP:
-        raise SizeError(f"{what} {nbytes / 2**30:.1f} GiB")
 
 
 def _dense(h: HamiltonianMatrix) -> np.ndarray:

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droplet_lattice import blas, cli, solver
+from droplet_lattice import blas, cli, hamiltonians, solver
 from droplet_lattice.cli import _OPTIONS, DEFAULT_PARAMS, FIGURES, main
 
 SMALL = [
@@ -713,7 +713,7 @@ def _full_spectrum_over_the_cap(tmp_path, monkeypatch, capsys, model, payload_ty
         raise AssertionError("_gather was called")
 
     monkeypatch.setattr(solver, "_gather", gather)
-    monkeypatch.setattr(solver, "DENSE_BYTES_CAP", 8 * 15 * 15 - 1)
+    monkeypatch.setattr(hamiltonians, "DENSE_BYTES_CAP", 8 * 15 * 15 - 1)
     code, out = run_cli(tmp_path, "spectrum", "--set", f"model={model}")
     err = capsys.readouterr().err
     assert code == 3
@@ -738,6 +738,21 @@ def test_a_full_csr_or_factor_spectrum_over_the_dense_cap_exits_3_before_it_gath
     tmp_path, monkeypatch, capsys, model, payload_type
 ):
     _full_spectrum_over_the_cap(tmp_path, monkeypatch, capsys, model, payload_type)
+
+
+def test_an_adiabatic_model_over_the_dense_cap_exits_3_before_it_allocates(
+    tmp_path, monkeypatch, capsys
+):
+    """One byte under the (P + N)^2 complex entries of ``adia0`` (15 pairs,
+    41 bound kets), ``k_lowest=1`` exits 3 with one line before the matrix
+    exists, and writes no manifest."""
+    monkeypatch.setattr(hamiltonians, "DENSE_BYTES_CAP", 16 * 56 * 56 - 1)
+    code, out = run_cli(tmp_path, "spectrum", "--set", "model=adia0", "--set", "options.k_lowest=1")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("validity error: the 56-dim pairs-plus-bound matrix needs")
+    assert err.count("\n") == 1
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 
 @pytest.mark.parametrize("model", ["spin", "pair"])

@@ -1,3 +1,8 @@
+import json
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -5,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import eigh
 
+import droplet_lattice
 from droplet_lattice import (
     BasisMismatch,
     BracketError,
@@ -293,6 +299,37 @@ def test_a_pool_without_a_setter_is_left_alone(monkeypatch):
     pool, bare = _fake_pools(monkeypatch, _FakePool(4), _FakePool(4, settable=False))
     blas.set_blas_threads(1)
     assert pool.calls == [1] and [pool.threads, bare.threads] == [1, 4]
+
+
+_LOAD_REPORT = """
+import json, os
+import droplet_lattice
+from droplet_lattice import blas
+print(json.dumps({"tasks": len(os.listdir("/proc/self/task")),
+                  "threads": [lib["threads"] for lib in blas.blas_libraries()],
+                  "variable": os.environ.get("OPENBLAS_NUM_THREADS")}))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+@pytest.mark.parametrize("caller, threads", [(None, 1), ("2", 2)])
+def test_the_package_loads_openblas_at_one_thread_unless_the_caller_chose(caller, threads):
+    """A fresh ``import droplet_lattice`` loads numpy's and scipy's OpenBLAS
+    at one thread, so the process runs on one OS thread, and leaves
+    ``OPENBLAS_NUM_THREADS`` unset, as it found it.  A value the caller set
+    stays, and the pools load at it."""
+    src = os.path.dirname(os.path.dirname(droplet_lattice.__file__))
+    env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    if caller is not None:
+        env["OPENBLAS_NUM_THREADS"] = caller
+    done = subprocess.run([sys.executable, "-c", _LOAD_REPORT], env=env, capture_output=True,
+                          text=True, check=True, timeout=120)
+    report = json.loads(done.stdout)
+    assert report["threads"] and all(count == threads for count in report["threads"])
+    assert report["variable"] == caller
+    if caller is None:
+        assert report["tasks"] == 1
 
 
 def test_dense_copy_of_a_huge_sparse_payload_is_refused():
