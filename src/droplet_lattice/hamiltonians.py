@@ -50,6 +50,14 @@ def _refuse_above_cap(nbytes: int, what: str):
         raise SizeError(f"{what} {nbytes / 2**30:.1f} GiB")
 
 
+def refuse_pairs_plus_bound(basis: PairBasis, params: SystemParams):
+    """Refuse (exit 3) the complex (P + N)^2 matrix of ``_pairs_plus_bound``
+    from the sizes alone, before the P x N pair-bound couplings it holds
+    are formed."""
+    dim = basis.size + params.n_cavities
+    _refuse_above_cap(16 * dim * dim, f"the {dim}-dim pairs-plus-bound matrix needs")
+
+
 class FullOperator:
     """Matrix-free two-excitation Hamiltonian with truncation to bound pairs.
 
@@ -133,6 +141,7 @@ class FullOperator:
         detuning.
         """
         params, positions = self.params, self.positions
+        refuse_pairs_plus_bound(self.basis, params)
         n, g = params.n_cavities, params.g
         bands = replace(self.bands, single_detunings=self.bands.single_detunings - sigma)
         hop = -(g * g / n) * ((self._phases / bands.single_detunings) @ self._phases.conj().T)
@@ -403,7 +412,7 @@ def _pairs_plus_bound(
     on pairs then bound kets, c = g^2 / (J sqrt N) and c' = g^2 / (N J); the
     bound-bound term is left out when ``bound_bound`` is None."""
     n, p, g = params.n_cavities, basis.size, params.g
-    _refuse_above_cap(16 * (p + n) ** 2, f"the {p + n}-dim pairs-plus-bound matrix needs")
+    refuse_pairs_plus_bound(basis, params)
     h = np.zeros((p + n, p + n), dtype=complex)
     single = _constrained_hop_payload(hop, basis).tocoo()
     h[single.row, single.col] = single.data

@@ -30,6 +30,16 @@ from .params import PairBasis, SystemParams
 #: least samples per ``solver.propagate`` call of ``Pipeline.quench``
 QUENCH_MIN_CHUNK = 64
 
+
+def _adiabatic(p: "Pipeline", bound_bound: bool) -> hamiltonians.HamiltonianMatrix:
+    """``adia0`` (with the bound-bound block) or ``adia1``, refused over the
+    dense cap before ``pair_bound`` is formed."""
+    hamiltonians.refuse_pairs_plus_bound(p.basis, p.params)
+    return hamiltonians.build_adiabatic_model(
+        p.hop, p.pair_bound, p.basis, p.params, p.bands, p.bound_bound if bound_bound else None
+    )
+
+
 #: Model name -> builder of its Hamiltonian from a pipeline.
 MODELS = {
     "spin": lambda p: hamiltonians.build_spin_model(
@@ -38,12 +48,8 @@ MODELS = {
     "single": lambda p: hamiltonians.build_constrained_hop(p.hop, p.basis, p.params),
     "tilde-single": lambda p: hamiltonians.build_unconstrained_hop(p.hop, p.basis, p.params),
     "pair": lambda p: hamiltonians.build_pair_hop(p.pair_hop_factor, p.basis, p.params),
-    "adia0": lambda p: hamiltonians.build_adiabatic_model(
-        p.hop, p.pair_bound, p.basis, p.params, p.bands, p.bound_bound
-    ),
-    "adia1": lambda p: hamiltonians.build_adiabatic_model(
-        p.hop, p.pair_bound, p.basis, p.params, p.bands
-    ),
+    "adia0": lambda p: _adiabatic(p, bound_bound=True),
+    "adia1": lambda p: _adiabatic(p, bound_bound=False),
     "full": lambda p: hamiltonians.build_full_model(p.params, p.positions, p.basis, p.bands),
     "oracle": lambda p: hamiltonians.build_complete_sector(p.params, p.positions, p.basis),
 }
@@ -112,10 +118,12 @@ class Pipeline:
         A model split by the pair reflection is solved on the one parity
         block the state occupies, when it occupies one: ``fs`` and ``ps``
         are even.  The grid is propagated in consecutive chunks of
-        max(QUENCH_MIN_CHUNK, levels // 2) samples rounded down to a multiple
-        of 8, so that from 128 levels up a chunk's complex snapshots take no
-        more bytes than the decomposition's real vectors, whatever the length
-        of the grid.  Each state is reduced to its pair correlation as it
+        max(QUENCH_MIN_CHUNK, levels // 4) samples rounded down to a multiple
+        of 8, so that from 256 levels up a chunk's complex snapshots take
+        half the bytes of the decomposition's real vectors, whatever the
+        length of the grid; narrower chunks would repeat the O(P levels)
+        set-up of each ``propagate`` call more often, in slower BLAS
+        products.  Each state is reduced to its pair correlation as it
         arrives; only the kept states outlive their chunk."""
         psi0 = observables.initial_state(initial, self.basis)
         occupied = solver.occupied_parities(psi0.coefficients, self.basis.mirror)
@@ -124,7 +132,7 @@ class Pipeline:
             parity = occupied[0]
         decomp = self.spectrum(name, parity=parity)
         times = np.asarray(times, dtype=float)
-        chunk = max(QUENCH_MIN_CHUNK, len(decomp.energies) // 16 * 8)
+        chunk = max(QUENCH_MIN_CHUNK, len(decomp.energies) // 32 * 8)
         wanted, kept = set(keep), {}
         series = {a: np.empty(len(times)) for a in alphas}
         for start in range(0, len(times), chunk):

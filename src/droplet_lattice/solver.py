@@ -283,20 +283,45 @@ def _parity_blocks(h: HamiltonianMatrix, k_lowest, parity):
     that is its own image gives an even ket only.  The largest array, the
     lifted vectors, is refused first (``_refuse_above_cap``); the blocks come
     from ``_reflection_blocks``, so no payload is copied dense whole.  Each
-    block is decomposed by LAPACK's divide-and-conquer driver, with each
-    level's residual taken on its block, and lifted back: mirrored components
-    copied (even) or negated (odd) agree in magnitude bit for bit.  A stable
-    sort puts the even level first in an exact tie.  The reflection defect is
-    held to the residual gate, so a payload without the symmetry fails even
-    where the block solved looks exact.
+    block in turn is decomposed by LAPACK's divide-and-conquer driver, its
+    levels' residuals are taken on it, and it is dropped before the next.
+    Each level gets its canonical sign in its block: a lifted state's
+    |v[p]| + |v[mirror[p]]| is twice the block's scaled |v| on both members
+    of an orbit, so the pivot of ``_canonicalize_signs`` is the first
+    representative of largest scaled |v|, and the lifted vectors need no
+    pass of their own.  The blocks' vectors are then lifted into one
+    P x levels array in ascending order of energy (a stable sort puts the
+    even level first in an exact tie): mirrored components copied (even)
+    or negated (odd) agree in magnitude bit for bit.  The array is
+    Fortran-ordered, each level's column contiguous: ``propagate``'s
+    products ``vecs.T @ part`` round by the layout, and a C-ordered array
+    moves its states by about 1e-16.  The reflection defect is held to the
+    residual gate, so a payload without the symmetry fails even where the
+    block solved looks exact.
     """
     mirror = h.pair_basis.mirror
     reps, partners, orbits, images = _orbits(mirror)
-    levels = sum(len(kets) for sign, kets in ((1, reps), (-1, orbits)) if parity in (None, sign))
+    kets = {1: (reps, partners), -1: (orbits, images)}
+    levels = sum(len(kets[sign][0]) for sign in kets if parity in (None, sign))
     _refuse_above_cap(8 * len(mirror) * levels, f"{levels} parity-block vectors of a "
                       f"{h.dim}-dim {type(h.payload).__name__} need")
     blocks, defect = _reflection_blocks(h.payload, mirror, parity)
-    solved = {sign: eigh(block, driver="evd") for sign, block in blocks.items()}
+    solved, residuals, parities = {}, [], []
+    for sign in list(blocks):
+        block = blocks.pop(sign)
+        block_vals, block_vecs = eigh(block, driver="evd")
+        h_vecs = block @ block_vecs
+        del block
+        h_vecs -= block_vecs * block_vals
+        residuals.append(np.linalg.norm(h_vecs, axis=0))
+        del h_vecs
+        parities.append(np.full(len(block_vals), sign))
+        rows, mirrored = kets[sign]
+        block_vecs *= np.where(rows == mirrored, 1.0, np.sqrt(0.5))[:, None]
+        if len(block_vals):  # the odd block of two qubits is empty
+            lead = np.argmax(np.abs(block_vecs), axis=0)
+            block_vecs *= np.where(block_vecs[lead, np.arange(len(block_vals))] < 0, -1.0, 1.0)
+        solved[sign] = block_vals, block_vecs
     vals = np.concatenate([block_vals for block_vals, _ in solved.values()])
     spectral_scale, gate = _gate(vals)
     if defect > gate:
@@ -304,24 +329,24 @@ def _parity_blocks(h: HamiltonianMatrix, k_lowest, parity):
             f"reflection residual ||H - H[mirror][:, mirror]||_F {defect:g} too large for "
             f"spectrum scale {spectral_scale:g}: the payload breaks the pair reflection"
         )
-    vecs = np.zeros((len(mirror), len(vals)))
-    residuals, start = [], 0
-    for sign, (block_vals, block_vecs) in solved.items():
-        h_vecs = blocks[sign] @ block_vecs
-        h_vecs -= block_vecs * block_vals
-        residuals.append(np.linalg.norm(h_vecs, axis=0))
-        cols = slice(start, start + len(block_vals))
-        start += len(block_vals)
-        kets, mirrored = (reps, partners) if sign > 0 else (orbits, images)
-        block_vecs *= np.where(kets == mirrored, 1.0, np.sqrt(0.5))[:, None]
-        vecs[mirrored, cols] = sign * block_vecs
-        vecs[kets, cols] = block_vecs
     order = np.argsort(vals, kind="stable")
-    parities = np.concatenate([np.full(len(v), sign) for sign, (v, _) in solved.items()])
+    columns = np.empty_like(order)
+    columns[order] = np.arange(len(order))
+    vecs = np.zeros((len(mirror), len(vals)), order="F")
+    start = 0
+    for sign in list(solved):
+        block_vecs = solved.pop(sign)[1]
+        cols = columns[start:start + block_vecs.shape[1]]
+        start += len(cols)
+        rows, mirrored = kets[sign]
+        vecs[np.ix_(rows, cols)] = block_vecs
+        block_vecs *= sign
+        vecs[np.ix_(mirrored, cols)] = block_vecs
     stats = {"method": "parity-blocks", "blocks": [len(reps), len(orbits)], "driver": "evd"}
     if parity is not None:
         stats["solved"] = [PARITY_NAMES[parity]]
-    return vals[order], vecs[:, order], np.concatenate(residuals)[order], parities[order], stats
+    return (vals[order], vecs, np.concatenate(residuals)[order],
+            np.concatenate(parities)[order], stats)
 
 
 def _lapack(h: HamiltonianMatrix, k_lowest, parity):
@@ -359,10 +384,13 @@ def eigensolve(
     The first row of ``_ROUTES`` that takes the request solves it:
     shift-invert for the matrix-free operator, Lanczos for a few levels of a
     large payload, the parity blocks for every level of a model that
-    ``splits_by_parity``, LAPACK for the rest.  Every eigenvector then gets
-    its canonical sign, and each level's residual (against the whole payload
-    unless the route took it on its block) is held to the gate
-    1e-8 * max(scale, 1).  ``solver`` on the result is the route's record.
+    ``splits_by_parity``, LAPACK for the rest.  Every eigenvector then has
+    its canonical sign (``_canonicalize_signs``): the parity-block route,
+    the one that returns each level's parity, fixes it in its blocks, so
+    its P x levels vectors get no pass (and no temporaries) of their own.
+    Each level's residual (against the whole payload unless the route took
+    it on its block) is held to the gate 1e-8 * max(scale, 1).  ``solver``
+    on the result is the route's record.
     """
     if parity is not None and (
         parity not in PARITY_NAMES or k_lowest is not None or not splits_by_parity(h)
@@ -374,7 +402,8 @@ def eigensolve(
     solve = next(solve for takes, solve in _ROUTES if takes(h, k_lowest))
     vals, vecs, residuals, parities, stats = solve(h, k_lowest, parity)
     mirror = h.pair_basis.mirror if splits_by_parity(h) else None
-    vecs = _canonicalize_signs(vecs, mirror)
+    if parities is None:
+        vecs = _canonicalize_signs(vecs, mirror)
     if residuals is None:
         h_vecs = h.payload @ vecs
         h_vecs -= vecs * vals
@@ -409,7 +438,9 @@ def propagate(
     The vectors are real, so a part's snapshots are two real products on the
     rows of one pair per orbit, copied (even) or negated (odd) onto the
     mirrored rows.  A decomposition of one block lends its vectors as they
-    are; only a part of a split one copies its levels' columns.
+    are; only a part of a split one copies its levels' columns.  The
+    phases exp(-iEt) times the weights are formed in one complex array,
+    levels x samples, in place.
     """
     if psi0.dims != decomp.dims:
         raise BasisMismatch(f"state on {psi0.dims}, decomposition on {decomp.dims}")
@@ -434,7 +465,9 @@ def propagate(
         if not levels.all():
             vecs, block_energies = vecs[:, levels], energies[levels]
         weights = vecs.T @ ((psi + sign * psi[mirror]) / 2)
-        phases = np.exp(-1j * np.outer(block_energies, times)) * weights[:, None]
+        phases = -1j * np.outer(block_energies, times)
+        np.exp(phases, out=phases)
+        phases *= weights[:, None]
         half = vecs[reps]
         lifted = np.empty((len(psi), len(times)), dtype=complex)
         for out, component in ((lifted.real, phases.real), (lifted.imag, phases.imag)):

@@ -740,19 +740,41 @@ def test_a_full_csr_or_factor_spectrum_over_the_dense_cap_exits_3_before_it_gath
     _full_spectrum_over_the_cap(tmp_path, monkeypatch, capsys, model, payload_type)
 
 
-def test_an_adiabatic_model_over_the_dense_cap_exits_3_before_it_allocates(
-    tmp_path, monkeypatch, capsys
-):
-    """One byte under the (P + N)^2 complex entries of ``adia0`` (15 pairs,
-    41 bound kets), ``k_lowest=1`` exits 3 with one line before the matrix
-    exists, and writes no manifest."""
+def _pairs_plus_bound_over_the_cap(tmp_path, monkeypatch, capsys, model):
+    """One byte under the (P + N)^2 complex entries of the pairs-plus-bound
+    matrix (15 pairs, 41 bound kets), ``k_lowest=1`` exits 3 with one line
+    before the matrix, the P x N ``pair_bound`` stage or any pair-bound
+    couplings exist, and writes no manifest."""
+    calls = _spy_dense_stages(monkeypatch)
+
+    def pair_bound_couplings(*args):
+        calls.append("pair_bound_couplings")
+        raise AssertionError("pair_bound_couplings was called")
+
+    monkeypatch.setattr(hamiltonians, "pair_bound_couplings", pair_bound_couplings)
     monkeypatch.setattr(hamiltonians, "DENSE_BYTES_CAP", 16 * 56 * 56 - 1)
-    code, out = run_cli(tmp_path, "spectrum", "--set", "model=adia0", "--set", "options.k_lowest=1")
+    code, out = run_cli(tmp_path, "spectrum", "--set", f"model={model}",
+                        "--set", "options.k_lowest=1")
     err = capsys.readouterr().err
     assert code == 3
     assert err.startswith("validity error: the 56-dim pairs-plus-bound matrix needs")
     assert err.count("\n") == 1
+    assert calls == []
     assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
+def test_an_adiabatic_model_over_the_dense_cap_exits_3_before_it_allocates(
+    tmp_path, monkeypatch, capsys
+):
+    _pairs_plus_bound_over_the_cap(tmp_path, monkeypatch, capsys, "adia0")
+
+
+def test_the_schur_complement_over_the_dense_cap_exits_3_before_it_allocates(
+    tmp_path, monkeypatch, capsys
+):
+    """The shift of ``full`` comes from its Schur complement, the same
+    pairs-plus-bound matrix."""
+    _pairs_plus_bound_over_the_cap(tmp_path, monkeypatch, capsys, "full")
 
 
 @pytest.mark.parametrize("model", ["spin", "pair"])
