@@ -3,65 +3,78 @@ cavity lattice: effective spin models from two-step adiabatic elimination,
 exact diagonalization at every level of description, quench dynamics, and
 droplet-state analysis."""
 
-from .blas import one_thread_while_loading
+import gc
 
-# numpy and scipy load their OpenBLAS in these imports, which start no worker thread
-with one_thread_while_loading():
-    from .bath import BathBands, RelativeBoundState, solve_bath, solve_bound_state
-    from .errors import (
-        BasisMismatch,
-        BracketError,
-        ConfigError,
-        ConvergenceError,
-        DegeneracyWarning,
-        DomainError,
-        GeometryError,
-        NoBoundState,
-        SignError,
-        SimulationError,
-        SizeError,
-        ValidityError,
-    )
-    from .hamiltonians import (
-        HamiltonianMatrix,
-        build_adiabatic_model,
-        build_complete_sector,
-        build_constrained_hop,
-        build_full_model,
-        build_pair_hop,
-        build_spin_model,
-        build_unconstrained_hop,
-    )
-    from .observables import (
-        CorrelationRecord,
-        DropletClassification,
-        WavepacketState,
-        classify_droplet_states,
-        distribution_drift,
-        initial_state,
-        loss_estimates,
-        overlap_spectrum,
-        pair_correlation,
-        photonic_fraction,
-        spin_spin_correlation,
-    )
-    from .params import (
-        MomentumGrid,
-        PairBasis,
-        SystemParams,
-        build_params,
-        default_params,
-        qubit_positions,
-    )
-    from .pipeline import Pipeline
-    from .solver import (
-        SpectralDecomposition,
-        VariationalResult,
-        eigensolve,
-        first_order_perturbation,
-        minimize_variational,
-        propagate,
-        variational_energy,
-    )
+# no cyclic collection runs while numpy, scipy and the package load, and none
+# walks their heap again once it is frozen: it lives until exit, and no
+# collection in a forked sweep worker writes to its pages.  The caller's
+# collector state comes back afterwards
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    from .blas import one_thread_while_loading
+
+    # numpy and scipy load their OpenBLAS in these imports, which start no worker thread
+    with one_thread_while_loading():
+        from .bath import BathBands, RelativeBoundState, solve_bath, solve_bound_state
+        from .errors import (
+            BasisMismatch,
+            BracketError,
+            ConfigError,
+            ConvergenceError,
+            DegeneracyWarning,
+            DomainError,
+            GeometryError,
+            NoBoundState,
+            SignError,
+            SimulationError,
+            SizeError,
+            ValidityError,
+        )
+        from .hamiltonians import (
+            HamiltonianMatrix,
+            build_adiabatic_model,
+            build_complete_sector,
+            build_constrained_hop,
+            build_full_model,
+            build_pair_hop,
+            build_spin_model,
+            build_unconstrained_hop,
+        )
+        from .observables import (
+            CorrelationRecord,
+            DropletClassification,
+            WavepacketState,
+            classify_droplet_states,
+            distribution_drift,
+            initial_state,
+            loss_estimates,
+            overlap_spectrum,
+            pair_correlation,
+            photonic_fraction,
+            spin_spin_correlation,
+        )
+        from .params import (
+            MomentumGrid,
+            PairBasis,
+            SystemParams,
+            build_params,
+            default_params,
+            qubit_positions,
+        )
+        from .pipeline import Pipeline
+        from .solver import (
+            SpectralDecomposition,
+            VariationalResult,
+            eigensolve,
+            first_order_perturbation,
+            minimize_variational,
+            propagate,
+            variational_energy,
+        )
+    gc.freeze()
+finally:
+    if _collecting:
+        gc.enable()
 
 __version__ = "0.1.0"

@@ -28,6 +28,8 @@ from .output import write_csv
 from .params import J, MomentumGrid, SystemParams
 
 TAIL_TARGET = 1e-14
+#: table rows per gather of ``profile_table``
+_GATHER_ROWS = 64
 
 
 def single_photon_energy(k) -> np.ndarray:
@@ -146,16 +148,38 @@ class BathBands:
             raise DomainError("two-qubit energy inside the bound band (some pair detuning <= 0)")
 
 
+#: ((n_cavities, u), grid, single-photon energies, bound energies, states,
+#: profile table) of the last bound band solved, every array read-only
+_last_band = None
+
+
+def _bound_band(params: SystemParams) -> tuple:
+    """The part of the bath that omega_e does not enter, solved once per
+    (n_cavities, u), the only parameters ``solve_bound_state`` reads.  Only
+    the last band is kept: a sweep varies one key or none."""
+    global _last_band
+    key = (params.n_cavities, params.u)
+    if _last_band is None or _last_band[0] != key:
+        grid = MomentumGrid(params.n_cavities)
+        upper = [solve_bound_state(params, grid, idx) for idx in grid.indices[grid.zero_index:]]
+        lower = [replace(s, momentum=-s.momentum) for s in upper[:0:-1]]
+        states = tuple(lower + upper)
+        e_k = single_photon_energy(grid.wavevectors)
+        e_b = np.array([s.energy for s in states])
+        profiles = profile_table(grid, states)
+        for array in (grid.indices, grid.wavevectors, e_k, e_b, profiles,
+                      *(s.amplitudes for s in upper)):
+            array.flags.writeable = False
+        _last_band = (key, grid, e_k, e_b, states, profiles)
+    return _last_band[1:]
+
+
 def solve_bath(params: SystemParams) -> BathBands:
     """Bound band, detunings and profile table for every wavevector on the
     grid; the states at K < 0 are those at -K with the momentum negated (see
-    the module)."""
-    grid = MomentumGrid(params.n_cavities)
-    upper = [solve_bound_state(params, grid, idx) for idx in grid.indices[grid.zero_index:]]
-    lower = [replace(s, momentum=-s.momentum) for s in upper[:0:-1]]
-    states = tuple(lower + upper)
-    e_k = single_photon_energy(grid.wavevectors)
-    e_b = np.array([s.energy for s in states])
+    the module).  Every parameter point with the same n_cavities and u shares
+    one band, read-only, bit for bit; only the detunings are its own."""
+    grid, e_k, e_b, states, profiles = _bound_band(params)
     return BathBands(
         grid=grid,
         single_photon_energies=e_k,
@@ -163,7 +187,7 @@ def solve_bath(params: SystemParams) -> BathBands:
         single_detunings=e_k - params.omega_e,
         pair_detunings=e_b - 2 * params.omega_e,
         bound_states=states,
-        profiles=profile_table(grid, states),
+        profiles=profiles,
     )
 
 
@@ -203,10 +227,20 @@ def profile_table(grid: MomentumGrid, states) -> np.ndarray:
     m = np.arange(1, psi.shape[0] + 1)
     cosines = np.cos(np.pi * l / n)[np.outer(l, m) % (2 * n)]
     sums = cosines @ psi
-    idx = grid.indices
-    rows = (2 * idx[:, None] - idx[None, :]) % (2 * n)
-    head = np.array([s.amplitudes[0] for s in states])
-    return head + 2.0 * sums[rows, np.arange(n)]
+    del cosines, psi
+    # gathered into the table a block of rows at a time, by flat index into
+    # the sums, then scaled and shifted in place: no temporary of the
+    # table's size is formed
+    idx, table = grid.indices, np.empty((n, n))
+    for start in range(0, n, _GATHER_ROWS):
+        flat = 2 * idx[start:start + _GATHER_ROWS, None] - idx
+        flat %= 2 * n
+        flat *= n
+        flat += np.arange(n)
+        np.take(sums, flat, out=table[start:start + _GATHER_ROWS])
+    table *= 2.0
+    table += np.array([s.amplitudes[0] for s in states])
+    return table
 
 
 def write_band_csv(bands: BathBands, path):

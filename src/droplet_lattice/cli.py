@@ -9,13 +9,14 @@ bit-identical files.
 from __future__ import annotations
 
 import argparse
-import gc
+import contextlib
 import json
 import math
 import os
 import resource
 import sys
 import time
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
@@ -23,8 +24,8 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 import scipy
 
+from . import bath, pipeline
 from . import observables as obs
-from . import pipeline
 from .bath import write_band_csv
 from .blas import blas_libraries, set_blas_threads
 from .couplings import hop_scale_and_length, write_hop_csv, write_pair_hop_blocks_csv
@@ -34,9 +35,6 @@ from .output import atomic_open, write_csv
 from .params import asdict_params, build_params, default_params
 from .pipeline import Pipeline
 from .solver import VARIATIONAL_BRACKET, first_order_perturbation, minimize_variational, variational_energy
-
-# the import heap lives until exit: no collection, nor shutdown, walks it again
-gc.freeze()
 
 SCHEMA_VERSION = 1
 
@@ -311,6 +309,14 @@ def _task_sweep(cfg, pipe, out):
     jobs = [({**cfg.params, axis: v}, cfg.model) for v in values]
     workers = _pool_size(len(jobs))
     if workers > 1:
+        # jobs that share n_cavities and u (every axis but u) share one bound
+        # band: solved here, the forked workers inherit it.  A point that
+        # cannot be solved fails in its own job, with its own message
+        keys = Counter((p["n_cavities"], p["u"]) for p, _ in jobs)
+        (n_cavities, u), sharing = keys.most_common(1)[0]
+        if sharing > 1:
+            with contextlib.suppress(SimulationError):
+                bath.solve_bath(build_params({**cfg.params, "n_cavities": n_cavities, "u": u}))
         # the forked workers inherit the parent's one BLAS thread per pool
         with ProcessPoolExecutor(workers) as pool:
             try:

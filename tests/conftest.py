@@ -5,7 +5,7 @@ import pytest
 from hypothesis import settings
 
 from droplet_lattice import (
-    Pipeline, blas, build_adiabatic_model, default_params, eigensolve, minimize_variational,
+    Pipeline, bath, blas, build_adiabatic_model, default_params, eigensolve, minimize_variational,
 )
 
 settings.register_profile("suite", deadline=None, max_examples=50)
@@ -18,6 +18,13 @@ settings.register_profile("cli_fuzz", derandomize=True, deadline=None, max_examp
 def one_blas_thread():
     """Every test solves at one BLAS thread per pool, as ``cli.run`` does."""
     blas.set_blas_threads(1)
+
+
+@pytest.fixture
+def cold_band(monkeypatch):
+    """No bound band is kept from an earlier solve, so the next ``solve_bath``
+    solves its own; the kept one comes back afterwards."""
+    monkeypatch.setattr(bath, "_last_band", None)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,5 @@
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -135,6 +136,7 @@ def test_grid_convergence_doubling_cutoff():
     assert abs(vals[0] - state.energy) < 1e-12
 
 
+@pytest.mark.usefixtures("cold_band")
 @pytest.mark.parametrize(
     "n_cavities, n_qubits, spacing", [(41, 6, 1), (81, 12, 3), (301, 50, 1), (501, 60, 1)]
 )
@@ -163,6 +165,7 @@ def test_bound_states_are_bitwise_those_of_eigh_tridiagonal(
         np.testing.assert_array_equal(state.amplitudes, psi)
 
 
+@pytest.mark.usefixtures("cold_band")
 @pytest.mark.parametrize("routine", ["dstebz", "dstein"])
 def test_a_failed_lapack_call_is_a_convergence_error(monkeypatch, routine):
     call = getattr(bath, routine)
@@ -262,6 +265,7 @@ def test_profile_table_matches_per_state_transform(n_cavities, n_qubits, u, wrap
     np.testing.assert_allclose(table, reference, rtol=0, atol=1e-13 * np.abs(reference).max())
 
 
+@pytest.mark.usefixtures("cold_band")
 def test_one_pipeline_builds_the_profile_table_once(monkeypatch):
     """The bands carry the table, so the couplings, the bound-to-bound block
     and the explicit-photon operator all read the one that solve_bath made."""
@@ -294,3 +298,78 @@ def test_negative_wavevectors_are_the_mirrored_states(n_cavities, n_qubits, spac
         assert state.energy == direct.energy == bands.bound_energies[col]
         assert state.ring_wrapped == direct.ring_wrapped
         np.testing.assert_array_equal(state.amplitudes, direct.amplitudes)
+
+
+def _table_as_one_expression(grid, states):
+    """``profile_table`` as one expression with a full N x N index gather."""
+    n = grid.n_cavities
+    psi = np.zeros((max(s.m_max for s in states), n))
+    for col, state in enumerate(states):
+        psi[: state.m_max, col] = state.amplitudes[1:]
+    l = np.arange(2 * n)
+    m = np.arange(1, psi.shape[0] + 1)
+    sums = np.cos(np.pi * l / n)[np.outer(l, m) % (2 * n)] @ psi
+    idx = grid.indices
+    rows = (2 * idx[:, None] - idx[None, :]) % (2 * n)
+    head = np.array([s.amplitudes[0] for s in states])
+    return head + 2.0 * sums[rows, np.arange(n)]
+
+
+@pytest.mark.parametrize("n_cavities, n_qubits", [(41, 6), (501, 60)])
+def test_the_blockwise_profile_table_is_the_one_expression_bit_for_bit(n_cavities, n_qubits):
+    """Gathered in row blocks and scaled in place, the table keeps every bit
+    of the one-expression form; at 501 cavities its build's traced heap
+    stays within 3.5 times the table's own bytes (5.8 for the expression)."""
+    bands = solve_bath(default_params(n_cavities=n_cavities, n_qubits=n_qubits))
+    tracemalloc.start()
+    try:
+        table = profile_table(bands.grid, bands.bound_states)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    np.testing.assert_array_equal(table, _table_as_one_expression(bands.grid, bands.bound_states))
+    if n_cavities == 501:
+        assert peak <= 3.5 * table.nbytes
+
+
+@pytest.mark.usefixtures("cold_band")
+def test_points_with_the_same_cavities_and_interaction_share_one_band(monkeypatch):
+    """Only n_cavities and u enter the bound band: points that differ in
+    delta, g, spacing or qubit count read one band (grid, states, energies,
+    table), solved once, and compose their own detunings on it."""
+    solved = []
+
+    def spy(*args):
+        solved.append(args[2])
+        return solve_bound_state(*args)
+
+    monkeypatch.setattr(bath, "solve_bound_state", spy)
+    points = [default_params(**{"n_cavities": 41, "n_qubits": 6, **extra})
+              for extra in ({}, {"delta": -0.05}, {"g": 0.03}, {"spacing": 2}, {"n_qubits": 4})]
+    first, *others = [Pipeline(p).bands for p in points]
+    assert len(solved) == 21
+    for p, bands in zip(points[1:], others):
+        for name in ("grid", "single_photon_energies", "bound_energies", "bound_states",
+                     "profiles"):
+            assert getattr(bands, name) is getattr(first, name)
+        np.testing.assert_array_equal(bands.single_detunings,
+                                      first.single_photon_energies - p.omega_e)
+        np.testing.assert_array_equal(bands.pair_detunings, first.bound_energies - 2 * p.omega_e)
+    assert others[0].pair_detunings[0] != first.pair_detunings[0]
+    other_u = solve_bath(default_params(n_cavities=41, n_qubits=6, u=-1.5))
+    assert len(solved) == 42 and other_u.profiles is not first.profiles
+    assert solve_bath(points[0]).profiles is not first.profiles  # only the last band is kept
+    assert len(solved) == 63
+
+
+def test_the_shared_band_is_read_only():
+    """Every array of the kept band refuses writes, so no caller can change
+    what the next point with the same key reads."""
+    bands = solve_bath(default_params(n_cavities=41, n_qubits=6))
+    zero = bands.grid.zero_index
+    for array in (bands.profiles, bands.bound_states[zero].amplitudes,
+                  bands.bound_states[0].amplitudes, bands.grid.indices, bands.grid.wavevectors,
+                  bands.single_photon_energies, bands.bound_energies):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
+    bands.single_detunings[0] = bands.single_detunings[0]  # a point's own detunings stay writable

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from droplet_lattice import blas, cli, hamiltonians, solver
+from droplet_lattice import bath, blas, cli, hamiltonians, solver
 from droplet_lattice.cli import _OPTIONS, DEFAULT_PARAMS, FIGURES, main
 
 SMALL = [
@@ -217,6 +217,91 @@ def test_pooled_sweep_matches_the_serial_one(tmp_path, monkeypatch, blas_pools, 
     if settable:
         assert all(r["threads"] == [1] * len(blas_pools) for r in reports)
     assert [get() for _, _, get, _ in blas_pools] == [1 if settable else 3] * len(blas_pools)
+
+
+def _count_band_solves(monkeypatch, report=None):
+    """Spy on the bath's bound-state solves and profile tables; returns the
+    list of ``(function, process)`` calls this process saw.  With ``report``
+    set, every call also appends one line ``{"pid": ..., "solve": ...}`` to
+    that file, so calls in forked workers are seen too."""
+    calls = []
+    for name in ("solve_bound_state", "profile_table"):
+        def spy(*args, _fn=getattr(bath, name), _name=name):
+            calls.append((_name, os.getpid()))
+            if report is not None:
+                with open(report, "a") as fh:
+                    fh.write(json.dumps({"pid": os.getpid(), "solve": _name}) + "\n")
+            return _fn(*args)
+
+        monkeypatch.setattr(bath, name, spy)
+    return calls
+
+
+@pytest.mark.usefixtures("cold_band")
+@pytest.mark.parametrize("axis, values, bands", [
+    ("delta", "[-0.02,-0.05,-0.1]", 1),
+    ("u", "[-1.0,-1.5,-2.0]", 3),
+])
+def test_a_serial_sweep_solves_one_band_per_cavities_and_interaction(
+    tmp_path, monkeypatch, axis, values, bands
+):
+    """A detuning sweep at 41 x 6 solves the 21 states of K >= 0 and their
+    profile table once for all three points; a u sweep, one band per point."""
+    monkeypatch.setenv("SIMULATE_WORKERS", "1")
+    calls = _count_band_solves(monkeypatch)
+    code, _ = run_cli(tmp_path, "sweep", "--set", f"options.axis={axis}",
+                      "--set", f"options.values={values}")
+    assert code == 0
+    assert [name for name, _ in calls].count("profile_table") == bands
+    assert [name for name, _ in calls].count("solve_bound_state") == 21 * bands
+
+
+@pytest.mark.usefixtures("cold_band")
+def test_pool_workers_inherit_the_band_of_a_detuning_sweep(tmp_path, monkeypatch,
+                                                          worker_reports):
+    """The parent solves the band all points share before the pool forks,
+    so no worker solves a bound state; the bytes stay the serial run's
+    (``test_pooled_sweep_matches_the_serial_one``)."""
+    _affinity(monkeypatch, 4)
+    monkeypatch.setenv("SIMULATE_WORKERS", "2")
+    calls = _count_band_solves(monkeypatch, report=os.environ["SWEEP_REPORT"])
+    code, _ = run_cli(tmp_path, "sweep", *_SWEEP)
+    assert code == 0
+    reports = worker_reports()
+    assert sorted(r["n_qubits"] for r in reports if "n_qubits" in r) == [6, 6, 6]
+    assert [r for r in reports if "solve" in r] == []
+    assert calls.count(("solve_bound_state", os.getpid())) == 21
+
+
+@pytest.mark.usefixtures("cold_band")
+@pytest.mark.parametrize("values, code, message", [
+    ("[-0.02,-0.05,-0.1]", 4, "solver error: tridiagonal bound-state solve failed"),
+    ("[0.05,-0.02,-0.05]", 3, "validity error: band-gap regime needs delta < 0"),
+])
+def test_a_sweep_whose_shared_band_fails_keeps_the_points_message(tmp_path, monkeypatch, capsys,
+                                                                   values, code, message):
+    """When the band that every point shares cannot be solved, the pooled
+    sweep ends as the serial one does: with the first failing point's error,
+    one line, and its exit code, also when that point fails before it reads
+    the band."""
+    _affinity(monkeypatch, 2)
+    failing = bath.dstein
+
+    def fail(*args):
+        *results, _ = failing(*args)
+        return (*results, 1)
+
+    monkeypatch.setattr(bath, "dstein", fail)
+    ends = []
+    for workers in ("1", "2"):
+        monkeypatch.setenv("SIMULATE_WORKERS", workers)
+        ends.append(run_cli(tmp_path, "sweep", "--set", "options.axis=delta",
+                            "--set", f"options.values={values}",
+                            out=str(tmp_path / workers))[0])
+        err = capsys.readouterr().err
+        assert err.startswith(message)
+        assert err.count("\n") == 1
+    assert ends == [code, code]
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")

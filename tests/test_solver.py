@@ -332,6 +332,35 @@ def test_the_package_loads_openblas_at_one_thread_unless_the_caller_chose(caller
         assert report["tasks"] == 1
 
 
+_GC_REPORT = """
+import gc, json, sys
+gc.collect()
+if sys.argv[1] == "off":
+    gc.disable()
+runs = []
+gc.callbacks.append(lambda phase, info: runs.append(info["generation"]) if phase == "start" else None)
+import droplet_lattice
+print(json.dumps({"collections": runs, "enabled": gc.isenabled(), "frozen": gc.get_freeze_count()}))
+"""
+
+
+@pytest.mark.parametrize("collector", ["on", "off"])
+def test_the_package_loads_without_a_collection_and_freezes_its_heap(collector):
+    """A fresh ``import droplet_lattice`` runs no cyclic collection while
+    numpy, scipy and the package load, freezes what they left, and hands the
+    caller back the collector as it was: on, or off when the caller had
+    turned it off."""
+    src = os.path.dirname(os.path.dirname(droplet_lattice.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", _GC_REPORT, collector], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    report = json.loads(done.stdout)
+    assert report["collections"] == []
+    assert report["enabled"] == (collector == "on")
+    assert report["frozen"] > 0
+
+
 def test_dense_copy_of_a_huge_sparse_payload_is_refused():
     empty = sp.csr_array((50_000, 50_000))
     with pytest.raises(SizeError):
