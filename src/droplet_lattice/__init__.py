@@ -37,6 +37,7 @@ try:
             build_complete_sector,
             build_constrained_hop,
             build_full_model,
+            build_hop_csr,
             build_pair_hop,
             build_spin_model,
             build_unconstrained_hop,

@@ -149,7 +149,8 @@ class FullOperator:
         # adiabatic model's, which pair_bound_couplings follows
         pair_bound = pair_bound_couplings(params, positions, self.basis, bands)
         bound_bound = bound_bound_couplings(params, positions, bands)
-        s = _pairs_plus_bound(hop.real, pair_bound.conj(), bound_bound, self.basis, params, bands)
+        s = _pairs_plus_bound(build_hop_csr(hop.real, self.basis), pair_bound.conj(), bound_bound,
+                              self.basis, params, bands)
         s[np.diag_indices_from(s)] -= sigma
         return s
 
@@ -325,8 +326,9 @@ def _pair_model(payload: Payload, basis: PairBasis, params: SystemParams) -> Ham
     )
 
 
-def _constrained_hop_payload(w: np.ndarray, basis: PairBasis) -> sp.csr_array:
-    """Pair-basis matrix of the constrained hop with strengths w[j, l], as CSR.
+def build_hop_csr(w: np.ndarray, basis: PairBasis) -> sp.csr_array:
+    """Pair-basis matrix of the constrained hop with strengths w[j, l], as CSR
+    with read-only arrays, so the models that share it cannot change it.
 
     Row {i, j} holds its diagonal w[i, i] + w[j, j] and, for each of the
     N_e - 2 unexcited qubits l, the hops to {l, j} (strength w[i, l]) and to
@@ -355,34 +357,37 @@ def _constrained_hop_payload(w: np.ndarray, basis: PairBasis) -> sp.csr_array:
     h = sp.csr_array((data.ravel(), indices.ravel(), np.arange(p + 1, dtype=index) * width),
                      shape=(p, p))
     h.eliminate_zeros()
+    for array in (h.data, h.indices, h.indptr):
+        array.flags.writeable = False
     return h
 
 
 def build_constrained_hop(
-    hop: np.ndarray, basis: PairBasis, params: SystemParams
+    single: sp.csr_array, basis: PairBasis, params: SystemParams
 ) -> HamiltonianMatrix:
     """Constrained single-excitation hop model on the pair basis.
 
     Each pair ket couples to the 2(N_e - 2) kets sharing one excited
     qubit; the diagonal carries twice the onsite hop energy (the self
-    interaction of each excitation).  The payload is a CSR array.
+    interaction of each excitation).  The payload is the CSR array
+    ``single`` (``build_hop_csr``) itself.
     """
-    return _pair_model(_constrained_hop_payload(hop, basis), basis, params)
+    return _pair_model(single, basis, params)
 
 
 def build_unconstrained_hop(
-    hop: np.ndarray, basis: PairBasis, params: SystemParams
+    single: sp.csr_array, basis: PairBasis, params: SystemParams
 ) -> HamiltonianMatrix:
     """Two-magnon sector of the unconstrained flip-flop model (twice the
     hop matrix contracted with sigma+ sigma-).
 
-    On the pair basis this is exactly twice the constrained ``single``
-    payload: both move one excitation to an unexcited qubit with the
-    symmetric hop strength and put the two onsite hop energies on the
+    On the pair basis this is exactly twice the constrained hop ``single``
+    (``build_hop_csr``): both move one excitation to an unexcited qubit with
+    the symmetric hop strength and put the two onsite hop energies on the
     diagonal, the flip-flop model with twice the weight.
     ``oracles.unconstrained_hop_by_strings`` builds it independently.
     """
-    return _pair_model(2 * _constrained_hop_payload(hop, basis), basis, params)
+    return _pair_model(2 * single, basis, params)
 
 
 def build_pair_hop(
@@ -393,15 +398,15 @@ def build_pair_hop(
 
 
 def build_spin_model(
-    hop: np.ndarray, pair_hop: PairHopFactor, basis: PairBasis, params: SystemParams
+    single: sp.csr_array, pair_hop: PairHopFactor, basis: PairBasis, params: SystemParams
 ) -> HamiltonianMatrix:
-    """Constrained hop plus pair hop, held as a ``SpinOperator``: O(P (N_e + N))
-    bytes."""
-    return _pair_model(SpinOperator(_constrained_hop_payload(hop, basis), pair_hop), basis, params)
+    """The constrained hop ``single`` (``build_hop_csr``) plus the pair hop,
+    held as a ``SpinOperator``: O(P (N_e + N)) bytes."""
+    return _pair_model(SpinOperator(single, pair_hop), basis, params)
 
 
 def _pairs_plus_bound(
-    hop: np.ndarray,
+    single: sp.csr_array,
     pair_bound: np.ndarray,
     bound_bound: Optional[np.ndarray],
     basis: PairBasis,
@@ -410,11 +415,12 @@ def _pairs_plus_bound(
 ) -> np.ndarray:
     """[[constrained hop, c pair_bound], [h.c., diag(pair detunings) + c' bound_bound]]
     on pairs then bound kets, c = g^2 / (J sqrt N) and c' = g^2 / (N J); the
-    bound-bound term is left out when ``bound_bound`` is None."""
+    bound-bound term is left out when ``bound_bound`` is None; ``single`` is
+    the constrained hop's CSR (``build_hop_csr``)."""
     n, p, g = params.n_cavities, basis.size, params.g
     refuse_pairs_plus_bound(basis, params)
     h = np.zeros((p + n, p + n), dtype=complex)
-    single = _constrained_hop_payload(hop, basis).tocoo()
+    single = single.tocoo()
     h[single.row, single.col] = single.data
     h[:p, p:] = (g * g / (J * np.sqrt(n))) * pair_bound
     h[p:, :p] = h[:p, p:].conj().T
@@ -425,7 +431,7 @@ def _pairs_plus_bound(
 
 
 def build_adiabatic_model(
-    hop: np.ndarray,
+    single: sp.csr_array,
     pair_bound: np.ndarray,
     basis: PairBasis,
     params: SystemParams,
@@ -434,10 +440,11 @@ def build_adiabatic_model(
 ) -> HamiltonianMatrix:
     """Intermediate model after one elimination step: pairs plus bound kets.
 
+    ``single`` is the constrained hop's CSR (``build_hop_csr``).
     ``bound_bound`` (from ``couplings.bound_bound_couplings``) adds the
     bound-to-bound block; without it that block is dropped.
     """
-    h = _pairs_plus_bound(hop, pair_bound, bound_bound, basis, params, bands)
+    h = _pairs_plus_bound(single, pair_bound, bound_bound, basis, params, bands)
     return HamiltonianMatrix(
         payload=h,
         energy_offset=params.delta,

@@ -10,7 +10,7 @@ from __future__ import annotations
 import functools
 import warnings
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,10 +38,19 @@ VARIATIONAL_XATOL = 1e-3
 
 @dataclass
 class SpectralDecomposition:
-    """Eigenpairs of one Hamiltonian, energies ascending as E - E_0b."""
+    """Eigenpairs of one Hamiltonian, energies ascending as E - E_0b.
+
+    ``stored`` holds the eigenvectors as a dim x levels array or, for a
+    decomposition from the parity blocks, as the blocks solved: by parity
+    (+1 even, -1 odd) the block's vectors on its kets' representative rows
+    (``_kets``), 1/sqrt(2) applied on orbits of two, one column per level of
+    that parity in ascending order.  Blocks are lifted into the pair basis
+    (``_lift``) only when read: ``vectors`` lifts every level and keeps the
+    lift in place of the blocks, ``columns`` and ``state`` lift only the
+    levels they read."""
 
     energies: np.ndarray
-    vectors: np.ndarray = field(repr=False)
+    stored: Union[np.ndarray, dict] = field(repr=False)
     residual_norms: np.ndarray = field(repr=False)
     energy_offset: float
     dims: dict
@@ -53,14 +62,35 @@ class SpectralDecomposition:
 
     @property
     def dim(self) -> int:
-        return self.vectors.shape[0]
+        return len(self.mirror) if isinstance(self.stored, dict) else self.stored.shape[0]
+
+    @property
+    def vectors(self) -> np.ndarray:
+        """Every eigenvector, one column per level."""
+        if isinstance(self.stored, dict):
+            self.stored = _lift(self.stored, self.parity, self.mirror)
+        return self.stored
+
+    def columns(self, levels: Sequence[int]) -> np.ndarray:
+        """``vectors[:, levels]``, lifting only those levels from the blocks."""
+        if isinstance(self.stored, dict):
+            return _lift(self.stored, self.parity, self.mirror, np.asarray(levels, dtype=int))
+        return self.stored[:, levels]
+
+    def block(self, sign: int) -> np.ndarray:
+        """The levels of parity ``sign`` on its kets' representative rows,
+        Fortran-ordered: the block solved or, once lifted, its gather."""
+        if isinstance(self.stored, dict):
+            return self.stored[sign]
+        rows = _kets(self.mirror)[sign][0]
+        return self.stored.T[np.ix_(self.parity == sign, rows)].T
 
     def rotating_frame_energies(self) -> np.ndarray:
         return self.energies - self.energy_offset
 
     def state(self, index: int) -> WavepacketState:
         """Eigenvector ``index`` (0-based, ascending energy) as a state at t = 0."""
-        return WavepacketState(coefficients=self.vectors[:, index], time=0.0, dims=self.dims)
+        return WavepacketState(coefficients=self.columns([index])[:, 0], time=0.0, dims=self.dims)
 
 
 def _canonicalize_signs(vectors: np.ndarray, mirror: Optional[np.ndarray] = None) -> np.ndarray:
@@ -138,12 +168,41 @@ def _arpack(op, k: int, ncv: int, **mode):
     return vals[order], vecs[:, order]
 
 
-def _orbits(mirror: np.ndarray) -> tuple:
-    """The reflection's orbits {p, mirror[p]} as lower index and image, then the orbits of two."""
+def _kets(mirror: np.ndarray) -> dict:
+    """By parity, the representative rows of the reflection kets and their
+    images: each orbit {p, mirror[p]}, by its lower index, gives an even
+    ket, each orbit of two an odd one."""
     reps = np.flatnonzero(np.arange(len(mirror)) <= mirror)
     partners = mirror[reps]
     two = reps != partners
-    return reps, partners, reps[two], partners[two]
+    return {1: (reps, partners), -1: (reps[two], partners[two])}
+
+
+def _lift(blocks: dict, parity: np.ndarray, mirror: np.ndarray, levels=None) -> np.ndarray:
+    """The vectors of ``levels`` (every level without it) lifted from the
+    parity blocks ``blocks`` into the pair basis: each block's rows go to
+    its kets' representative rows and are copied (even) or negated (odd)
+    onto the mirrored rows, so mirrored components agree in magnitude bit
+    for bit.  A level's column in its block is its rank among the levels of
+    its parity.  The P x levels array is Fortran-ordered, each level's
+    column contiguous, the layout ``eigh`` gives.  Lifting every level pops
+    each block from ``blocks`` once placed and negates the odd one in place,
+    so the blocks and the lift are held together only while it is filled."""
+    kets = _kets(mirror)
+    wanted = parity if levels is None else parity[levels]
+    lifted = np.zeros((len(mirror), len(wanted)), order="F")
+    for sign in list(blocks):
+        cols = np.flatnonzero(wanted == sign)
+        if levels is None:
+            block = blocks.pop(sign)
+        else:
+            block = blocks[sign][:, (np.cumsum(parity == sign) - 1)[levels[cols]]]
+        rows, mirrored = kets[sign]
+        lifted[np.ix_(rows, cols)] = block
+        if sign < 0:
+            np.negative(block, out=block)
+        lifted[np.ix_(mirrored, cols)] = block
+    return lifted
 
 
 #: a reflection block by its parity
@@ -245,7 +304,8 @@ def _reflection_blocks(payload, mirror: np.ndarray, parity) -> tuple:
     (w = 1/sqrt(2) on orbits of two, 1/2 on pairs that are their own image)
     and X_o = (X[orbits] - X[images]) / sqrt(2); it is symmetric, so its
     defect is 2 sqrt(2) c ||X_e X_o^T||_F, from its even-odd block."""
-    reps, partners, orbits, images = _orbits(mirror)
+    kets = _kets(mirror)
+    (reps, partners), (orbits, images) = kets[1], kets[-1]
     payload, factor = getattr(payload, "parts", (payload, None))
     fixed = partners == reps
     blocks = {}
@@ -280,33 +340,30 @@ def _parity_blocks(h: HamiltonianMatrix, k_lowest, parity):
 
     Each orbit {p, mirror[p]} is represented by its lower index.  An orbit of
     two gives the even and the odd ket (|p> +- |mirror[p]>) / sqrt(2); a pair
-    that is its own image gives an even ket only.  The largest array, the
-    lifted vectors, is refused first (``_refuse_above_cap``); the blocks come
-    from ``_reflection_blocks``, so no payload is copied dense whole.  Each
-    block in turn is decomposed by LAPACK's divide-and-conquer driver, its
-    levels' residuals are taken on it, and it is dropped before the next.
-    Each level gets its canonical sign in its block: a lifted state's
-    |v[p]| + |v[mirror[p]]| is twice the block's scaled |v| on both members
-    of an orbit, so the pivot of ``_canonicalize_signs`` is the first
-    representative of largest scaled |v|, and the lifted vectors need no
-    pass of their own.  The blocks' vectors are then lifted into one
-    P x levels array in ascending order of energy (a stable sort puts the
-    even level first in an exact tie): mirrored components copied (even)
-    or negated (odd) agree in magnitude bit for bit.  The array is
-    Fortran-ordered, each level's column contiguous: ``propagate``'s
-    products ``vecs.T @ part`` round by the layout, and a C-ordered array
-    moves its states by about 1e-16.  The reflection defect is held to the
-    residual gate, so a payload without the symmetry fails even where the
-    block solved looks exact.
+    that is its own image gives an even ket only.  The largest array a
+    caller may ask for, the lifted vectors, is refused first
+    (``_refuse_above_cap``); the blocks come from ``_reflection_blocks``, so
+    no payload is copied dense whole.  Each block in turn is decomposed by
+    LAPACK's divide-and-conquer driver, its levels' residuals are taken on
+    it, and it is dropped before the next.  Its vectors are scaled by
+    1/sqrt(2) on orbits of two, the components they take on the
+    representative rows, and kept by parity, unlifted (``_lift`` lifts them
+    when read).  Each level gets its canonical sign in its block: a lifted
+    state's |v[p]| + |v[mirror[p]]| is twice the block's scaled |v| on both
+    members of an orbit, so the pivot of ``_canonicalize_signs`` is the
+    first representative of largest scaled |v|.  The energies are merged in
+    ascending order by a stable sort, which puts the even level first in an
+    exact tie, so each block's levels take ascending columns.  The
+    reflection defect is held to the residual gate, so a payload without
+    the symmetry fails even where the block solved looks exact.
     """
     mirror = h.pair_basis.mirror
-    reps, partners, orbits, images = _orbits(mirror)
-    kets = {1: (reps, partners), -1: (orbits, images)}
+    kets = _kets(mirror)
     levels = sum(len(kets[sign][0]) for sign in kets if parity in (None, sign))
     _refuse_above_cap(8 * len(mirror) * levels, f"{levels} parity-block vectors of a "
                       f"{h.dim}-dim {type(h.payload).__name__} need")
     blocks, defect = _reflection_blocks(h.payload, mirror, parity)
-    solved, residuals, parities = {}, [], []
+    solved, vals, residuals, parities = {}, [], [], []
     for sign in list(blocks):
         block = blocks.pop(sign)
         block_vals, block_vecs = eigh(block, driver="evd")
@@ -315,14 +372,15 @@ def _parity_blocks(h: HamiltonianMatrix, k_lowest, parity):
         h_vecs -= block_vecs * block_vals
         residuals.append(np.linalg.norm(h_vecs, axis=0))
         del h_vecs
+        vals.append(block_vals)
         parities.append(np.full(len(block_vals), sign))
         rows, mirrored = kets[sign]
         block_vecs *= np.where(rows == mirrored, 1.0, np.sqrt(0.5))[:, None]
         if len(block_vals):  # the odd block of two qubits is empty
             lead = np.argmax(np.abs(block_vecs), axis=0)
             block_vecs *= np.where(block_vecs[lead, np.arange(len(block_vals))] < 0, -1.0, 1.0)
-        solved[sign] = block_vals, block_vecs
-    vals = np.concatenate([block_vals for block_vals, _ in solved.values()])
+        solved[sign] = block_vecs
+    vals = np.concatenate(vals)
     spectral_scale, gate = _gate(vals)
     if defect > gate:
         raise ConvergenceError(
@@ -330,22 +388,11 @@ def _parity_blocks(h: HamiltonianMatrix, k_lowest, parity):
             f"spectrum scale {spectral_scale:g}: the payload breaks the pair reflection"
         )
     order = np.argsort(vals, kind="stable")
-    columns = np.empty_like(order)
-    columns[order] = np.arange(len(order))
-    vecs = np.zeros((len(mirror), len(vals)), order="F")
-    start = 0
-    for sign in list(solved):
-        block_vecs = solved.pop(sign)[1]
-        cols = columns[start:start + block_vecs.shape[1]]
-        start += len(cols)
-        rows, mirrored = kets[sign]
-        vecs[np.ix_(rows, cols)] = block_vecs
-        block_vecs *= sign
-        vecs[np.ix_(mirrored, cols)] = block_vecs
-    stats = {"method": "parity-blocks", "blocks": [len(reps), len(orbits)], "driver": "evd"}
+    stats = {"method": "parity-blocks", "blocks": [len(kets[1][0]), len(kets[-1][0])],
+             "driver": "evd"}
     if parity is not None:
         stats["solved"] = [PARITY_NAMES[parity]]
-    return (vals[order], vecs, np.concatenate(residuals)[order],
+    return (vals[order], solved, np.concatenate(residuals)[order],
             np.concatenate(parities)[order], stats)
 
 
@@ -359,7 +406,8 @@ def _lapack(h: HamiltonianMatrix, k_lowest, parity):
 
 #: (takes(h, k_lowest), solve) rows; ``eigensolve`` runs the first that takes
 #: the request.  solve(h, k_lowest, parity) returns the energies ascending,
-#: the vectors, the residuals or None, each level's parity or None, and the
+#: the vectors (by parity the blocks' vectors, unlifted, from the parity
+#: blocks), the residuals or None, each level's parity or None, and the
 #: solver record, which starts with "method".  The adiabatic models stay on
 #: LAPACK for every k: their lowest levels crowd against the whole bound
 #: band, so Lanczos needs a thousand or more applications.
@@ -386,8 +434,9 @@ def eigensolve(
     large payload, the parity blocks for every level of a model that
     ``splits_by_parity``, LAPACK for the rest.  Every eigenvector then has
     its canonical sign (``_canonicalize_signs``): the parity-block route,
-    the one that returns each level's parity, fixes it in its blocks, so
-    its P x levels vectors get no pass (and no temporaries) of their own.
+    the one that returns each level's parity, fixes it in its blocks and
+    keeps them unlifted (``SpectralDecomposition.stored``), so no P x levels
+    array is formed unless a caller reads ``vectors``.
     Each level's residual (against the whole payload unless the route took
     it on its block) is held to the gate 1e-8 * max(scale, 1).  ``solver``
     on the result is the route's record.
@@ -415,7 +464,7 @@ def eigensolve(
         )
     return SpectralDecomposition(
         energies=vals + h.energy_offset,
-        vectors=vecs,
+        stored=vecs,
         residual_norms=residuals,
         energy_offset=h.energy_offset,
         dims=dict(h.dims),
@@ -435,12 +484,13 @@ def propagate(
     is skipped when it is identically zero (a mirror-symmetric state).  A
     decomposition not split, or lacking a level of a part's block (one even
     ket per orbit, one odd ket per orbit of two), raises ``BasisMismatch``.
-    The vectors are real, so a part's snapshots are two real products on the
-    rows of one pair per orbit, copied (even) or negated (odd) onto the
-    mirrored rows.  A decomposition of one block lends its vectors as they
-    are; only a part of a split one copies its levels' columns.  The
-    phases exp(-iEt) times the weights are formed in one complex array,
-    levels x samples, in place.
+    Every product runs on the part's block vectors (``block``), which the
+    decomposition holds as solved, or gathers once lifted: the weights are
+    the block's products with the part on its representative rows, each of
+    which stands for itself and its image, and a part's snapshots are two
+    real products on those rows, copied (even) or negated (odd) onto the
+    mirrored rows.  The phases exp(-iEt) times the weights are formed in
+    one complex array, levels x samples, in place.
     """
     if psi0.dims != decomp.dims:
         raise BasisMismatch(f"state on {psi0.dims}, decomposition on {decomp.dims}")
@@ -449,36 +499,33 @@ def propagate(
     times = np.asarray(times, dtype=float)
     energies = decomp.rotating_frame_energies()
     psi, mirror = psi0.coefficients, decomp.mirror
-    reps = _orbits(mirror)[0]
+    kets = _kets(mirror)
     occupied = occupied_parities(psi, mirror)
-    block_dims = {1: len(reps), -1: len(mirror) - len(reps)}
     for sign in occupied:
-        if np.count_nonzero(decomp.parity == sign) != block_dims[sign]:
+        if np.count_nonzero(decomp.parity == sign) != len(kets[sign][0]):
             raise BasisMismatch(
                 f"the state has weight in the {PARITY_NAMES[sign]} block, "
                 "which the decomposition does not hold in full"
             )
-
-    def evolve(sign):
-        levels = decomp.parity == sign
-        vecs, block_energies = decomp.vectors, energies
-        if not levels.all():
-            vecs, block_energies = vecs[:, levels], energies[levels]
-        weights = vecs.T @ ((psi + sign * psi[mirror]) / 2)
-        phases = -1j * np.outer(block_energies, times)
+    snapshots = np.zeros((len(psi), len(times)), dtype=complex)
+    for sign in occupied:
+        rows, mirrored = kets[sign]
+        block = decomp.block(sign)
+        # twice the part's component on an orbit of two, once on a pair that is its own image
+        part = psi[rows] + sign * psi[mirrored]
+        part[rows == mirrored] /= 2
+        weights = block.T @ part
+        phases = -1j * np.outer(energies[decomp.parity == sign], times)
         np.exp(phases, out=phases)
         phases *= weights[:, None]
-        half = vecs[reps]
-        lifted = np.empty((len(psi), len(times)), dtype=complex)
-        for out, component in ((lifted.real, phases.real), (lifted.imag, phases.imag)):
-            rows = half @ np.ascontiguousarray(component)
-            out[mirror[reps]] = rows if sign > 0 else -rows
-            out[reps] = rows
-        return lifted
-
-    snapshots = evolve(1)
-    if -1 in occupied:
-        snapshots += evolve(-1)
+        for out, component in ((snapshots.real, phases.real), (snapshots.imag, phases.imag)):
+            values = block @ np.ascontiguousarray(component)
+            if sign > 0:  # first, onto zeros
+                out[mirrored] = values
+                out[rows] = values
+            else:
+                out[rows] += values
+                out[mirrored] -= values
     return [
         WavepacketState(coefficients=snapshots[:, col], time=float(t), dims=dict(decomp.dims))
         for col, t in enumerate(times)
@@ -509,7 +556,7 @@ def first_order_perturbation(
             DegeneracyWarning,
             stacklevel=2,
         )
-    return decomp.energies[indices] + pair_hop.expectations(decomp.vectors[:, indices])
+    return decomp.energies[indices] + pair_hop.expectations(decomp.columns(indices))
 
 
 # ---------------------------------------------------------------------------

@@ -93,7 +93,7 @@ def adia_low(default_stack):
     """Lowest ten levels of the adiabatic model without the bound-to-bound
     block at the default point."""
     h = build_adiabatic_model(
-        default_stack.hop, default_stack.pair_bound, default_stack.basis,
+        default_stack.hop_csr, default_stack.pair_bound, default_stack.basis,
         default_stack.params, default_stack.bands,
     )
     return eigensolve(h, k_lowest=10)

@@ -302,7 +302,7 @@ def test_couplings_vanish_at_zero_coupling():
     # assembled models therefore vanish as well
     from droplet_lattice import build_spin_model
 
-    h = build_spin_model(pipe.hop, pipe.pair_hop_factor, pipe.basis, p)
+    h = build_spin_model(pipe.hop_csr, pipe.pair_hop_factor, pipe.basis, p)
     assert np.abs(h.payload.toarray()).max() == 0.0
 
 

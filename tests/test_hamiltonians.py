@@ -12,6 +12,7 @@ from droplet_lattice import (
     build_complete_sector,
     build_constrained_hop,
     build_full_model,
+    build_hop_csr,
     build_pair_hop,
     build_spin_model,
     build_unconstrained_hop,
@@ -74,7 +75,7 @@ def test_the_pair_payload_is_a_spin_operator_with_an_empty_hop(tiny_stack):
 
 def test_spin_model_is_sum(tiny_stack):
     total = build_spin_model(
-        tiny_stack.hop, tiny_stack.pair_hop_factor, tiny_stack.basis, tiny_stack.params
+        tiny_stack.hop_csr, tiny_stack.pair_hop_factor, tiny_stack.basis, tiny_stack.params
     )
     np.testing.assert_allclose(
         total.payload.toarray(),
@@ -129,9 +130,11 @@ def test_single_is_stored_sparse_and_spin_holds_no_dense_array():
         return couplings.pair_hop_factor(params, rows, pipe.bands)
 
     pair_hop = factor()
-    for build, bound in ((lambda: build_constrained_hop(pipe.hop, basis, params), linear),
+    for build, bound in ((lambda: build_constrained_hop(build_hop_csr(pipe.hop, basis), basis,
+                                                        params), linear),
                          (factor, factored),
-                         (lambda: build_spin_model(pipe.hop, pair_hop, basis, params), linear)):
+                         (lambda: build_spin_model(build_hop_csr(pipe.hop, basis), pair_hop, basis,
+                                                   params), linear)):
         build()
         tracemalloc.start()
         try:
@@ -146,10 +149,43 @@ def test_single_is_stored_sparse_and_spin_holds_no_dense_array():
     assert isinstance(pipe.model("spin").payload, SpinOperator)
 
 
+def test_a_fig6b_point_builds_one_read_only_hop_csr(monkeypatch):
+    """One detuning of fig 6b solves ``spin`` and ``single`` on one pipeline,
+    and both take its one constrained-hop CSR, as do ``tilde-single`` (twice
+    it) and the adiabatic models; its arrays refuse writes, so no model can
+    change what another reads."""
+    from droplet_lattice import cli
+
+    calls = []
+    real = hamiltonians.build_hop_csr
+
+    def spy(w, basis):
+        calls.append(basis.size)
+        return real(w, basis)
+
+    monkeypatch.setattr(hamiltonians, "build_hop_csr", spy)
+    cli._ground_energies(default_params(n_cavities=101, n_qubits=20, delta=-0.08))
+    assert calls == [190]
+
+    calls.clear()
+    pipe = Pipeline(default_params(n_cavities=41, n_qubits=6))
+    single = pipe.model("single").payload
+    assert single is pipe.hop_csr and pipe.model("spin").payload.single is single
+    tilde = pipe.model("tilde-single").payload
+    assert tilde.toarray().tobytes() == (2 * single.toarray()).tobytes()
+    p = pipe.basis.size
+    adia = pipe.model("adia1").payload
+    assert adia[:p, :p].real.tobytes() == single.toarray().tobytes()
+    assert calls == [p]
+    for array in (single.data, single.indices, single.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+
+
 def test_two_qubit_degenerate_case():
     p = default_params(n_cavities=101, n_qubits=2)
     pipe = Pipeline(p)
-    h = build_constrained_hop(pipe.hop, pipe.basis, p)
+    h = build_constrained_hop(pipe.hop_csr, pipe.basis, p)
     assert h.payload.shape == (1, 1)
     # no partner kets to hop to: only the self-interaction diagonal survives
     assert h.payload[0, 0] == pytest.approx(2 * hop_scale_and_length(p)[0], rel=1e-12)
@@ -164,7 +200,7 @@ def test_constraint_upshift_state_by_state(small_stack):
 def test_unconstrained_limit_zero_coupling():
     p = default_params(n_cavities=101, n_qubits=8, g=0.0)
     pipe = Pipeline(p)
-    assert np.abs(build_unconstrained_hop(pipe.hop, pipe.basis, p).payload).max() == 0.0
+    assert np.abs(build_unconstrained_hop(pipe.hop_csr, pipe.basis, p).payload).max() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -174,7 +210,7 @@ def test_unconstrained_limit_zero_coupling():
 
 def test_adiabatic_model_layout(small_stack):
     h = build_adiabatic_model(
-        small_stack.hop, small_stack.pair_bound, small_stack.basis, small_stack.params,
+        small_stack.hop_csr, small_stack.pair_bound, small_stack.basis, small_stack.params,
         small_stack.bands,
     )
     p = small_stack.basis.size
@@ -191,11 +227,11 @@ def test_adiabatic_model_layout(small_stack):
 
 def test_adiabatic_bound_bound_toggle(small_stack):
     base = build_adiabatic_model(
-        small_stack.hop, small_stack.pair_bound, small_stack.basis, small_stack.params,
+        small_stack.hop_csr, small_stack.pair_bound, small_stack.basis, small_stack.params,
         small_stack.bands,
     )
     kept = build_adiabatic_model(
-        small_stack.hop, small_stack.pair_bound, small_stack.basis, small_stack.params,
+        small_stack.hop_csr, small_stack.pair_bound, small_stack.basis, small_stack.params,
         small_stack.bands, small_stack.bound_bound,
     )
     p = small_stack.basis.size
@@ -208,7 +244,7 @@ def test_adiabatic_bound_bound_toggle(small_stack):
 def test_adiabatic_tracks_spin_model_low_spectrum(small_stack):
     adia = eigensolve(
         build_adiabatic_model(
-            small_stack.hop, small_stack.pair_bound, small_stack.basis, small_stack.params,
+            small_stack.hop_csr, small_stack.pair_bound, small_stack.basis, small_stack.params,
             small_stack.bands,
         ),
         k_lowest=6,
@@ -394,7 +430,8 @@ def test_sparse_hop_payloads_export_and_check_as_their_dense_form(tmp_path, tiny
     if cut:
         hop = hop.copy()
         hop[0, :] = hop[:, 0] = 0.0
-    h = MODEL_BUILDERS[name](hop, tiny_stack.basis, tiny_stack.params)
+    h = MODEL_BUILDERS[name](build_hop_csr(hop, tiny_stack.basis), tiny_stack.basis,
+                             tiny_stack.params)
     dense = replace(h, payload=h.payload.toarray())
     export_triplets(h, tmp_path / "sparse.txt")
     export_triplets(dense, tmp_path / "dense.txt")
@@ -431,7 +468,7 @@ def test_bound_bound_block_shift_is_small(default_stack, adia_low):
     base = adia_low.energies[0]
     kept = eigensolve(
         build_adiabatic_model(
-            stack.hop, stack.pair_bound, stack.basis, stack.params, stack.bands,
+            stack.hop_csr, stack.pair_bound, stack.basis, stack.params, stack.bands,
             stack.bound_bound,
         ),
         k_lowest=1,

@@ -618,6 +618,102 @@ def test_full_decomposition_signs_are_canonical_per_parity(parity_stack):
         assert d.vectors.flags.f_contiguous
 
 
+def _reference_lift(blocks, parity, mirror) -> np.ndarray:
+    """The P x levels lift of unlifted parity blocks, written out: zeros,
+    each block's columns on their kets' representative rows, copied (even) or
+    negated (odd) onto the mirrored rows, Fortran-ordered."""
+    lifted = np.zeros((len(mirror), len(parity)), order="F")
+    for sign, block in blocks.items():
+        rows, mirrored = solver._kets(mirror)[sign]
+        cols = np.flatnonzero(parity == sign)
+        lifted[np.ix_(rows, cols)] = block
+        lifted[np.ix_(mirrored, cols)] = sign * block
+    return lifted
+
+
+@pytest.mark.parametrize("n_qubits, spacing, parity", [
+    (6, 0, None), (7, 1, None), (2, 1, None), (7, 1, 1), (7, 1, -1), (6, 0, 1), (6, 0, -1),
+])
+def test_split_vectors_lift_only_when_read(parity_stack, n_qubits, spacing, parity):
+    """A parity-block decomposition holds its blocks unlifted: by parity the
+    vectors on the kets' representative rows, one column per level of that
+    parity.  ``state(i)`` and a column subset lift only their levels and
+    leave the blocks; ``vectors`` lifts every level once and keeps the lift
+    in place of the blocks.  All three equal, bit for bit and
+    Fortran-ordered, the lift written out from the blocks, and a state in
+    the blocks held propagates to the same bits before and after the lift."""
+    pipe = parity_stack(n_qubits, spacing)
+    mirror = pipe.basis.mirror
+    kets = solver._kets(mirror)
+    d = eigensolve(pipe.model("spin"), parity=parity)
+    assert isinstance(d.stored, dict) and d.dim == len(mirror)
+    assert sorted(d.stored) == sorted({1, -1} if parity is None else {parity})
+    for sign, block in d.stored.items():
+        assert block.shape == (len(kets[sign][0]), np.count_nonzero(d.parity == sign))
+        assert block.flags.f_contiguous
+    blocks = {sign: block.copy(order="F") for sign, block in d.stored.items()}
+    expected = _reference_lift(blocks, d.parity, mirror)
+    levels = len(d.energies)
+    subset = np.array([levels - 1, 0, levels // 2, 1, levels // 3, 2])[:levels]
+    columns = d.columns(subset)
+    states = [d.state(i).coefficients for i in (0, levels - 1)]
+    c = np.random.default_rng(3).standard_normal(len(mirror))
+    if parity is not None:
+        c += parity * c[mirror]
+    psi0 = WavepacketState(coefficients=c / np.linalg.norm(c), time=0.0, dims=d.dims)
+
+    def propagated():
+        return [s.coefficients.tobytes() for s in propagate(d, psi0, [0.0, 137.0, 954.0])]
+
+    before = propagated()
+    assert isinstance(d.stored, dict)
+    assert columns.tobytes() == expected[:, subset].tobytes() and columns.flags.f_contiguous
+    for state, i in zip(states, (0, levels - 1)):
+        assert state.tobytes() == expected[:, i].tobytes()
+
+    vectors = d.vectors
+    assert d.stored is vectors and d.vectors is vectors
+    assert vectors.tobytes() == expected.tobytes() and vectors.flags.f_contiguous
+    assert d.columns(subset).tobytes() == columns.tobytes()
+    assert d.state(levels - 1).coefficients.tobytes() == states[-1].tobytes()
+    for sign, block in blocks.items():
+        gathered = d.block(sign)
+        assert gathered.tobytes() == block.tobytes() and gathered.flags.f_contiguous
+    assert propagated() == before
+
+
+def test_a_quench_and_a_full_spectrum_lift_no_vectors(monkeypatch):
+    """At 301 x 50 neither ``Pipeline.quench`` nor a full ``spin`` spectrum
+    whose ``vectors`` is never read forms the P x levels lift: no call of
+    ``solver._lift``, and each block has one row per ket of its parity,
+    about P/2.  Reading a state
+    lifts one column; reading ``vectors`` lifts once."""
+    lifts = []
+    real_lift = solver._lift
+
+    def spy(blocks, parity, mirror, levels=None):
+        lifted = real_lift(blocks, parity, mirror, levels)
+        lifts.append(lifted.shape)
+        return lifted
+
+    monkeypatch.setattr(solver, "_lift", spy)
+    pipe = Pipeline(default_params(n_cavities=301, n_qubits=50))
+    size = pipe.basis.size
+    kets = solver._kets(pipe.basis.mirror)
+    decomp, _, _ = pipe.quench("spin", "fs", np.arange(0, 2001, 2), [1, 6, 21])
+    full = pipe.spectrum("spin")
+    assert lifts == []
+    assert list(decomp.stored) == [1] and list(full.stored) == [1, -1]
+    for d in (decomp, full):
+        for sign, block in d.stored.items():
+            assert block.shape == (len(kets[sign][0]), np.count_nonzero(d.parity == sign))
+    full.state(0)
+    assert lifts == [(size, 1)]
+    full.vectors
+    full.vectors
+    assert lifts == [(size, 1), (size, size)]
+
+
 @pytest.mark.parametrize("initial", ["fs", "ps", "random"])
 def test_parity_propagation_matches_the_dense_formula(small_stack, initial):
     """Propagating the even and odd parts of psi0 on their own levels equals
@@ -770,8 +866,9 @@ def test_a_quench_holds_its_traced_heap_to_three_times_its_lifted_vectors():
     """At 301 x 50 (the 625 even levels on 1225 pairs, 1001 samples) the
     traced heap of ``Pipeline.quench`` on a built ``spin`` model peaks at no
     more than three times the 8 P levels bytes of the lifted vectors
-    (measured 2.6 times; 3.8 with the signs taken on the lifted vectors,
-    the phases formed out of place and half-size chunks)."""
+    (measured 2.1 times with the block kept unlifted; 2.6 with the lift,
+    3.8 with the signs taken on the lifted vectors, the phases formed out
+    of place and half-size chunks)."""
     import tracemalloc
 
     pipe = Pipeline(default_params(n_cavities=301, n_qubits=50))
