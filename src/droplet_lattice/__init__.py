@@ -4,6 +4,30 @@ exact diagonalization at every level of description, quench dynamics, and
 droplet-state analysis."""
 
 import gc
+import importlib.util
+import sys
+
+#: numpy submodules that scipy's array-API layer imports, through ``from numpy
+#: import *`` and ``dir(numpy)``, and that no task uses.  ``numpy.ma`` is not
+#: among them: scipy.linalg's input check reads ``np.ma.isMaskedArray`` on
+#: every call, so deferring it would only move its load into the first solve
+_DEFERRED = ("numpy.f2py", "numpy.testing")
+
+
+def _defer(names):
+    """Register each module in ``names`` as lazy, so its body runs on first
+    attribute access.  A module already imported, or one not found, is left
+    as it is."""
+    for name in names:
+        if name in sys.modules or (spec := importlib.util.find_spec(name)) is None:
+            continue
+        spec.loader = importlib.util.LazyLoader(spec.loader)
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        # bound on its package as the import system binds a loaded submodule:
+        # unbound, numpy's __getattr__ imports the name and recurses
+        package, _, attr = name.rpartition(".")
+        setattr(sys.modules[package], attr, module)
 
 # no cyclic collection runs while numpy, scipy and the package load, and none
 # walks their heap again once it is frozen: it lives until exit, and no
@@ -16,6 +40,7 @@ try:
 
     # numpy and scipy load their OpenBLAS in these imports, which start no worker thread
     with one_thread_while_loading():
+        _defer(_DEFERRED)
         from .bath import BathBands, RelativeBoundState, solve_bath, solve_bound_state
         from .errors import (
             BasisMismatch,

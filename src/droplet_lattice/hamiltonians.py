@@ -513,11 +513,14 @@ def build_complete_sector(params: SystemParams, positions, basis: PairBasis) -> 
 
 def _stored(payload, cap=np.inf):
     """An ndarray or sparse payload as it is; any other, its dense ``toarray()``,
-    refused first if its P^2 entries exceed ``cap``: the pair hop's are full in general."""
+    refused first if its P^2 entries exceed ``cap`` or their bytes exceed
+    ``DENSE_BYTES_CAP``: the pair hop's are full in general."""
     if isinstance(payload, np.ndarray) or sp.issparse(payload):
         return payload
+    name = type(payload).__name__
     if (entries := payload.shape[0] ** 2) > cap:
-        raise SizeError(f"{entries} dense {type(payload).__name__} entries exceed the export cap")
+        raise SizeError(f"{entries} dense {name} entries exceed the export cap")
+    _refuse_above_cap(entries * payload.dtype.itemsize, f"a dense copy of the {name} needs")
     return payload.toarray()
 
 
@@ -539,7 +542,8 @@ def hermiticity_defect(h: HamiltonianMatrix) -> float:
     """Max deviation from Hermiticity, relative to the largest entry.
 
     Dense and sparse payloads are checked exactly, a ``SpinOperator`` through
-    its ``toarray()``; the matrix-free ``FullOperator`` is probed with
+    its ``toarray()``, refused (``SizeError``) above ``DENSE_BYTES_CAP``
+    before it is formed; the matrix-free ``FullOperator`` is probed with
     ``HERMITICITY_PROBES`` fixed pseudo-random vector pairs, the one check
     that scales to production array sizes.
     """

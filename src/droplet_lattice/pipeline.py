@@ -99,6 +99,8 @@ class Pipeline:
 
     @cached_property
     def pair_hop(self) -> np.ndarray:
+        size = self.basis.size
+        hamiltonians._refuse_above_cap(8 * size * size, f"the {size}-dim dense pair hop needs")
         return self.pair_hop_factor.toarray()
 
     @cached_property

@@ -888,6 +888,31 @@ def test_a_factored_export_over_the_cap_exits_3_before_the_dense_copy(
     assert not os.path.exists(os.path.join(out, "matrix.txt"))
 
 
+def test_fig4_over_the_dense_cap_exits_3_before_the_pair_hop_exists(
+    tmp_path, monkeypatch, capsys
+):
+    """One byte under the P x P doubles of the dense pair hop (15 pairs),
+    fig 4 exits 3 with one line before the factor's ``toarray()`` and
+    writes no manifest."""
+    from droplet_lattice.couplings import PairHopFactor
+
+    calls = []
+
+    def toarray(self):
+        calls.append("PairHopFactor.toarray")
+        raise AssertionError("PairHopFactor.toarray was called")
+
+    monkeypatch.setattr(PairHopFactor, "toarray", toarray)
+    monkeypatch.setattr(hamiltonians, "DENSE_BYTES_CAP", 8 * 15 * 15 - 1)
+    code, out = run_cli(tmp_path, "figure", "--fig", "4")
+    err = capsys.readouterr().err
+    assert code == 3
+    assert err.startswith("validity error: the 15-dim dense pair hop needs")
+    assert err.count("\n") == 1
+    assert calls == []
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
 # JSON texts for --set values: wrong types, bools, non-finite numbers and
 # strings, nested lists, non-JSON text and non-positive counts
 _BAD_VALUES = st.one_of(

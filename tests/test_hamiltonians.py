@@ -372,6 +372,27 @@ def test_hermiticity_defect_of_dense_and_sparse_payloads(wrap):
     assert hermiticity_defect(h) == pytest.approx(0.2, abs=1e-15)
 
 
+def test_hermiticity_defect_refuses_a_dense_copy_over_the_cap(tiny_stack, monkeypatch):
+    """One byte under the P^2 = 225 doubles of a 41 x 6 ``spin`` payload,
+    ``hermiticity_defect`` raises ``SizeError`` before any ``toarray()``;
+    at the cap itself it forms the copy and measures it."""
+    h = tiny_stack.model("spin")
+    calls = []
+    for cls in (SpinOperator, couplings.PairHopFactor):
+        def spy(self, original=cls.toarray, name=cls.__name__):
+            calls.append(name)
+            return original(self)
+
+        monkeypatch.setattr(cls, "toarray", spy)
+    monkeypatch.setattr(hamiltonians, "DENSE_BYTES_CAP", 8 * 15 * 15 - 1)
+    with pytest.raises(SizeError, match="a dense copy of the SpinOperator needs"):
+        hermiticity_defect(h)
+    assert calls == []
+    monkeypatch.setattr(hamiltonians, "DENSE_BYTES_CAP", 8 * 15 * 15)
+    assert hermiticity_defect(h) < 1e-12
+    assert calls == ["SpinOperator", "PairHopFactor"]
+
+
 def test_complete_sector_is_hermitian():
     p = default_params(n_cavities=41, n_qubits=4)
     h = build_complete_sector(p, qubit_positions(p), PairBasis(4))

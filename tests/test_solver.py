@@ -301,6 +301,17 @@ def test_a_pool_without_a_setter_is_left_alone(monkeypatch):
     assert pool.calls == [1] and [pool.threads, bare.threads] == [1, 4]
 
 
+def _fresh_python(script, *args, env=None):
+    """The JSON that ``script`` prints, run with ``args`` in a fresh
+    interpreter that imports the package from this checkout."""
+    src = os.path.dirname(os.path.dirname(droplet_lattice.__file__))
+    env = dict(os.environ if env is None else env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, check=True, timeout=300)
+    return json.loads(done.stdout)
+
+
 _LOAD_REPORT = """
 import json, os
 import droplet_lattice
@@ -318,14 +329,10 @@ def test_the_package_loads_openblas_at_one_thread_unless_the_caller_chose(caller
     at one thread, so the process runs on one OS thread, and leaves
     ``OPENBLAS_NUM_THREADS`` unset, as it found it.  A value the caller set
     stays, and the pools load at it."""
-    src = os.path.dirname(os.path.dirname(droplet_lattice.__file__))
     env = {key: value for key, value in os.environ.items() if key != "OPENBLAS_NUM_THREADS"}
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     if caller is not None:
         env["OPENBLAS_NUM_THREADS"] = caller
-    done = subprocess.run([sys.executable, "-c", _LOAD_REPORT], env=env, capture_output=True,
-                          text=True, check=True, timeout=120)
-    report = json.loads(done.stdout)
+    report = _fresh_python(_LOAD_REPORT, env=env)
     assert report["threads"] and all(count == threads for count in report["threads"])
     assert report["variable"] == caller
     if caller is None:
@@ -350,15 +357,63 @@ def test_the_package_loads_without_a_collection_and_freezes_its_heap(collector):
     numpy, scipy and the package load, freezes what they left, and hands the
     caller back the collector as it was: on, or off when the caller had
     turned it off."""
-    src = os.path.dirname(os.path.dirname(droplet_lattice.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    done = subprocess.run([sys.executable, "-c", _GC_REPORT, collector], env=env,
-                          capture_output=True, text=True, check=True, timeout=120)
-    report = json.loads(done.stdout)
+    report = _fresh_python(_GC_REPORT, collector)
     assert report["collections"] == []
     assert report["enabled"] == (collector == "on")
     assert report["frozen"] > 0
+
+
+_DEFERRED_REPORT = """
+import json, os, sys
+from droplet_lattice import cli
+import numpy
+small = ["--set", "params.n_cavities=41", "--set", "params.n_qubits=6"]
+runs = [["dynamics", "--set", "options.alphas=[1,2]"], ["figure", "--fig", "6b"],
+        ["spectrum", "--set", "model=full", "--set", "options.k_lowest=4"],
+        ["sweep", "--set", "options.axis=delta", "--set", "options.values=[-0.02,-0.05,-0.1]"]]
+codes = [cli.main([*run, "--out", os.path.join(sys.argv[1], str(i)), *small])
+         for i, run in enumerate(runs)]
+loaded = [name for name in ("numpy.f2py.crackfortran", "numpy.testing._private.utils")
+          if name in sys.modules]
+numpy.testing.assert_allclose(1, 1)
+from numpy.testing import assert_array_equal
+print(json.dumps({
+    "codes": codes, "loaded": loaded,
+    "masked_sum": int(numpy.ma.masked_array([1, 2], mask=[0, 1]).sum()),
+    "f2py_include": os.path.isdir(numpy.f2py.get_include()),
+    "bound": [sys.modules[name] is getattr(numpy, name.rpartition(".")[2])
+              for name in ("numpy.f2py", "numpy.testing", "numpy.ma")],
+}))
+"""
+
+
+def test_the_numpy_modules_no_task_uses_load_only_when_used(tmp_path):
+    """After ``dynamics``, fig 6b, a ``full`` spectrum and a sweep in a
+    fresh process, the bodies of ``numpy.f2py`` and ``numpy.testing`` have
+    not run.  Their first use still works, as does ``numpy.ma``'s, and each
+    of the three is the module that ``numpy`` holds under its short name."""
+    report = _fresh_python(_DEFERRED_REPORT, str(tmp_path))
+    assert report["codes"] == [0, 0, 0, 0]
+    assert report["loaded"] == []
+    assert report["masked_sum"] == 1
+    assert report["f2py_include"]
+    assert report["bound"] == [True, True, True]
+
+
+_PRELOADED_REPORT = """
+import json
+import numpy.testing
+before = numpy.testing
+import droplet_lattice
+import numpy
+print(json.dumps({"kept": numpy.testing is before and type(before).__name__ == "module"}))
+"""
+
+
+def test_a_numpy_module_the_caller_loaded_is_kept():
+    """A deferred module that the caller imported before the package stays
+    the loaded module object it was."""
+    assert _fresh_python(_PRELOADED_REPORT) == {"kept": True}
 
 
 def test_dense_copy_of_a_huge_sparse_payload_is_refused():
