@@ -8,10 +8,10 @@ import importlib.util
 import sys
 
 #: numpy submodules that scipy's array-API layer imports, through ``from numpy
-#: import *`` and ``dir(numpy)``, and that no task uses.  ``numpy.ma`` is not
-#: among them: scipy.linalg's input check reads ``np.ma.isMaskedArray`` on
-#: every call, so deferring it would only move its load into the first solve
-_DEFERRED = ("numpy.f2py", "numpy.testing")
+#: import *`` and ``dir(numpy)``, and that no task uses.  ``numpy.ma`` is read
+#: by scipy.linalg's input check (``np.ma.isMaskedArray``), which no task
+#: runs: the package calls LAPACK past it (``lapack``)
+_DEFERRED = ("numpy.f2py", "numpy.ma", "numpy.testing")
 
 
 def _defer(names):

@@ -17,8 +17,6 @@ import resource
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -317,6 +315,10 @@ def _task_sweep(cfg, pipe, out):
         if sharing > 1:
             with contextlib.suppress(SimulationError):
                 bath.solve_bath(build_params({**cfg.params, "n_cavities": n_cavities, "u": u}))
+        # the pool (with multiprocessing, socket and logging) loads here, in
+        # the one task that starts it
+        from concurrent.futures.process import BrokenProcessPool, ProcessPoolExecutor
+
         # the forked workers inherit the parent's one BLAS thread per pool
         with ProcessPoolExecutor(workers) as pool:
             try:

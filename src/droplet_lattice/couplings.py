@@ -33,8 +33,14 @@ def hop_scale_and_length(params: SystemParams) -> tuple[float, float]:
             "qubit inside the single-photon band; single-photon elimination invalid"
         )
     root = np.sqrt(ratio * ratio - 1)
+    decay = ratio - root  # exp(-1 / length), lost to rounding far below the band
+    if not 0 < decay < 1:
+        raise DomainError(
+            f"hop fall-off exp(-1/L) = {decay:g} at cavity-qubit detuning "
+            f"{params.cavity_qubit_detuning:g}: not resolved in floating point"
+        )
     scale = -2 * J * (params.g / (2 * J)) ** 2 / root
-    length = -1.0 / np.log(ratio - root)
+    length = -1.0 / np.log(decay)
     return float(scale), float(length)
 
 

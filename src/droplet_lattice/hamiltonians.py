@@ -29,11 +29,11 @@ from typing import Optional, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, eigh
 
+from . import lapack
 from .bath import BathBands
 from .couplings import PairHopFactor, bound_bound_couplings, pair_bound_couplings
-from .errors import BasisMismatch, SizeError
+from .errors import BasisMismatch, DomainError, SizeError
 from .oracles import photon_pair_index, single_photon_sector, two_photon_ring
 from .output import atomic_open
 from .params import J, PairBasis, SystemParams
@@ -73,7 +73,8 @@ class FullOperator:
     ``_emit`` applies B^H.
 
     Like an ndarray it has ``shape``, ``dtype`` and ``@`` (column by column
-    on a block); ARPACK applies it through ``matvec``.
+    on a block); ARPACK applies it through ``matvec``.  ``arrays`` holds
+    what its entries are formed from, for the solver's finiteness check.
     """
 
     def __init__(self, params: SystemParams, positions, basis: PairBasis, bands: BathBands):
@@ -86,6 +87,7 @@ class FullOperator:
         self.shape = (self.dim, self.dim)
         self.dtype = np.dtype(complex)
         self._phases = np.exp(1j * np.outer(self.positions, bands.grid.wavevectors))
+        self.arrays = (self._phases, bands.single_detunings, bands.pair_detunings, bands.profiles)
         self._i0 = basis.i_index - 1
         self._j0 = basis.j_index - 1
         self._pair_slice = slice(0, p)
@@ -138,7 +140,7 @@ class FullOperator:
         sum rather than the infinite-lattice closed form, and the pair-bound
         and bound-bound blocks come from the same contractions as the
         effective couplings.  Needs sigma below every single-photon
-        detuning.
+        detuning.  A complement that is not finite raises ``DomainError``.
         """
         params, positions = self.params, self.positions
         refuse_pairs_plus_bound(self.basis, params)
@@ -152,6 +154,8 @@ class FullOperator:
         s = _pairs_plus_bound(build_hop_csr(hop.real, self.basis), pair_bound.conj(), bound_bound,
                               self.basis, params, bands)
         s[np.diag_indices_from(s)] -= sigma
+        if not np.isfinite(s).all():
+            raise DomainError(f"Schur complement at sigma {sigma:g} is not finite")
         return s
 
     def lower_bound(self) -> float:
@@ -162,7 +166,7 @@ class FullOperator:
         sigma + min(0, lambda_min S(sigma)) lies at or below the lowest
         eigenvalue; sigma = 0 is below every single-photon detuning.
         """
-        low = eigh(self.schur_complement(0.0), eigvals_only=True, subset_by_index=[0, 0])
+        low = lapack.eigh(self.schur_complement(0.0), lowest=1, vectors=False)
         return min(float(low[0]), 0.0)
 
     def shift_invert(self, sigma: float) -> "ShiftInvert":
@@ -176,11 +180,9 @@ class FullOperator:
         step = 1e-3 * max(abs(sigma), 1e-9)
         while True:
             if sigma < floor:
-                try:
-                    factor = cho_factor(self.schur_complement(sigma), lower=True)
+                factor = lapack.cholesky(self.schur_complement(sigma))
+                if factor is not None:
                     return ShiftInvert(self, sigma, factor)
-                except LinAlgError:
-                    pass
             sigma -= step
             step *= 2
 
@@ -261,7 +263,7 @@ class ShiftInvert:
         d, c, b = op._split(v)
         t = c / self._detunings
         pairs, bound = op._absorb(t)
-        y = cho_solve(self.factor, np.concatenate([d - pairs, b - bound]), check_finite=False)
+        y = lapack.cholesky_solve(self.factor, np.concatenate([d - pairs, b - bound]))
         oc = t - op._emit(y[:p], y[p:]) / self._detunings
         return np.concatenate([y[:p], oc.ravel(), y[p:]])
 
@@ -272,14 +274,16 @@ class SpinOperator:
 
     Like an ndarray it has ``shape``, ``dtype`` and ``@``, which applies
     both terms in O(P (N_e + N)) per vector.  ``parts`` is the two terms, from
-    which the solver takes the reflection blocks.  ``toarray()`` forms the dense
-    sum, bit for bit the CSR hop added onto the pair hop's ``toarray()``; on a
-    solver path only ``solver._dense`` calls it."""
+    which the solver takes the reflection blocks; ``arrays`` holds what their
+    entries are formed from, for the solver's finiteness check.  ``toarray()``
+    forms the dense sum, bit for bit the CSR hop added onto the pair hop's
+    ``toarray()``; on a solver path only ``solver._dense`` calls it."""
 
     def __init__(self, single: sp.csr_array, pair_hop: PairHopFactor):
         self.single = single
         self.pair_hop = pair_hop
         self.parts = (single, pair_hop)
+        self.arrays = (single.data, pair_hop.x, np.float64(pair_hop.scale))
         self.shape = single.shape
         self.dtype = np.result_type(single.dtype, pair_hop.x.dtype)
 

@@ -72,7 +72,9 @@ class SystemParams:
                 f"array of {self.n_cavities} cavities cannot hold "
                 f"{self.n_qubits} qubits at spacing {self.spacing}"
             )
-        limit = 4 * J * math.sqrt((1 + self.g / (4 * J)) ** 2 - 1)
+        # a product, not ** 2, so a huge g gives an infinite limit, not an OverflowError
+        factor = 1 + self.g / (4 * J)
+        limit = 4 * J * math.sqrt(factor * factor - 1)
         if abs(self.u) <= limit:
             raise ValidityError(
                 f"|u|={abs(self.u):g} must exceed {limit:g} for both adiabatic "

@@ -14,12 +14,11 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg import eigh
 from scipy.linalg.blas import dsymv
 
+from . import lapack
 from .errors import (BasisMismatch, BracketError, ConfigError, ConvergenceError,
-                     DegeneracyWarning)
+                     DegeneracyWarning, DomainError)
 from .couplings import PairHopFactor
 from .hamiltonians import FullOperator, HamiltonianMatrix, _refuse_above_cap, _require_pairs
 from .observables import WavepacketState
@@ -149,7 +148,12 @@ def _arpack(op, k: int, ncv: int, **mode):
     """Lowest ``k`` eigenpairs of ``op`` from ARPACK, ascending.
 
     A real operator gets the real part of the fixed start vector, so ARPACK
-    runs its real symmetric routine."""
+    runs its real symmetric routine.  Any ARPACK failure, a stalled solve or
+    one that cannot start (an operator that maps the start vector to zero),
+    raises ``ConvergenceError``.  ARPACK is imported here, by the tasks
+    that run it."""
+    from scipy.sparse.linalg import ArpackError, eigsh
+
     dim = op.shape[0]
     ncv = min(dim - 1, ncv)
     if k + 1 >= ncv:
@@ -161,9 +165,9 @@ def _arpack(op, k: int, ncv: int, **mode):
     if not np.issubdtype(op.dtype, np.complexfloating):
         v0 = v0.real
     try:
-        vals, vecs = spla.eigsh(op, k=k, ncv=ncv, v0=v0, maxiter=20000, **mode)
-    except spla.ArpackNoConvergence as exc:
-        raise ConvergenceError(f"iterative eigensolver stalled: {exc}") from exc
+        vals, vecs = eigsh(op, k=k, ncv=ncv, v0=v0, maxiter=20000, **mode)
+    except ArpackError as exc:
+        raise ConvergenceError(f"iterative eigensolver failed: {exc}") from exc
     order = np.argsort(vals)
     return vals[order], vecs[:, order]
 
@@ -185,9 +189,10 @@ def _lift(blocks: dict, parity: np.ndarray, mirror: np.ndarray, levels=None) -> 
     onto the mirrored rows, so mirrored components agree in magnitude bit
     for bit.  A level's column in its block is its rank among the levels of
     its parity.  The P x levels array is Fortran-ordered, each level's
-    column contiguous, the layout ``eigh`` gives.  Lifting every level pops
-    each block from ``blocks`` once placed and negates the odd one in place,
-    so the blocks and the lift are held together only while it is filled."""
+    column contiguous, the layout ``lapack.eigh`` gives.  Lifting every
+    level pops each block from ``blocks`` once placed and negates the odd one
+    in place, so the blocks and the lift are held together only while it is
+    filled."""
     kets = _kets(mirror)
     wanted = parity if levels is None else parity[levels]
     lifted = np.zeros((len(mirror), len(wanted)), order="F")
@@ -226,7 +231,9 @@ def occupied_parities(psi: np.ndarray, mirror: np.ndarray) -> tuple:
 
 
 def _gate(vals: np.ndarray) -> tuple:
-    """The spectral scale of ``vals`` and the residual gate 1e-8 * max(scale, 1)."""
+    """The spectral scale of ``vals`` and the residual gate 1e-8 * max(scale, 1),
+    NaN when a value is.  Every comparison with the gate is written
+    ``not x <= gate``, so a NaN on either side fails it."""
     scale = max(np.abs(vals).max() if len(vals) else 1.0, 1e-30)
     return scale, 1e-8 * max(scale, 1.0)
 
@@ -280,6 +287,18 @@ def _lanczos(h: HamiltonianMatrix, k_lowest, parity):
     counted = _Counted(h.payload, product)
     vals, vecs = _arpack(counted, k_lowest, max(4 * k_lowest, 40), which="SA")
     return vals, vecs, None, None, {"method": "lanczos", "applications": counted.applications}
+
+
+def _require_finite(h: HamiltonianMatrix):
+    """Refuse (exit 3) a payload with an entry that is not finite, from the
+    arrays it is formed from: an ndarray itself, the stored entries of a
+    sparse payload, the ``arrays`` of a ``SpinOperator`` or ``FullOperator``.
+    The LAPACK calls (``lapack``) do not scan their input, and ARPACK never did."""
+    payload = h.payload
+    arrays = (payload.data,) if sp.issparse(payload) else getattr(payload, "arrays", (payload,))
+    if not all(np.isfinite(array).all() for array in arrays):
+        raise DomainError(f"the dim-{h.dim} {type(payload).__name__} has entries that are "
+                          "not finite: the parameters leave floating-point range")
 
 
 def _dense(h: HamiltonianMatrix) -> np.ndarray:
@@ -366,7 +385,7 @@ def _parity_blocks(h: HamiltonianMatrix, k_lowest, parity):
     solved, vals, residuals, parities = {}, [], [], []
     for sign in list(blocks):
         block = blocks.pop(sign)
-        block_vals, block_vecs = eigh(block, driver="evd")
+        block_vals, block_vecs = lapack.eigh(block, driver="evd")
         h_vecs = block @ block_vecs
         del block
         h_vecs -= block_vecs * block_vals
@@ -382,7 +401,7 @@ def _parity_blocks(h: HamiltonianMatrix, k_lowest, parity):
         solved[sign] = block_vecs
     vals = np.concatenate(vals)
     spectral_scale, gate = _gate(vals)
-    if defect > gate:
+    if not defect <= gate:
         raise ConvergenceError(
             f"reflection residual ||H - H[mirror][:, mirror]||_F {defect:g} too large for "
             f"spectrum scale {spectral_scale:g}: the payload breaks the pair reflection"
@@ -399,8 +418,8 @@ def _parity_blocks(h: HamiltonianMatrix, k_lowest, parity):
 def _lapack(h: HamiltonianMatrix, k_lowest, parity):
     """A LAPACK symmetric decomposition, full or the index subset of the
     lowest ``k_lowest`` levels, of the payload copied dense (``_dense``)."""
-    subset = None if k_lowest is None else [0, min(k_lowest, h.dim) - 1]
-    vals, vecs = eigh(_dense(h), subset_by_index=subset, driver="evr")
+    lowest = None if k_lowest is None else min(k_lowest, h.dim)
+    vals, vecs = lapack.eigh(_dense(h), lowest)
     return vals, vecs, None, None, {"method": "lapack", "driver": "evr"}
 
 
@@ -429,7 +448,9 @@ def eigensolve(
     ``k_lowest``, or with ``parity`` (+1 even, -1 odd) every level of that
     reflection block of a model that ``splits_by_parity``.
 
-    The first row of ``_ROUTES`` that takes the request solves it:
+    A payload with an entry that is not finite is refused first
+    (``_require_finite``).  The first row of ``_ROUTES`` that takes the
+    request solves it:
     shift-invert for the matrix-free operator, Lanczos for a few levels of a
     large payload, the parity blocks for every level of a model that
     ``splits_by_parity``, LAPACK for the rest.  Every eigenvector then has
@@ -448,6 +469,7 @@ def eigensolve(
             f"parity {parity!r} is +1 or -1 and needs the full spectrum of a real "
             "pair-basis model"
         )
+    _require_finite(h)
     solve = next(solve for takes, solve in _ROUTES if takes(h, k_lowest))
     vals, vecs, residuals, parities, stats = solve(h, k_lowest, parity)
     mirror = h.pair_basis.mirror if splits_by_parity(h) else None
@@ -458,7 +480,7 @@ def eigensolve(
         h_vecs -= vecs * vals
         residuals = np.linalg.norm(h_vecs, axis=0)
     scale, gate = _gate(vals)
-    if residuals.max(initial=0.0) > gate:
+    if not residuals.max(initial=0.0) <= gate:
         raise ConvergenceError(
             f"residual {residuals.max():g} too large for spectrum scale {scale:g}"
         )

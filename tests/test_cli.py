@@ -4,6 +4,7 @@ import gc
 import io
 import json
 import os
+import warnings
 from concurrent.futures import ProcessPoolExecutor
 from unittest import mock
 
@@ -19,6 +20,10 @@ SMALL = [
     "--set", "params.n_cavities=41",
     "--set", "params.n_qubits=6",
 ]
+
+
+#: the pool class as the sweep task imports it, when it starts a pool
+_POOL = "concurrent.futures.process.ProcessPoolExecutor"
 
 
 def run_cli(tmp_path, task, *extra, out=None):
@@ -203,7 +208,7 @@ def test_pooled_sweep_matches_the_serial_one(tmp_path, monkeypatch, blas_pools, 
     outputs, manifests = [], []
     for workers in ("1", "2"):
         monkeypatch.setenv("SIMULATE_WORKERS", workers)
-        with mock.patch.object(cli, "ProcessPoolExecutor", wraps=ProcessPoolExecutor) as spy:
+        with mock.patch(_POOL, wraps=ProcessPoolExecutor) as spy:
             code, out = run_cli(tmp_path, "sweep", *_SWEEP, out=str(tmp_path / workers))
         assert code == 0
         outputs.append((tmp_path / workers / "sweep.csv").read_bytes())
@@ -335,7 +340,7 @@ def test_one_core_sweeps_in_process(tmp_path, monkeypatch, found):
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 1)
     monkeypatch.setenv("SIMULATE_WORKERS", "8")
-    with mock.patch.object(cli, "ProcessPoolExecutor") as spy:
+    with mock.patch(_POOL) as spy:
         code, out = run_cli(tmp_path, "sweep", *_SWEEP)
     assert code == 0
     spy.assert_not_called()
@@ -735,6 +740,35 @@ def test_refused_allocation_exits_3_with_one_line(tmp_path, capsys, t_max, dt):
     assert code == 3
     assert err.startswith("validity error: ")
     assert err.count("\n") == 1
+    assert not os.path.exists(os.path.join(out, "manifest.json"))
+
+
+_MEDIUM = ["--set", "params.n_cavities=101", "--set", "params.n_qubits=25"]
+
+
+@pytest.mark.parametrize("extra, code", [
+    (["--set", "params.g=1e300"], 3),
+    ([*_MEDIUM, "--set", "options.k_lowest=1", "--set", "params.g=1e-300"], 4),
+    (["--set", "params.delta=-1e300"], 3),
+    ([*_MEDIUM, "--set", "options.k_lowest=1", "--set", "params.delta=-1e300"], 3),
+], ids=["g-overflows-the-regime-check", "g-underflows-to-a-zero-operator",
+        "delta-overflows-the-hop", "delta-overflows-the-hop-under-lanczos"])
+def test_finite_inputs_out_of_floating_point_range_exit_with_one_line(
+        tmp_path, capsys, extra, code):
+    """Finite parameters whose derived quantities leave floating-point range
+    end in one error line and no manifest: a coupling so large that the
+    regime check's square overflows (exit 3); one so small that the spin
+    model is exactly zero, whose start vector ARPACK maps to zero (exit 4);
+    a detuning so far below the band that the hop's fall-off is lost to
+    rounding, for the parity blocks and for Lanczos (exit 3).  No warning
+    is raised on the way."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got, out = run_cli(tmp_path, "spectrum", *extra)
+    err = capsys.readouterr().err
+    assert (got, [str(w.message) for w in caught]) == (code, [])
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert "Traceback" not in err
     assert not os.path.exists(os.path.join(out, "manifest.json"))
 
 

@@ -1,4 +1,5 @@
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,17 @@ def test_hop_grows_toward_small_detuning():
         lengths.append(L)
     assert scales[0] < scales[1] < scales[2]
     assert lengths[0] < lengths[1] < lengths[2]
+
+
+@pytest.mark.parametrize("delta", [-1e20, -1e300])
+def test_a_hop_fall_off_lost_to_rounding_is_refused_without_a_warning(delta):
+    """Far below the band, exp(-1/L) = ratio - sqrt(ratio^2 - 1) rounds to
+    zero (delta = -1e20) or, where ratio^2 overflows, to -inf (-1e300):
+    refused, before np.log warns and the hop turns NaN."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not resolved in floating point"):
+            hop_scale_and_length(default_params(delta=delta))
 
 
 def _pair_bound_literal(params, bands, n_i, n_j):

@@ -41,6 +41,13 @@ def test_validity_bound_rejects_small_nonlinearity():
         build_params(dict(n_cavities=501, n_qubits=60, spacing=1, g=1 / 50, u=-0.01, delta=-1 / 50))
 
 
+def test_a_coupling_whose_square_overflows_is_out_of_regime():
+    """The off-resonance bound of a finite coupling near the float range
+    overflows to infinity, which no |u| exceeds, instead of raising."""
+    with pytest.raises(ValidityError, match="must exceed inf"):
+        default_params(g=1e300)
+
+
 def test_sign_errors():
     with pytest.raises(SignError):
         default_params(delta=+0.02)

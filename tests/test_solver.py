@@ -367,18 +367,28 @@ _DEFERRED_REPORT = """
 import json, os, sys
 from droplet_lattice import cli
 import numpy
+stacks = ("numpy.ma.core", "concurrent.futures.process", "multiprocessing", "scipy.sparse.linalg")
+loaded = {"import": [name for name in stacks if name in sys.modules]}
+# two cores, so the sweep starts a two-worker pool on any host
+os.sched_getaffinity = lambda pid: {0, 1}
+os.environ["SIMULATE_WORKERS"] = "2"
 small = ["--set", "params.n_cavities=41", "--set", "params.n_qubits=6"]
-runs = [["dynamics", "--set", "options.alphas=[1,2]"], ["figure", "--fig", "6b"],
-        ["spectrum", "--set", "model=full", "--set", "options.k_lowest=4"],
-        ["sweep", "--set", "options.axis=delta", "--set", "options.values=[-0.02,-0.05,-0.1]"]]
-codes = [cli.main([*run, "--out", os.path.join(sys.argv[1], str(i)), *small])
-         for i, run in enumerate(runs)]
-loaded = [name for name in ("numpy.f2py.crackfortran", "numpy.testing._private.utils")
-          if name in sys.modules]
+runs = {"dynamics": ["dynamics", "--set", "options.alphas=[1,2]"], "fig6b": ["figure", "--fig", "6b"],
+        "full": ["spectrum", "--set", "model=full", "--set", "options.k_lowest=4"],
+        "sweep": ["sweep", "--set", "options.axis=delta",
+                  "--set", "options.values=[-0.02,-0.05,-0.1]"]}
+codes = []
+for name, run in runs.items():
+    codes.append(cli.main([*run, "--out", os.path.join(sys.argv[1], name), *small]))
+    loaded[name] = [module for module in stacks if module in sys.modules]
+with open(os.path.join(sys.argv[1], "sweep", "manifest.json")) as fh:
+    pool = json.load(fh)["pool"]
+unused = [name for name in ("numpy.f2py.crackfortran", "numpy.testing._private.utils",
+                            "numpy.ma.core") if name in sys.modules]
 numpy.testing.assert_allclose(1, 1)
 from numpy.testing import assert_array_equal
 print(json.dumps({
-    "codes": codes, "loaded": loaded,
+    "codes": codes, "loaded": loaded, "pool": pool, "unused": unused,
     "masked_sum": int(numpy.ma.masked_array([1, 2], mask=[0, 1]).sum()),
     "f2py_include": os.path.isdir(numpy.f2py.get_include()),
     "bound": [sys.modules[name] is getattr(numpy, name.rpartition(".")[2])
@@ -388,13 +398,21 @@ print(json.dumps({
 
 
 def test_the_numpy_modules_no_task_uses_load_only_when_used(tmp_path):
-    """After ``dynamics``, fig 6b, a ``full`` spectrum and a sweep in a
-    fresh process, the bodies of ``numpy.f2py`` and ``numpy.testing`` have
-    not run.  Their first use still works, as does ``numpy.ma``'s, and each
-    of the three is the module that ``numpy`` holds under its short name."""
+    """In a fresh process the package loads neither ``numpy.ma``'s body, nor
+    the process pool (with ``multiprocessing``), nor ARPACK
+    (``scipy.sparse.linalg``).  ``dynamics`` loads none of them, fig 6b and
+    a ``full`` spectrum not ``numpy.ma`` (the solves call LAPACK directly),
+    the ``full`` spectrum ARPACK, and a two-worker sweep the pool.  After
+    all four the bodies of ``numpy.f2py``, ``numpy.testing`` and
+    ``numpy.ma`` have not run.  Their first use still works, and each of
+    the three is the module that ``numpy`` holds under its short name."""
     report = _fresh_python(_DEFERRED_REPORT, str(tmp_path))
     assert report["codes"] == [0, 0, 0, 0]
-    assert report["loaded"] == []
+    arpack, pool = ["scipy.sparse.linalg"], ["concurrent.futures.process", "multiprocessing"]
+    assert report["loaded"] == {"import": [], "dynamics": [], "fig6b": [], "full": arpack,
+                                "sweep": [*pool, *arpack]}
+    assert report["pool"] == {"workers": 2}
+    assert report["unused"] == []
     assert report["masked_sum"] == 1
     assert report["f2py_include"]
     assert report["bound"] == [True, True, True]
@@ -533,6 +551,133 @@ def test_a_small_defect_spread_over_every_entry_fails_the_reflection_check(small
     assert np.abs(defect).max() < gate < np.linalg.norm(defect)
     with pytest.raises(ConvergenceError, match="reflection"):
         eigensolve(replace(h, payload=broken), parity=parity)
+
+
+def _nan_at(where):
+    """The parity-block route with a NaN put into its residuals or energies."""
+    def solve(h, k_lowest, parity):
+        vals, vecs, residuals, parities, stats = solver._parity_blocks(h, k_lowest, parity)
+        (residuals if where == "residual" else vals)[0] = np.nan
+        return vals, vecs, residuals, parities, stats
+
+    return solve
+
+
+@pytest.mark.parametrize("where, message", [
+    ("residual", "solver error: residual nan too large"),
+    ("energy", "solver error: residual"),
+    ("defect", "solver error: reflection residual ||H - H[mirror][:, mirror]||_F nan"),
+])
+def test_a_nan_residual_energy_or_defect_fails_the_gate_and_exits_4(
+        tmp_path, capsys, monkeypatch, where, message):
+    """A NaN level residual, a NaN energy (which makes the gate NaN) and a
+    NaN reflection defect each fail their gate: the run exits 4 with one
+    line and writes no manifest."""
+    from droplet_lattice import cli
+
+    if where == "defect":
+        monkeypatch.setattr(solver, "_reflection_defect", lambda payload, mirror: np.nan)
+    else:
+        monkeypatch.setattr(solver, "_ROUTES", ((lambda h, k: True, _nan_at(where)),))
+    out = tmp_path / "out"
+    argv = ["spectrum", "--out", str(out), "--set", "params.n_cavities=41",
+            "--set", "params.n_qubits=6"]
+    assert cli.main(argv) == 4
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not (out / "manifest.json").exists()
+
+
+def _not_finite(pipe, kind):
+    """The spin model of ``pipe`` with one NaN in the arrays of a payload of
+    ``kind``, or its explicit-photon model with one NaN bound-pair profile."""
+    from dataclasses import replace
+
+    from droplet_lattice.couplings import PairHopFactor
+    from droplet_lattice.hamiltonians import SpinOperator
+
+    h = pipe.model("spin")
+    if kind == "full":
+        profiles = pipe.bands.profiles.copy()
+        profiles[0, 0] = np.nan
+        bands = replace(pipe.bands, profiles=profiles)
+        return replace(pipe.model("full"),
+                       payload=FullOperator(pipe.params, pipe.positions, pipe.basis, bands))
+    if kind == "factor":
+        x = pipe.pair_hop_factor.x.copy()
+        x[0, 0] = np.nan
+        payload = SpinOperator(pipe.hop_csr, PairHopFactor(x, pipe.pair_hop_factor.scale))
+    elif kind == "csr":
+        payload = sp.csr_array(pipe.hop_csr, copy=True)
+        payload.data[0] = np.nan
+    else:
+        payload = h.payload.toarray()
+        payload[0, 0] = np.inf
+    return replace(h, payload=payload)
+
+
+@pytest.mark.parametrize("kind", ["ndarray", "csr", "factor", "full"])
+def test_a_payload_that_is_not_finite_is_refused_before_any_route(tiny_stack, monkeypatch,
+                                                                   kind):
+    """LAPACK and ARPACK get no input scan of their own, so ``eigensolve``
+    refuses (DomainError, exit 3) a payload with an entry that is not
+    finite before any route runs: an ndarray, a CSR payload's stored
+    entries, a ``SpinOperator``'s pair-hop factor, the profiles a
+    ``FullOperator`` applies."""
+    from droplet_lattice import DomainError
+
+    h = _not_finite(tiny_stack, kind)
+
+    def no_route(*args):
+        raise AssertionError("a route ran")
+
+    monkeypatch.setattr(solver, "_ROUTES", ((lambda h, k: True, no_route),))
+    with pytest.raises(DomainError, match="not finite"):
+        eigensolve(h, k_lowest=2 if kind == "full" else None)
+
+
+def _hermitian(n, complex_, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n))
+    if complex_:
+        a = a + 1j * rng.standard_normal((n, n))
+    return a + a.conj().T
+
+
+@pytest.mark.parametrize("complex_", [False, True], ids=["real", "complex"])
+@pytest.mark.parametrize("n", [0, 1, 7, 90])
+def test_the_lapack_calls_give_the_bits_of_scipys(n, complex_):
+    """``lapack.eigh`` (evd of a real matrix; evr full, the lowest levels,
+    values only), ``cholesky`` and ``cholesky_solve`` return bit for bit
+    what scipy.linalg's ``eigh``, ``cho_factor(lower=True)`` and
+    ``cho_solve`` return, leave their input as it was, and report a matrix
+    that is not positive definite as None."""
+    from scipy.linalg import cho_factor, cho_solve
+
+    from droplet_lattice import lapack
+
+    a = _hermitian(n, complex_, seed=n)
+    kept = a.copy()
+    # evd solves the real parity blocks, the empty odd block of two qubits
+    # too; evr is never given an empty payload
+    pairs = [] if complex_ else [(lapack.eigh(a, driver="evd"), eigh(a, driver="evd"))]
+    if n:
+        k = min(n, 3)
+        pairs += [(lapack.eigh(a), eigh(a, driver="evr")),
+                  (lapack.eigh(a, lowest=k), eigh(a, subset_by_index=[0, k - 1], driver="evr")),
+                  ((lapack.eigh(a, lowest=1, vectors=False),),
+                   (eigh(a, eigvals_only=True, subset_by_index=[0, 0]),))]
+        spd = a + (np.abs(a).sum() + 1) * np.eye(n)
+        b = _hermitian(n, complex_, seed=n + 1)[:, 0]
+        factor = lapack.cholesky(spd)
+        pairs += [((factor,), (cho_factor(spd, lower=True)[0],)),
+                  ((lapack.cholesky_solve(factor, b),), (cho_solve((factor, True), b),))]
+        assert lapack.cholesky(-spd) is None
+    for ours, scipys in pairs:
+        for x, y in zip(ours, scipys, strict=True):
+            assert x.dtype == y.dtype and x.shape == y.shape
+            assert x.tobytes() == y.tobytes()
+    assert np.array_equal(a, kept)
 
 
 @pytest.mark.parametrize("n_qubits, spacing", [(6, 0), (6, 1), (7, 0), (7, 1)])
