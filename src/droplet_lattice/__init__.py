@@ -10,7 +10,8 @@ import sys
 #: numpy submodules that scipy's array-API layer imports, through ``from numpy
 #: import *`` and ``dir(numpy)``, and that no task uses.  ``numpy.ma`` is read
 #: by scipy.linalg's input check (``np.ma.isMaskedArray``), which no task
-#: runs: the package calls LAPACK past it (``lapack``)
+#: runs: the package loads scipy.linalg's compiled LAPACK and BLAS without
+#: that package and calls them directly (``lapack``)
 _DEFERRED = ("numpy.f2py", "numpy.ma", "numpy.testing")
 
 

@@ -21,9 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy.linalg.lapack import dstebz, dstein
 
 from .errors import ConvergenceError, DomainError, NoBoundState
+from .lapack import dstebz, dstein
 from .output import write_csv
 from .params import J, MomentumGrid, SystemParams
 

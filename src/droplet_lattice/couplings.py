@@ -40,8 +40,18 @@ def hop_scale_and_length(params: SystemParams) -> tuple[float, float]:
             f"{params.cavity_qubit_detuning:g}: not resolved in floating point"
         )
     scale = -2 * J * (params.g / (2 * J)) ** 2 / root
+    _refuse_underflow(scale, params, "hop scale")
     length = -1.0 / np.log(decay)
     return float(scale), float(length)
+
+
+def _refuse_underflow(prefactor: float, params: SystemParams, name: str):
+    """Refuse a coupling prefactor that rounds to zero while g > 0: the model
+    it scales would be exactly zero, and no route should solve it."""
+    if prefactor == 0 and params.g > 0:
+        raise DomainError(
+            f"{name} at g={params.g:g} underflows to zero: not resolved in floating point"
+        )
 
 
 def constrained_hop_matrix(params: SystemParams, positions: np.ndarray) -> np.ndarray:
@@ -176,6 +186,7 @@ def pair_hop_factor(params: SystemParams, pair_bound, bands: BathBands) -> PairH
         raise DomainError("pair detuning not positive for every K; not in the band gap")
     root = np.sqrt(bands.pair_detunings)[None, :]
     prefactor = params.g**4 / (params.n_cavities * J * J)
+    _refuse_underflow(prefactor, params, "pair-hop scale")
     zero = bands.grid.zero_index
     n_pairs, n_k = pair_bound.shape
     width = n_k - zero  # columns K >= 0

@@ -14,13 +14,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.blas import dsymv
 
 from . import lapack
 from .errors import (BasisMismatch, BracketError, ConfigError, ConvergenceError,
                      DegeneracyWarning, DomainError)
 from .couplings import PairHopFactor
 from .hamiltonians import FullOperator, HamiltonianMatrix, _refuse_above_cap, _require_pairs
+from .lapack import dsymv
 from .observables import WavepacketState
 
 DENSE_FALLBACK_DIM = 4000

@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from droplet_lattice import bath, blas, cli, hamiltonians, solver
@@ -748,17 +748,22 @@ _MEDIUM = ["--set", "params.n_cavities=101", "--set", "params.n_qubits=25"]
 
 @pytest.mark.parametrize("extra, code", [
     (["--set", "params.g=1e300"], 3),
-    ([*_MEDIUM, "--set", "options.k_lowest=1", "--set", "params.g=1e-300"], 4),
+    ([*_MEDIUM, "--set", "options.k_lowest=1", "--set", "params.g=1e-300"], 3),
+    (["--set", "params.g=1e-300"], 3),
+    ([*_MEDIUM, "--set", "options.k_lowest=1", "--set", "model=pair", "--set", "params.g=1e-160"],
+     3),
     (["--set", "params.delta=-1e300"], 3),
     ([*_MEDIUM, "--set", "options.k_lowest=1", "--set", "params.delta=-1e300"], 3),
 ], ids=["g-overflows-the-regime-check", "g-underflows-to-a-zero-operator",
+        "g-underflows-to-a-zero-operator-on-a-full-spectrum", "g4-underflows-to-a-zero-pair-hop",
         "delta-overflows-the-hop", "delta-overflows-the-hop-under-lanczos"])
 def test_finite_inputs_out_of_floating_point_range_exit_with_one_line(
         tmp_path, capsys, extra, code):
     """Finite parameters whose derived quantities leave floating-point range
     end in one error line and no manifest: a coupling so large that the
-    regime check's square overflows (exit 3); one so small that the spin
-    model is exactly zero, whose start vector ARPACK maps to zero (exit 4);
+    regime check's square overflows (exit 3); one so small that a coupling
+    prefactor (g^2 of the hop, g^4 of the pair hop) rounds to zero, refused
+    before Lanczos or the parity blocks solve an exactly zero model (exit 3);
     a detuning so far below the band that the hop's fall-off is lost to
     rounding, for the parity blocks and for Lanczos (exit 3).  No warning
     is raised on the way."""
@@ -964,7 +969,7 @@ _KEYS = st.sampled_from(
 )
 
 
-def _check_bad_settings(tmp_path_factory, task, assignments):
+def _check_bad_settings(tmp_path_factory, task, assignments, size=SMALL):
     """Any mix of bad --set values either runs or exits 2, 3 or 4 with one
     line on stderr; only a run that succeeds leaves a manifest, whose solver
     record is null or starts with the method."""
@@ -972,7 +977,7 @@ def _check_bad_settings(tmp_path_factory, task, assignments):
     args = [item for key, value in assignments for item in ("--set", f"{key}={value}")]
     err = io.StringIO()
     with contextlib.redirect_stderr(err):
-        code = main([task, "--out", out, *SMALL, *args])
+        code = main([task, "--out", out, *size, *args])
     manifest = os.path.join(out, "manifest.json")
     assert code in (0, 2, 3, 4)
     assert "Traceback" not in err.getvalue()
@@ -998,6 +1003,29 @@ def test_bad_sweep_settings_never_end_in_a_traceback(tmp_path_factory, assignmen
     """As above for ``sweep``, which reads ``options.values``."""
     with mock.patch.dict(os.environ, {"SIMULATE_WORKERS": "1"}):
         _check_bad_settings(tmp_path_factory, "sweep", assignments)
+
+
+# finite values out to the ends of floating-point range: +-10^e, from
+# subnormal 1e-320 to 1e300
+_EXTREMES = st.builds("{}1e{}".format, st.sampled_from(["", "-"]), st.integers(-320, 300))
+
+
+@pytest.mark.parametrize("k_lowest", [1, 20])
+@settings(settings.get_profile("cli_fuzz"), max_examples=25)
+@given(assignments=st.lists(st.tuples(st.sampled_from(["params.g", "params.u", "params.delta"]),
+                                      _EXTREMES), min_size=1, max_size=3,
+                            unique_by=lambda assignment: assignment[0]))
+# g^4 / N subnormal (solved), and rounded to zero (refused)
+@example(assignments=[("params.g", "1e-80")])
+@example(assignments=[("params.g", "1e-81")])
+def test_finite_extreme_settings_never_end_in_a_traceback(tmp_path_factory, k_lowest,
+                                                           assignments):
+    """As above with finite g, u and delta of any magnitude, at 101x25 where
+    the lowest level comes from Lanczos (k_lowest 1) and the lowest 20 from
+    the LAPACK subset.  Most draws leave the regime and exit 3; the two
+    examples pin the edge where the pair hop's g^4 underflows."""
+    _check_bad_settings(tmp_path_factory, "spectrum",
+                        [*assignments, ("options.k_lowest", k_lowest)], size=_MEDIUM)
 
 
 # model=full at 41x6 has dimension 15 + 6 * 41 + 41 = 302; ARPACK takes at most

@@ -63,6 +63,23 @@ def test_a_hop_fall_off_lost_to_rounding_is_refused_without_a_warning(delta):
             hop_scale_and_length(default_params(delta=delta))
 
 
+@pytest.mark.parametrize("g, refused", [(1e-300, ["hop", "pair-hop"]), (1e-160, ["pair-hop"]),
+                                        (0.0, [])])
+def test_a_coupling_prefactor_that_underflows_to_zero_is_refused(tiny_stack, g, refused):
+    """The hop scale (g^2) and the pair-hop scale (g^4) are refused where they
+    round to zero while g > 0: at g = 1e-300 both, at 1e-160 the pair hop
+    alone.  g = 0 is an exact zero coupling, not refused."""
+    params = default_params(n_cavities=41, n_qubits=6, g=g)
+    stages = {"hop": lambda: hop_scale_and_length(params),
+              "pair-hop": lambda: pair_hop_factor(params, tiny_stack.pair_bound, tiny_stack.bands)}
+    for name, stage in stages.items():
+        if name in refused:
+            with pytest.raises(DomainError, match=f"^{name} scale at g={g:g} underflows to zero"):
+                stage()
+        else:
+            stage()
+
+
 def _pair_bound_literal(params, bands, n_i, n_j):
     """Elementwise definition: explicit wavevector sum over coupling elements."""
     from droplet_lattice.bath import bound_matrix_element

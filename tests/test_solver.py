@@ -367,7 +367,8 @@ _DEFERRED_REPORT = """
 import json, os, sys
 from droplet_lattice import cli
 import numpy
-stacks = ("numpy.ma.core", "concurrent.futures.process", "multiprocessing", "scipy.sparse.linalg")
+stacks = ("numpy.ma.core", "concurrent.futures.process", "multiprocessing", "scipy.sparse.linalg",
+          "scipy.linalg")
 loaded = {"import": [name for name in stacks if name in sys.modules]}
 # two cores, so the sweep starts a two-worker pool on any host
 os.sched_getaffinity = lambda pid: {0, 1}
@@ -400,15 +401,17 @@ print(json.dumps({
 def test_the_numpy_modules_no_task_uses_load_only_when_used(tmp_path):
     """In a fresh process the package loads neither ``numpy.ma``'s body, nor
     the process pool (with ``multiprocessing``), nor ARPACK
-    (``scipy.sparse.linalg``).  ``dynamics`` loads none of them, fig 6b and
-    a ``full`` spectrum not ``numpy.ma`` (the solves call LAPACK directly),
-    the ``full`` spectrum ARPACK, and a two-worker sweep the pool.  After
+    (``scipy.sparse.linalg``), nor the ``scipy.linalg`` package (the solves
+    call its compiled LAPACK and BLAS modules, loaded alone).  ``dynamics``
+    and fig 6b load none of them, the ``full`` spectrum ARPACK and with it
+    ``scipy.linalg``, and a two-worker sweep the pool as well.  After
     all four the bodies of ``numpy.f2py``, ``numpy.testing`` and
     ``numpy.ma`` have not run.  Their first use still works, and each of
     the three is the module that ``numpy`` holds under its short name."""
     report = _fresh_python(_DEFERRED_REPORT, str(tmp_path))
     assert report["codes"] == [0, 0, 0, 0]
-    arpack, pool = ["scipy.sparse.linalg"], ["concurrent.futures.process", "multiprocessing"]
+    arpack = ["scipy.sparse.linalg", "scipy.linalg"]
+    pool = ["concurrent.futures.process", "multiprocessing"]
     assert report["loaded"] == {"import": [], "dynamics": [], "fig6b": [], "full": arpack,
                                 "sweep": [*pool, *arpack]}
     assert report["pool"] == {"workers": 2}
@@ -432,6 +435,70 @@ def test_a_numpy_module_the_caller_loaded_is_kept():
     """A deferred module that the caller imported before the package stays
     the loaded module object it was."""
     assert _fresh_python(_PRELOADED_REPORT) == {"kept": True}
+
+
+_SHARED_REPORT = """
+import json, sys
+if sys.argv[1] == "before":
+    import scipy.linalg
+import droplet_lattice
+from droplet_lattice import bath, lapack, solver
+absent = "scipy.linalg" not in sys.modules
+import scipy.linalg.blas, scipy.linalg.lapack
+print(json.dumps({
+    "absent": absent,
+    "registered": [sys.modules["scipy.linalg._flapack"] is lapack._flapack,
+                   sys.modules["scipy.linalg._fblas"] is lapack._fblas],
+    "scipy_holds": [scipy.linalg.lapack._flapack is lapack._flapack,
+                    scipy.linalg.blas._fblas is lapack._fblas],
+    "routines": [bath.dstebz is scipy.linalg.lapack.dstebz,
+                 bath.dstein is scipy.linalg.lapack.dstein,
+                 solver.dsymv is scipy.linalg.blas.dsymv],
+}))
+"""
+
+
+@pytest.mark.parametrize("scipy_linalg", ["after", "before"])
+def test_scipy_linalg_and_the_package_share_one_lapack_and_one_blas_module(scipy_linalg):
+    """The package loads scipy.linalg's compiled ``_flapack`` and ``_fblas``
+    without the ``scipy.linalg`` package, so each is loaded once: imported
+    after the package, ``scipy.linalg`` takes the very module objects the
+    package holds, and its routines are the package's (``bath.dstebz``,
+    ``bath.dstein``, ``solver.dsymv``).  Imported before, the package takes
+    scipy.linalg's modules."""
+    report = _fresh_python(_SHARED_REPORT, scipy_linalg)
+    assert report == {"absent": scipy_linalg == "after", "registered": [True, True],
+                      "scipy_holds": [True, True], "routines": [True, True, True]}
+
+
+def test_a_failing_lapack_routine_raises_a_convergence_error_naming_it(tmp_path, capsys,
+                                                                      monkeypatch):
+    """A LAPACK driver that reports info != 0 raises ``ConvergenceError``
+    with the routine's name and info, and a spectrum whose parity blocks it
+    solves exits 4 with that one line and no manifest.  The routine is
+    patched where scipy.linalg's compiled module holds it; the patch is a
+    plain function, with none of the attributes scipy's ``get_lapack_funcs``
+    sets, and scipy's cache of the routines it handed out is emptied while
+    it is in place."""
+    from unittest import mock
+
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    from droplet_lattice import cli, lapack
+
+    flapack = sys.modules["scipy.linalg._flapack"]
+    dsyevd = flapack.dsyevd
+    # the routine's results with its last, the LAPACK info, set to 1
+    monkeypatch.setattr(flapack, "dsyevd", lambda *args, **kw: (*dsyevd(*args, **kw)[:-1], 1))
+    out = tmp_path / "out"
+    with mock.patch.dict(get_lapack_funcs.memo, clear=True):
+        with pytest.raises(ConvergenceError, match=r"^LAPACK dsyevd failed \(info 1\)$"):
+            lapack.eigh(_hermitian(5, False, seed=0), driver="evd")
+        code = cli.main(["spectrum", "--out", str(out), "--set", "params.n_cavities=41",
+                         "--set", "params.n_qubits=6"])
+    assert code == 4
+    assert capsys.readouterr().err == "solver error: LAPACK dsyevd failed (info 1)\n"
+    assert not (out / "manifest.json").exists()
 
 
 def test_dense_copy_of_a_huge_sparse_payload_is_refused():
